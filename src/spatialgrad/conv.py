@@ -12,10 +12,14 @@ with dY in place of W,
 which is a function of the input and the output gradient only; the weight
 tensor never appears, so ``conv_backward_weights`` does not take it.
 
-All three operations are direct convolutions (no FFT): the spatial window
-products are evaluated with a vectorised einsum over an overlapping-window
-view of the padded input, which keeps the reduction order fixed and the
-results deterministic for a given input.
+All three operations are direct convolutions (no FFT) over an
+overlapping-window view of the padded input. The forward pass copies that
+view into an im2col matrix [N, Ci*kx*ky, H'*W'] and multiplies it by
+``W.reshape(Co, -1)`` in one batched GEMM. The weight gradient contracts dY
+with the same view in an einsum. The input gradient makes one plain matmul
+per kernel offset, ``W[:, :, kh, kw].T @ dY``, and adds each product into the
+padded grid at that offset. Every path has a fixed reduction order, so the
+results are deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -98,7 +102,9 @@ def conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     w = _check_weights(w, spec)
     spec.out_size(x.shape[2], x.shape[3])
     windows = _windows(_pad(x, spec.padding), spec)
-    return np.einsum("oikl,nihwkl->nohw", w, windows, optimize=True)
+    n, ci, oh, ow, kx, ky = windows.shape
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, ci * kx * ky, oh * ow)
+    return (w.reshape(spec.out_channels, -1) @ cols).reshape(n, spec.out_channels, oh, ow)
 
 
 def conv_backward_weights(dy: np.ndarray, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -128,10 +134,11 @@ def conv_backward_input(dy: np.ndarray, w: np.ndarray, spec: ConvSpec,
     kx, ky = spec.kernel
     n = dy.shape[0]
     dxp = np.zeros((n, spec.in_channels, height + 2 * pad, width + 2 * pad), dtype=dy.dtype)
+    dy_flat = dy.reshape(n, spec.out_channels, oh * ow)
     # Scatter each kernel offset's contribution back onto the padded grid.
     for kh in range(kx):
         for kw in range(ky):
-            contrib = np.einsum("oi,nohw->nihw", w[:, :, kh, kw], dy, optimize=True)
+            contrib = (w[:, :, kh, kw].T @ dy_flat).reshape(n, spec.in_channels, oh, ow)
             dxp[:, :, kh : kh + s * (oh - 1) + 1 : s, kw : kw + s * (ow - 1) + 1 : s] += contrib
     if pad == 0:
         return dxp

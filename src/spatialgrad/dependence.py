@@ -91,6 +91,8 @@ def _check_maps(feature_maps: Sequence[np.ndarray]) -> list[np.ndarray]:
             channels = fm.shape[1]
         elif fm.shape[1] != channels:
             raise ValueError("feature maps must share a channel count")
+        if not np.isfinite(fm).all():
+            raise EstimatorError(f"feature map {idx} holds non-finite values")
         maps.append(fm)
     return maps
 

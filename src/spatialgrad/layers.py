@@ -69,27 +69,44 @@ class ReLULayer(Layer):
 
 
 class MaxPoolLayer(Layer):
-    """2x2 max pooling with stride 2; odd trailing rows/columns are dropped."""
+    """2x2 max pooling with stride 2; odd trailing rows/columns are dropped.
+
+    Forward takes the elementwise max of the four stride-2 quadrant slices and
+    records, per output cell, a uint8 route: the first quadrant, in the order
+    (0,0), (0,1), (1,0), (1,1), whose value equals the max. Backward sends each
+    output gradient to that element alone, so ties go to the first of the
+    tied elements (as ``argmax`` over the flattened block would pick), and the
+    dropped trailing row and column get zero gradient. A block holding a NaN
+    outputs NaN and routes to (1,1).
+    """
+
+    _QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def forward(self, x, train):
         n, c, h, w = x.shape
         oh, ow = h // 2, w // 2
         if oh < 1 or ow < 1:
             raise ShapeError(f"input {h}x{w} too small for 2x2 pooling")
-        cropped = x[:, :, : 2 * oh, : 2 * ow]
-        blocks = cropped.reshape(n, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5)
-        flat = blocks.reshape(n, c, oh, ow, 4)
-        self._argmax = flat.argmax(axis=4)
+        q00, q01, q10, q11 = (x[:, :, r : 2 * oh : 2, s : 2 * ow : 2] for r, s in self._QUADRANTS)
+        out = np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
+        # route = number of leading quadrants that miss the max
+        miss = q00 != out
+        route = miss.astype(np.uint8)
+        miss &= q01 != out
+        route += miss
+        miss &= q10 != out
+        route += miss
+        self._route = route
         self._in_shape = x.shape
-        return flat.max(axis=4)
+        return out
 
     def backward(self, dy):
-        n, c, oh, ow = dy.shape
-        flat = np.zeros((n, c, oh, ow, 4), dtype=dy.dtype)
-        np.put_along_axis(flat, self._argmax[..., None], dy[..., None], axis=4)
-        blocks = flat.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        dx = np.zeros(self._in_shape, dtype=dy.dtype)
-        dx[:, :, : 2 * oh, : 2 * ow] = blocks.reshape(n, c, 2 * oh, 2 * ow)
+        oh, ow = dy.shape[2], dy.shape[3]
+        dx = np.empty(self._in_shape, dtype=dy.dtype)
+        dx[:, :, 2 * oh :] = 0
+        dx[:, :, :, 2 * ow :] = 0
+        for k, (r, s) in enumerate(self._QUADRANTS):
+            dx[:, :, r : 2 * oh : 2, s : 2 * ow : 2] = np.where(self._route == k, dy, 0)
         return dx
 
 

@@ -218,9 +218,9 @@ def refresh_scalings(net: Network, dataset: LabeledDataset, sgs: SgsSettings,
 
     Estimator-backed measures sample ``refresh_batches`` random batches and
     forward them in evaluation mode, recording each conv layer's input feature
-    map. A per-layer estimator failure (degenerate maps, undersized spatial
-    extent, mismatched analytic kernel) degrades that layer to the uniform
-    scaling with a warning; a refresh never aborts the run.
+    map. A per-layer estimator failure (degenerate or non-finite maps,
+    undersized spatial extent, mismatched analytic kernel) degrades that layer
+    to the uniform scaling with a warning; a refresh never aborts the run.
     """
     return {idx: pair[1]
             for idx, pair in inspect_scalings(net, dataset, sgs, rng, batch_size).items()}

@@ -60,6 +60,7 @@ def momentum_config(**kwargs):
     return TrainingConfig(**defaults)
 
 
+@pytest.mark.slow
 def test_criterion_1_lemma_equivalence():
     """Branched training merges to the coverage-scaled trajectory, 1e-8 over 100 steps."""
     t0 = time.perf_counter()
@@ -233,6 +234,7 @@ def test_criterion_6_alpha_beta():
            f"alpha=beta=1 uniform: {uniform}, worst |mean-1| over grid {worst_mean:.2e} <= 1e-12")
 
 
+@pytest.mark.slow
 def test_criterion_7_overhead():
     """Scaling refresh every epoch costs at most 15% wall-clock over 5 epochs."""
     train_ds = synth_digits(2000, seed=0)
@@ -258,6 +260,7 @@ def test_criterion_7_overhead():
            f"overhead {100 * overhead:+.1f}% <= 15%")
 
 
+@pytest.mark.slow
 def test_criterion_8_non_inferiority_smoke():
     """Scaled training is within 0.5pp of baseline over 3 seeds; losses strictly fall."""
     t0 = time.perf_counter()

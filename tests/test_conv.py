@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spatialgrad.conv import ConvSpec, conv_backward_input, conv_backward_weights, conv_forward
 from spatialgrad.tensor import ShapeError
@@ -215,3 +217,64 @@ class TestConvBackwardInput:
         spec = ConvSpec(1, 2, (3, 3))
         with pytest.raises(ShapeError):
             conv_backward_input(np.ones((1, 1, 3, 3)), np.ones(spec.weight_shape), spec, (5, 5))
+
+
+def _dot64(a, b):
+    """Inner product accumulated in float64, whatever the operands' dtype."""
+    return float(a.astype(np.float64).ravel() @ b.astype(np.float64).ravel())
+
+
+def _adjoint_case(draw_seed, n, ci, co, kx, ky, stride, padding, extra_h, extra_w, dtype):
+    """Random (x, w, dy, spec) with a valid output size for the drawn geometry."""
+    rng = np.random.default_rng(draw_seed)
+    spec = ConvSpec(ci, co, (kx, ky), stride=stride, padding=padding)
+    h = max(1, kx - 2 * padding) + extra_h
+    w_ = max(1, ky - 2 * padding) + extra_w
+    x = rng.normal(size=(n, ci, h, w_)).astype(dtype)
+    w = rng.normal(size=spec.weight_shape).astype(dtype)
+    dy = rng.normal(size=(n, co, *spec.out_size(h, w_))).astype(dtype)
+    return x, w, dy, spec
+
+
+class TestAdjointness:
+    """<conv(x, w), dy> = <x, dX> = <w, dW>: both backward passes are the forward's adjoints."""
+
+    geometry = dict(
+        draw_seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        ci=st.integers(1, 3),
+        co=st.integers(1, 3),
+        kx=st.integers(1, 4),
+        ky=st.integers(1, 4),
+        stride=st.sampled_from([1, 2]),
+        padding=st.integers(0, 3),
+        extra_h=st.integers(0, 5),
+        extra_w=st.integers(0, 5),
+    )
+
+    @staticmethod
+    def inner_products(x, w, dy, spec):
+        y = conv_forward(x, w, spec)
+        dx = conv_backward_input(dy, w, spec, x.shape[2:])
+        dw = conv_backward_weights(dy, x, spec)
+        # every product in the three sums is bounded by this magnitude sum
+        scale = _dot64(conv_forward(np.abs(x), np.abs(w), spec), np.abs(dy))
+        products = (_dot64(y, dy), _dot64(x, dx), _dot64(w, dw))
+        return (y, dx, dw), products, scale
+
+    @given(**geometry)
+    @settings(max_examples=150, deadline=None)
+    def test_float64(self, **case):
+        x, w, dy, spec = _adjoint_case(**case, dtype=np.float64)
+        _, (fwd, via_dx, via_dw), scale = self.inner_products(x, w, dy, spec)
+        assert abs(fwd - via_dx) <= 1e-10 * scale
+        assert abs(fwd - via_dw) <= 1e-10 * scale
+
+    @given(**geometry)
+    @settings(max_examples=60, deadline=None)
+    def test_float32_keeps_dtype(self, **case):
+        x, w, dy, spec = _adjoint_case(**case, dtype=np.float32)
+        outputs, (fwd, via_dx, via_dw), scale = self.inner_products(x, w, dy, spec)
+        assert all(out.dtype == np.float32 for out in outputs)
+        assert abs(fwd - via_dx) <= 1e-5 * scale
+        assert abs(fwd - via_dw) <= 1e-5 * scale

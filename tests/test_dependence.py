@@ -220,6 +220,36 @@ class TestSpatialDependenceAutocorr:
         np.testing.assert_array_equal(s.values, np.zeros((3, 3)))
 
 
+class TestNonFiniteMaps:
+    """One NaN or inf in one map is an estimator error, never a silent all-zero matrix."""
+
+    @staticmethod
+    def maps_with(bad):
+        rng = np.random.default_rng(0)
+        maps = [rng.uniform(size=(2, 2, 6, 6)) for _ in range(2)]
+        maps[1][1, 0, 3, 2] = bad
+        return maps
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_mi_raises(self, bad):
+        with pytest.raises(EstimatorError, match="non-finite"):
+            spatial_dependence_mi(self.maps_with(bad), (3, 3), BinningConfig())
+
+    @pytest.mark.parametrize("cfg", [BinningConfig(value_range=(0.0, 1.0)),
+                                     BinningConfig(redundancy_filter="auto")])
+    def test_mi_with_fixed_range_or_filter_raises(self, cfg):
+        with pytest.raises(EstimatorError, match="non-finite"):
+            spatial_dependence_mi(self.maps_with(np.nan), (3, 3), cfg)
+
+    def test_autocorr_raises(self):
+        with pytest.raises(EstimatorError, match="non-finite"):
+            spatial_dependence_autocorr(self.maps_with(np.nan), (3, 3))
+
+    def test_collect_pairs_raises(self):
+        with pytest.raises(EstimatorError, match="non-finite"):
+            collect_pairs(self.maps_with(np.nan), (0, 1), BinningConfig(value_range=(0.0, 1.0)))
+
+
 class TestAlphaBetaScaling:
     def test_uniform_case(self):
         np.testing.assert_allclose(alpha_beta_scaling(1.0, 1.0).values, np.ones((3, 3)),

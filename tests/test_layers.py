@@ -69,6 +69,83 @@ class TestMaxPool:
         np.testing.assert_allclose(dx, num, rtol=1e-6, atol=1e-9)
 
 
+def loop_maxpool(x, dy):
+    """Loop oracle for 2x2/stride-2 pooling: output, and dy routed first-wins.
+
+    Scans each block in the order (0,0), (0,1), (1,0), (1,1) and keeps the
+    first element that no later one strictly exceeds.
+    """
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h // 2, w // 2), dtype=x.dtype)
+    dx = np.zeros_like(x)
+    for b in range(n):
+        for ch in range(c):
+            for i in range(h // 2):
+                for j in range(w // 2):
+                    block = x[b, ch, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+                    best = (0, 0)
+                    for r, s in ((0, 1), (1, 0), (1, 1)):
+                        if block[r, s] > block[best]:
+                            best = (r, s)
+                    out[b, ch, i, j] = block[best]
+                    dx[b, ch, 2 * i + best[0], 2 * j + best[1]] = dy[b, ch, i, j]
+    return out, dx
+
+
+class TestMaxPoolOracle:
+    """Forward and backward bitwise equal to the first-wins loop oracle."""
+
+    @staticmethod
+    def check(x):
+        layer = MaxPoolLayer()
+        out = layer.forward(x, train=True)
+        dy = np.random.default_rng(0).normal(size=out.shape).astype(x.dtype)
+        dx = layer.backward(dy)
+        ref_out, ref_dx = loop_maxpool(x, dy)
+        assert out.dtype == dx.dtype == x.dtype
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(dx, ref_dx)
+        return dx
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_ties_between_positive_values(self, dtype):
+        # values drawn from {0, 1, 2}: most blocks hold tied maxima, many of them positive
+        x = np.random.default_rng(1).integers(0, 3, size=(2, 3, 6, 8)).astype(dtype)
+        self.check(x)
+
+    def test_every_tie_pattern_routes_to_first(self):
+        # all 15 non-empty sets of tied maxima in one 2x2 block, one block per channel
+        x = np.zeros((1, 15, 2, 2))
+        for pattern in range(1, 16):
+            bits = [(pattern >> k) & 1 for k in range(4)]
+            x[0, pattern - 1] = np.where(np.reshape(bits, (2, 2)), 3.0, 1.0)
+        self.check(x)
+
+    def test_all_zero_blocks(self):
+        x = np.maximum(np.random.default_rng(2).normal(size=(2, 2, 6, 6)), 0.0)
+        x[:, :, :2, :] = 0.0
+        x[0, 1] = 0.0
+        self.check(x)
+
+    def test_odd_sizes_zero_gradient_on_dropped_edge(self):
+        x = np.random.default_rng(3).normal(size=(2, 3, 5, 7))
+        dx = self.check(x)
+        assert not dx[:, :, 4, :].any()
+        assert not dx[:, :, :, 6].any()
+
+    def test_eval_forward_then_train_forward(self):
+        rng = np.random.default_rng(4)
+        first = rng.normal(size=(2, 2, 4, 6))
+        second = rng.integers(0, 3, size=(3, 2, 6, 4)).astype(np.float64)
+        layer = MaxPoolLayer()
+        layer.forward(first, train=False)
+        out = layer.forward(second, train=True)
+        dy = rng.normal(size=out.shape)
+        ref_out, ref_dx = loop_maxpool(second, dy)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(layer.backward(dy), ref_dx)
+
+
 class TestGlobalAvgPool:
     def test_forward(self):
         x = np.arange(8.0).reshape(1, 2, 2, 2)

@@ -248,6 +248,7 @@ class TestEquivalenceRun:
         assert step0[0] == "0"
         float(step0[1])
 
+    @pytest.mark.slow
     def test_lemma_property_random_mask_sets(self):
         """Twenty random full-coverage mask sets stay in lockstep for 100 steps."""
         worst = 0.0

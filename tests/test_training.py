@@ -20,6 +20,7 @@ from spatialgrad.training import (
     SgsSettings,
     TrainingConfig,
     TrainingDivergedError,
+    inspect_scalings,
     metrics_to_csv,
     refresh_scalings,
     train,
@@ -281,6 +282,21 @@ class TestRefreshScalings:
             out = refresh_scalings(net, constant, sgs, np.random.default_rng(0), 32)
         assert any("uniform" in rec.message for rec in caplog.records)
         np.testing.assert_array_equal(out[0].values, np.ones((3, 3)))
+
+    def test_non_finite_maps_degrade_to_uniform_with_warning(self, caplog):
+        ds = synth_digits(64, seed=6)
+        ds.images[5, 0, 10, 12] = np.nan  # reaches every conv layer's captured input
+        net = self.build_net(two_conv_model())
+        sgs = SgsSettings(enabled=True, measure="mi", refresh_batches=2)
+        with caplog.at_level(logging.WARNING):
+            out = inspect_scalings(net, ds, sgs, np.random.default_rng(0), 32)
+        messages = [rec.message for rec in caplog.records]
+        for idx in net.conv_indices:
+            dependence, scaling = out[idx]
+            assert dependence is None
+            np.testing.assert_array_equal(scaling.values, np.ones((3, 3)))
+            assert any(f"layer {idx}:" in m and "non-finite" in m and "uniform" in m
+                       for m in messages)
 
     def test_one_by_one_kernels_stay_uniform(self):
         model = [
