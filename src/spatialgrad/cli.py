@@ -14,6 +14,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,11 @@ import numpy as np
 from .data import LabeledDataset
 from .expconfig import ConfigError, build_datasets, load_config, resolved_ini
 from .network import DenseSpec, build_network, kernel_magnitude_matrix
+from .optim import KINDS as OPTIMIZER_KINDS
 from .optim import OptimizerConfig
-from .reparam import equivalence_run, standard_mask_sets
+from .reparam import MASK_FAMILIES, equivalence_run, standard_mask_sets
 from .training import (
+    SgsSettings,
     TrainingDivergedError,
     inspect_scalings,
     metrics_to_csv,
@@ -136,6 +139,12 @@ def cmd_inspect_scaling(args) -> int:
     return EXIT_OK
 
 
+def _cell_settings(sgs: SgsSettings, cell: dict) -> SgsSettings:
+    """The config's scaling settings with one grid cell applied, validated."""
+    measure = "alpha_beta" if "alpha" in cell else sgs.measure
+    return replace(sgs, enabled=True, measure=measure, **cell)
+
+
 def _grid_cell(config_path: str, seed: int | None, precision: int | None,
                cell: dict, validation_fraction: float) -> dict:
     """Train one grid cell on a train/validation split; runs in a worker process."""
@@ -144,11 +153,7 @@ def _grid_cell(config_path: str, seed: int | None, precision: int | None,
         cfg.train.seed = seed
     if precision is not None:
         cfg.train.precision = precision
-    cfg.train.sgs.enabled = True
-    for key, value in cell.items():
-        setattr(cfg.train.sgs, key, value)
-    if "alpha" in cell:
-        cfg.train.sgs.measure = "alpha_beta"
+    cfg.train.sgs = _cell_settings(cfg.train.sgs, cell)
     full_train, _ = build_datasets(cfg.data)
     n = len(full_train)
     n_val = max(1, int(round(validation_fraction * n)))
@@ -164,20 +169,32 @@ def _grid_cell(config_path: str, seed: int | None, precision: int | None,
     return {**cell, "val_acc": last.eval_acc, "final_train_loss": last.train_loss}
 
 
+def _float_list(raw: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in raw.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} must be a comma list of numbers, got {raw!r}") from exc
+
+
 def cmd_grid_search(args) -> int:
     cfg, _, _ = _load(args)  # fail fast on config errors before spawning workers
     out = _out_dir(args.out)
     _echo_config(cfg, out)
     if args.ks:
-        cells = [{"k": float(k)} for k in args.ks.split(",")]
+        cells = [{"k": k} for k in _float_list(args.ks, "--ks")]
         columns = ["k"]
     elif args.alphas and args.betas:
-        alphas = [float(a) for a in args.alphas.split(",")]
-        betas = [float(b) for b in args.betas.split(",")]
+        alphas = _float_list(args.alphas, "--alphas")
+        betas = _float_list(args.betas, "--betas")
         cells = [{"alpha": a, "beta": b} for a in alphas for b in betas]
         columns = ["alpha", "beta"]
     else:
         raise ConfigError("grid-search needs either --ks or both --alphas and --betas")
+    for cell in cells:  # reject a bad cell before any worker trains
+        try:
+            _cell_settings(cfg.train.sgs, cell)
+        except ValueError as exc:
+            raise ConfigError(f"grid cell {cell}: {exc}") from exc
 
     work = [(str(args.config), args.seed, args.precision, cell, args.validation_fraction)
             for cell in cells]
@@ -246,11 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="lockstep branched-vs-scaled training check")
     p_ver.add_argument("--kernel", type=int, default=3, help="square kernel size")
     p_ver.add_argument("--mask-family", default="acb",
-                       choices=("acb", "full_plus_center", "all_rectangles", "random"))
+                       choices=MASK_FAMILIES)
     p_ver.add_argument("--mask-count", type=int, default=3,
                        help="random-family mask count")
     p_ver.add_argument("--optimizer", default="sgd_momentum",
-                       choices=("sgd", "sgd_momentum", "adam", "adagrad"))
+                       choices=OPTIMIZER_KINDS)
     p_ver.add_argument("--momentum", type=float, default=0.9)
     p_ver.add_argument("--weight-decay", type=float, default=1e-4)
     p_ver.add_argument("--lr", type=float, default=0.05)

@@ -40,6 +40,9 @@ _DATA_KEYS = {
     "synth_field": {"kind", "samples", "channels", "height", "width", "corr_length", "seed"},
 }
 
+# Sizes of the synthetic digit sets when the config leaves them out.
+_SYNTH_DIGITS_SIZES = {"train_size": "2000", "test_size": "500"}
+
 _TRAIN_KEYS = {"epochs", "batch_size", "lr", "schedule", "optimizer", "momentum",
                "weight_decay", "seed", "precision"}
 
@@ -200,6 +203,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     unknown_keys = set(data_section) - _DATA_KEYS[kind]
     if unknown_keys:
         raise ConfigError(f"[data] unknown keys for kind {kind!r}: {sorted(unknown_keys)}")
+    if kind == "synth_digits":
+        for key, default in _SYNTH_DIGITS_SIZES.items():
+            size = _parse_typed(data_section.get(key, default), key, int, "data")
+            if size < 1:
+                raise ConfigError(f"[data] {key} = {size} must be >= 1")
     data = DataConfig(kind=kind, options=data_section)
 
     train_section = dict(_TRAIN_DEFAULTS)
@@ -313,8 +321,8 @@ def build_datasets(data: DataConfig) -> tuple[LabeledDataset, LabeledDataset]:
         return read_cifar_binary(paths("train_files")), read_cifar_binary(paths("test_files"))
     if data.kind == "synth_digits":
         seed = int(opts.get("seed", "0"))
-        train_size = int(opts.get("train_size", "2000"))
-        test_size = int(opts.get("test_size", "500"))
+        train_size = int(opts.get("train_size", _SYNTH_DIGITS_SIZES["train_size"]))
+        test_size = int(opts.get("test_size", _SYNTH_DIGITS_SIZES["test_size"]))
         return synth_digits(train_size, seed), synth_digits(test_size, seed + 1)
     if data.kind == "synth_field":
         shape = (int(opts.get("samples", "64")), int(opts.get("channels", "1")),

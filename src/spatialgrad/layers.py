@@ -78,6 +78,14 @@ class MaxPoolLayer(Layer):
     tied elements (as ``argmax`` over the flattened block would pick), and the
     dropped trailing row and column get zero gradient. A block holding a NaN
     outputs NaN and routes to (1,1).
+
+    Backward writes ``dy * (route == k)`` straight into each quadrant slice,
+    the same ``dy * mask`` idiom as ``ReLULayer.backward``. For finite ``dy``
+    this equals routing with ``np.where(route == k, dy, 0)`` under
+    ``np.array_equal``; only the sign of a zero may differ (a negative ``dy``
+    times a false mask gives -0.0). A non-finite ``dy`` reaches its whole
+    2x2 block, since inf * 0 and NaN * 0 are NaN, as ReLU backward already
+    does with its mask.
     """
 
     _QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -106,7 +114,7 @@ class MaxPoolLayer(Layer):
         dx[:, :, 2 * oh :] = 0
         dx[:, :, :, 2 * ow :] = 0
         for k, (r, s) in enumerate(self._QUADRANTS):
-            dx[:, :, r : 2 * oh : 2, s : 2 * ow : 2] = np.where(self._route == k, dy, 0)
+            np.multiply(dy, self._route == k, out=dx[:, :, r : 2 * oh : 2, s : 2 * ow : 2])
         return dx
 
 

@@ -240,6 +240,8 @@ def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
     eval_ds = eval_ds.astype(dtype)
     if train_ds.class_count < 2:
         raise ValueError("training needs a dataset with at least 2 classes")
+    if len(eval_ds) == 0:
+        raise ValueError("the eval set is empty; eval accuracy would divide by zero")
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     init_rng = np.random.default_rng(seeds[0])

@@ -1,11 +1,15 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
+from spatialgrad import cli
 from spatialgrad.cli import main
 from spatialgrad.data import synth_digits, write_idx
+from spatialgrad.optim import KINDS
+from spatialgrad.reparam import MASK_FAMILIES
 
 MODEL_BLOCK = """
 [model]
@@ -105,6 +109,15 @@ test_labels = /nonexistent/labels
                            train_block(extra="turbo = yes\n"))
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "turbo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("test_size", 0), ("test_size", -3),
+                                           ("train_size", 0)])
+    def test_empty_synth_split_rejected_at_load(self, tmp_path, capsys, key, value):
+        sizes = {"train_size": 96, "test_size": 32, key: value}
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(**sizes), train_block())
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block(),
@@ -281,6 +294,43 @@ class TestGridSearch:
     def test_requires_a_grid(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block())
         assert main(["grid-search", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("grid", [["--ks", "0,5"], ["--ks", "5,-1"], ["--ks", "2,x"]])
+    def test_invalid_cell_rejected_before_any_worker(self, tmp_path, monkeypatch, capsys,
+                                                      grid):
+        def no_training(*args):
+            raise AssertionError("a grid cell trained before the grid was validated")
+
+        monkeypatch.setattr(cli, "_grid_cell", no_training)
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block())
+        out = tmp_path / "o"
+        assert main(["grid-search", "--config", cfg, "--out", str(out), *grid]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "grid.csv").exists()
+
+    def test_cells_keep_config_settings(self):
+        from spatialgrad.training import SgsSettings
+
+        base = SgsSettings(enabled=False, measure="autocorr", bins=16)
+        k_cell = cli._cell_settings(base, {"k": 2.0})
+        assert (k_cell.enabled, k_cell.measure, k_cell.k, k_cell.bins) == (True, "autocorr",
+                                                                           2.0, 16)
+        ab_cell = cli._cell_settings(base, {"alpha": 2.0, "beta": 0.5})
+        assert (ab_cell.measure, ab_cell.alpha, ab_cell.beta) == ("alpha_beta", 2.0, 0.5)
+        assert base.enabled is False and base.k == 5.0
+
+
+class TestParserChoices:
+    @staticmethod
+    def choices(command, dest):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in sub.choices[command]._actions if a.dest == dest)
+        return tuple(action.choices)
+
+    def test_verify_equivalence_choices_come_from_the_modules(self):
+        assert self.choices("verify-equivalence", "mask_family") == MASK_FAMILIES
+        assert self.choices("verify-equivalence", "optimizer") == KINDS
 
 
 class TestMagnitude:

@@ -28,6 +28,26 @@ def loop_conv_forward(x, w, stride, padding):
     return y
 
 
+def loop_conv_backward_weights(dy, x, stride, padding, kernel):
+    """Nested-loop oracle for dW[o, c, kh, kw] = sum_{n,i,j} dY[n,o,i,j] * Xp[n,c,i*s+kh,j*s+kw]."""
+    n, ci = x.shape[:2]
+    co, oh, ow = dy.shape[1:]
+    kx, ky = kernel
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dw = np.zeros((co, ci, kx, ky))
+    for o in range(co):
+        for c in range(ci):
+            for kh in range(kx):
+                for kw in range(ky):
+                    acc = 0.0
+                    for b in range(n):
+                        for i in range(oh):
+                            for j in range(ow):
+                                acc += dy[b, o, i, j] * xp[b, c, i * stride + kh, j * stride + kw]
+                    dw[o, c, kh, kw] = acc
+    return dw
+
+
 def findiff_weight_grad(x, w, dy, spec, h=1e-5):
     """Central finite differences of L = sum(dY * Y) w.r.t. W."""
     num = np.zeros_like(w)
@@ -183,6 +203,23 @@ class TestConvBackwardWeights:
             w = np.random.default_rng(seed).normal(size=spec.weight_shape)
             loss_grad = findiff_weight_grad(x, w, dy, spec)
             np.testing.assert_allclose(loss_grad, g, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("kernel", [(3, 3), (2, 3), (3, 1)])
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_loop_oracle(self, stride, padding, kernel, dtype, tol):
+        rng = np.random.default_rng(11)
+        spec = ConvSpec(2, 3, kernel, stride=stride, padding=padding)
+        x = rng.normal(size=(2, 2, 5, 6)).astype(dtype)
+        dy = rng.normal(size=(2, 3, *spec.out_size(5, 6))).astype(dtype)
+        dw = conv_backward_weights(dy, x, spec)
+        assert dw.dtype == dtype
+        ref = loop_conv_backward_weights(dy.astype(np.float64), x, stride, padding, kernel)
+        # each entry's rounding error is bounded by its sum of |products|
+        scale = loop_conv_backward_weights(np.abs(dy.astype(np.float64)), np.abs(x),
+                                           stride, padding, kernel)
+        assert np.all(np.abs(dw - ref) <= tol * scale)
 
     def test_shape_error(self):
         spec = ConvSpec(1, 1, (2, 2))

@@ -146,6 +146,56 @@ class TestMaxPoolOracle:
         np.testing.assert_array_equal(layer.backward(dy), ref_dx)
 
 
+def where_maxpool_backward(route, dy, in_shape):
+    """Reference routing with an ``np.where`` temporary per quadrant."""
+    oh, ow = dy.shape[2:]
+    dx = np.zeros(in_shape, dtype=dy.dtype)
+    for k, (r, s) in enumerate(MaxPoolLayer._QUADRANTS):
+        dx[:, :, r : 2 * oh : 2, s : 2 * ow : 2] = np.where(route == k, dy, 0)
+    return dx
+
+
+class TestMaxPoolBackward:
+    """The in-place ``dy * mask`` backward against the ``np.where`` routing."""
+
+    @staticmethod
+    def routed(x, dy=None):
+        layer = MaxPoolLayer()
+        out = layer.forward(x, train=True)
+        if dy is None:
+            dy = np.random.default_rng(5).normal(size=out.shape).astype(x.dtype)
+        return layer.backward(dy), where_maxpool_backward(layer._route, dy, x.shape)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_finite_dy_equals_where_reference(self, dtype, tied):
+        rng = np.random.default_rng(6)
+        shape = (3, 4, 7, 9)
+        x = rng.integers(0, 3, size=shape) if tied else rng.normal(size=shape)
+        dx, ref = self.routed(x.astype(dtype))
+        assert dx.dtype == ref.dtype == dtype
+        # array_equal treats -0.0 and 0.0 as equal, the one difference allowed
+        np.testing.assert_array_equal(dx, ref)
+
+    def test_non_finite_dy_reaches_its_whole_block(self):
+        x = np.random.default_rng(7).normal(size=(1, 1, 4, 6))
+        layer = MaxPoolLayer()
+        out = layer.forward(x, train=True)
+        dy = np.ones_like(out)
+        dy[0, 0, 0, 0], dy[0, 0, 0, 1], dy[0, 0, 1, 2] = np.inf, np.nan, -np.inf
+        with np.errstate(invalid="ignore"):
+            dx = layer.backward(dy)
+        for (i, j), value in (((0, 0), np.inf), ((0, 1), np.nan), ((1, 2), -np.inf)):
+            block = dx[0, 0, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].ravel()
+            k = layer._route[0, 0, i, j]
+            np.testing.assert_array_equal(block[k], value)
+            assert np.isnan(np.delete(block, k)).all()
+        # finite blocks route as before
+        finite = np.isfinite(np.repeat(np.repeat(dy, 2, axis=2), 2, axis=3))
+        ref = where_maxpool_backward(layer._route, np.where(np.isfinite(dy), dy, 0), x.shape)
+        np.testing.assert_array_equal(dx[finite], ref[finite])
+
+
 class TestGlobalAvgPool:
     def test_forward(self):
         x = np.arange(8.0).reshape(1, 2, 2, 2)

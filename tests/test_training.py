@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from spatialgrad.data import synth_digits
+from spatialgrad.data import LabeledDataset, synth_digits
 from spatialgrad.network import (
     ConvLayerSpec,
     DenseSpec,
@@ -213,6 +213,18 @@ class TestTrainLoop:
         cfg = momentum_cfg(lr=1e308, epochs=3, sgs=SgsSettings(enabled=False))
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="epoch"):
             train(two_conv_model(), train_ds, test_ds, cfg)
+
+    def test_empty_eval_set_rejected_before_training(self, monkeypatch):
+        import spatialgrad.training as training_mod
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("train() built a network for an empty eval set")
+
+        monkeypatch.setattr(training_mod, "build_network", no_network)
+        train_ds = synth_digits(64, seed=16)
+        empty = LabeledDataset(train_ds.images[:0], train_ds.labels[:0], train_ds.class_count)
+        with pytest.raises(ValueError, match="eval set is empty"):
+            train(two_conv_model(), train_ds, empty, momentum_cfg(sgs=SgsSettings(enabled=False)))
 
     def test_metrics_csv_format(self, tmp_path):
         train_ds = synth_digits(64, seed=14)
