@@ -22,7 +22,7 @@ from .reparam import (
     standard_mask_sets,
 )
 from .scaling import ScalingMatrix, finalize, from_masks, k_transform
-from .tensor import ShapeError, broadcast_scale
+from .tensor import ShapeError
 from .training import SgsSettings, TrainingConfig, TrainResult, refresh_scalings, train
 
 __version__ = "0.1.0"

@@ -21,13 +21,14 @@ import numpy as np
 
 from .data import LabeledDataset
 from .expconfig import ConfigError, build_datasets, load_config, resolved_ini
-from .network import DenseSpec, build_network, kernel_magnitude_matrix
+from .network import DenseSpec, kernel_magnitude_matrix
 from .optim import KINDS as OPTIMIZER_KINDS
 from .optim import OptimizerConfig
 from .reparam import MASK_FAMILIES, equivalence_run, standard_mask_sets
 from .training import (
     SgsSettings,
     TrainingDivergedError,
+    build_run,
     inspect_scalings,
     metrics_to_csv,
     save_weights,
@@ -116,16 +117,12 @@ def cmd_inspect_scaling(args) -> int:
     cfg, train_ds, _ = _load(args)
     out = _out_dir(args.out)
     _echo_config(cfg, out)
-    dtype = cfg.train.dtype
-    seeds = np.random.SeedSequence(cfg.train.seed).spawn(3)
-    init_rng = np.random.default_rng(seeds[0])
-    refresh_rng = np.random.default_rng(seeds[2])
-    ds = train_ds.astype(dtype)
+    ds = train_ds.astype(cfg.train.dtype)
     # Inspection never touches labels; size the head by the model itself so
     # unlabeled synthetic datasets work.
     dense_widths = [s.out_features for s in cfg.model if isinstance(s, DenseSpec)]
     class_count = dense_widths[-1] if dense_widths else ds.class_count
-    net = build_network(cfg.model, ds.images.shape[1:], class_count, init_rng, dtype)
+    net, _, refresh_rng = build_run(cfg.model, ds.images.shape[1:], class_count, cfg.train)
     results = inspect_scalings(net, ds, cfg.train.sgs, refresh_rng, cfg.train.batch_size)
     records = []
     for idx in sorted(results):

@@ -1,16 +1,20 @@
 """Experiment configuration files: INI sections [model], [data], [train], [sgs].
 
-Unknown sections or keys are rejected, and every value is validated against
-the module preconditions at load time so a bad config fails before any work
-starts. ``resolved_ini`` renders the fully-defaulted configuration back to
-INI text for provenance.
+The keys, defaults and value types of [sgs] are the fields of
+``SgsSettings``; those of [train] are the scalar fields of
+``TrainingConfig`` plus three ``OptimizerConfig`` fields. Unknown sections or
+keys are rejected, and every value is validated against the module
+preconditions at load time so a bad config fails before any work starts.
+``resolved_ini`` renders the fully-defaulted configuration back to INI text
+for provenance.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -24,9 +28,8 @@ from .network import (
     SoftmaxXentSpec,
     validate_model_spec,
 )
-from .optim import KINDS as OPTIMIZER_KINDS
 from .optim import OptimizerConfig
-from .training import MEASURES, SgsSettings, TrainingConfig
+from .training import SgsSettings, TrainingConfig
 
 
 class ConfigError(ValueError):
@@ -42,41 +45,6 @@ _DATA_KEYS = {
 
 # Sizes of the synthetic digit sets when the config leaves them out.
 _SYNTH_DIGITS_SIZES = {"train_size": "2000", "test_size": "500"}
-
-_TRAIN_KEYS = {"epochs", "batch_size", "lr", "schedule", "optimizer", "momentum",
-               "weight_decay", "seed", "precision"}
-
-_SGS_KEYS = {"enabled", "measure", "k", "refresh_every", "refresh_batches", "warmup_epochs",
-             "bins", "epsilon_floor", "redundancy_filter", "scaling_position", "alpha", "beta",
-             "fixed_values", "mask_family"}
-
-_TRAIN_DEFAULTS = {
-    "schedule": "constant",
-    "optimizer": "sgd_momentum",
-    "momentum": "0.9",
-    "weight_decay": "0.0",
-    "seed": "0",
-    "precision": "64",
-}
-
-# Shipped scaling defaults: k=5 with a refresh every 5 epochs from 2 batches
-# after a 1-epoch warm-up.
-_SGS_DEFAULTS = {
-    "enabled": "true",
-    "measure": "mi",
-    "k": "5",
-    "refresh_every": "5",
-    "refresh_batches": "2",
-    "warmup_epochs": "1",
-    "bins": "32",
-    "epsilon_floor": "1e-3",
-    "redundancy_filter": "off",
-    "scaling_position": "pre",
-    "alpha": "1.0",
-    "beta": "1.0",
-    "mask_family": "acb",
-}
-
 
 @dataclass
 class DataConfig:
@@ -110,6 +78,84 @@ def _parse_typed(raw: str, key: str, kind: type, where: str):
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"[{where}] {key} = {raw!r} is not a valid {kind.__name__}") from exc
+
+
+def _parse_redundancy_filter(raw: str) -> float | str | None:
+    lowered = raw.strip().lower()
+    if lowered in ("off", "none", "false"):
+        return None
+    if lowered == "auto":
+        return "auto"
+    return _parse_typed(lowered, "redundancy_filter", float, "sgs")
+
+
+def _parse_fixed_values(raw: str) -> np.ndarray | None:
+    rows = [r for r in raw.splitlines() if r.strip()]
+    if not rows:
+        return None
+    try:
+        return np.array([[float(v) for v in r.split(",")] for r in rows])
+    except ValueError as exc:
+        raise ConfigError(f"[sgs] fixed_values is not a numeric matrix: {exc}") from exc
+
+
+# Keys whose value is not one scalar of the field's type.
+_SPECIAL_PARSERS = {
+    "redundancy_filter": _parse_redundancy_filter,
+    "fixed_values": _parse_fixed_values,
+}
+
+_SCALAR_TYPES = (bool, int, float, str)
+
+
+def _schema(cls: type) -> dict[str, tuple[type, object]]:
+    """Field name -> (type, default) of a config dataclass; MISSING marks a required field."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in fields(cls)}
+
+
+# [train] exposes the optimizer kind under the key "optimizer", and its
+# momentum and weight decay; adam's beta1, beta2 and eps keep their defaults.
+# An INI run defaults to momentum 0.9, where OptimizerConfig() has 0.0.
+_OPTIMIZER_SCHEMA = _schema(OptimizerConfig)
+_TRAIN_SCHEMA = {
+    **{key: spec for key, spec in _schema(TrainingConfig).items() if spec[0] in _SCALAR_TYPES},
+    "optimizer": _OPTIMIZER_SCHEMA["kind"],
+    "momentum": (_OPTIMIZER_SCHEMA["momentum"][0], 0.9),
+    "weight_decay": _OPTIMIZER_SCHEMA["weight_decay"],
+}
+_SGS_SCHEMA = _schema(SgsSettings)
+
+
+def _parse_section(section: dict[str, str], schema: dict[str, tuple[type, object]],
+                   where: str) -> tuple[dict[str, object], dict[str, str]]:
+    """Every key's value (given or default) and the section as resolved INI text.
+
+    A default of None means "unset" and is left out of the resolved text.
+    """
+    unknown = set(section) - set(schema)
+    if unknown:
+        raise ConfigError(f"[{where}] unknown keys: {sorted(unknown)}")
+    values: dict[str, object] = {}
+    resolved: dict[str, str] = {}
+    for key, (kind, default) in schema.items():
+        if key not in section and default is not MISSING:
+            values[key] = default
+            if default is not None:
+                resolved[key] = str(default)
+            continue
+        raw = resolved[key] = _get(section, key, where)
+        special = _SPECIAL_PARSERS.get(key)
+        values[key] = special(raw) if special else _parse_typed(raw, key, kind, where)
+    return values, resolved
+
+
+def _build(cls: type, where: str, **kwargs):
+    """``cls(**kwargs)``, its validation errors raised as ConfigError."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{where}] {exc}") from exc
 
 
 def _parse_kernel(raw: str, where: str) -> tuple[int, int]:
@@ -210,89 +256,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 raise ConfigError(f"[data] {key} = {size} must be >= 1")
     data = DataConfig(kind=kind, options=data_section)
 
-    train_section = dict(_TRAIN_DEFAULTS)
-    train_section.update(parser["train"])
-    unknown_keys = set(train_section) - _TRAIN_KEYS
-    if unknown_keys:
-        raise ConfigError(f"[train] unknown keys: {sorted(unknown_keys)}")
-
-    sgs_section = dict(_SGS_DEFAULTS)
-    if parser.has_section("sgs"):
-        sgs_section.update(parser["sgs"])
-    unknown_keys = set(sgs_section) - _SGS_KEYS
-    if unknown_keys:
-        raise ConfigError(f"[sgs] unknown keys: {sorted(unknown_keys)}")
-
-    optimizer_kind = train_section["optimizer"]
-    if optimizer_kind not in OPTIMIZER_KINDS:
-        raise ConfigError(
-            f"[train] optimizer {optimizer_kind!r} not in {OPTIMIZER_KINDS}"
-        )
-    momentum = _parse_typed(train_section["momentum"], "momentum", float, "train")
-    optimizer = OptimizerConfig(
-        kind=optimizer_kind,
-        momentum=momentum if optimizer_kind == "sgd_momentum" else 0.0,
-        weight_decay=_parse_typed(train_section["weight_decay"], "weight_decay", float, "train"),
+    sgs_values, sgs_section = _parse_section(
+        dict(parser["sgs"]) if parser.has_section("sgs") else {}, _SGS_SCHEMA, "sgs")
+    train_values, train_section = _parse_section(dict(parser["train"]), _TRAIN_SCHEMA, "train")
+    kind = train_values.pop("optimizer")
+    momentum = train_values.pop("momentum")
+    optimizer = _build(
+        OptimizerConfig, "train",
+        kind=kind,
+        momentum=momentum if kind == "sgd_momentum" else 0.0,
+        weight_decay=train_values.pop("weight_decay"),
     )
-
-    measure = sgs_section["measure"]
-    if measure not in MEASURES:
-        raise ConfigError(f"[sgs] measure {measure!r} not in {MEASURES}")
-    rf_raw = sgs_section["redundancy_filter"].strip().lower()
-    redundancy: float | str | None
-    if rf_raw in ("off", "none", "false"):
-        redundancy = None
-    elif rf_raw == "auto":
-        redundancy = "auto"
-    else:
-        redundancy = _parse_typed(rf_raw, "redundancy_filter", float, "sgs")
-    fixed_values = None
-    if "fixed_values" in sgs_section and sgs_section["fixed_values"].strip():
-        raw_fixed = sgs_section["fixed_values"]
-        rows = [r for r in raw_fixed.splitlines() if r.strip()]
-        try:
-            fixed_values = np.array([[float(v) for v in r.split(",")] for r in rows])
-        except ValueError as exc:
-            raise ConfigError(f"[sgs] fixed_values is not a numeric matrix: {exc}") from exc
-
-    try:
-        sgs = SgsSettings(
-            enabled=_parse_typed(sgs_section["enabled"], "enabled", bool, "sgs"),
-            measure=measure,
-            k=_parse_typed(sgs_section["k"], "k", float, "sgs"),
-            refresh_every=_parse_typed(sgs_section["refresh_every"], "refresh_every", int, "sgs"),
-            refresh_batches=_parse_typed(
-                sgs_section["refresh_batches"], "refresh_batches", int, "sgs"),
-            warmup_epochs=_parse_typed(sgs_section["warmup_epochs"], "warmup_epochs", int, "sgs"),
-            bins=_parse_typed(sgs_section["bins"], "bins", int, "sgs"),
-            epsilon_floor=_parse_typed(sgs_section["epsilon_floor"], "epsilon_floor", float, "sgs"),
-            redundancy_filter=redundancy,
-            scaling_position=sgs_section["scaling_position"],
-            alpha=_parse_typed(sgs_section["alpha"], "alpha", float, "sgs"),
-            beta=_parse_typed(sgs_section["beta"], "beta", float, "sgs"),
-            fixed_values=fixed_values,
-            mask_family=sgs_section["mask_family"],
-        )
-        train = TrainingConfig(
-            epochs=_parse_typed(train_section["epochs"], "epochs", int, "train"),
-            batch_size=_parse_typed(train_section["batch_size"], "batch_size", int, "train"),
-            lr=_parse_typed(train_section["lr"], "lr", float, "train"),
-            schedule=train_section["schedule"],
-            optimizer=optimizer,
-            seed=_parse_typed(train_section["seed"], "seed", int, "train"),
-            precision=_parse_typed(train_section["precision"], "precision", int, "train"),
-            sgs=sgs,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    train = _build(TrainingConfig, "train", **train_values, optimizer=optimizer,
+                   sgs=_build(SgsSettings, "sgs", **sgs_values))
 
     raw = {
         "model": {"layers": "\n" + "\n".join(lines)},
         "data": dict(data_section),
-        "train": dict(train_section),
-        "sgs": dict(sgs_section),
+        "train": train_section,
+        "sgs": sgs_section,
     }
     return ExperimentConfig(model=model, data=data, train=train, raw=raw)
 

@@ -61,17 +61,48 @@ class OptimizerState:
     step_count: int = 0
 
 
+def _sgd(state: OptimizerState, e: np.ndarray) -> np.ndarray:
+    return e
+
+
+def _sgd_momentum(state: OptimizerState, e: np.ndarray) -> np.ndarray:
+    v = state.cfg.momentum * state.buffers["velocity"] + e
+    state.buffers["velocity"] = v
+    return v
+
+
+def _adam(state: OptimizerState, e: np.ndarray) -> np.ndarray:
+    cfg = state.cfg
+    t = state.step_count + 1
+    m = cfg.beta1 * state.buffers["m"] + (1.0 - cfg.beta1) * e
+    v = cfg.beta2 * state.buffers["v"] + (1.0 - cfg.beta2) * e * e
+    state.buffers["m"] = m
+    state.buffers["v"] = v
+    m_hat = m / (1.0 - cfg.beta1**t)
+    v_hat = v / (1.0 - cfg.beta2**t)
+    return m_hat / (np.sqrt(v_hat) + cfg.eps)
+
+
+def _adagrad(state: OptimizerState, e: np.ndarray) -> np.ndarray:
+    accum = state.buffers["accum"] + e * e
+    state.buffers["accum"] = accum
+    return e / (np.sqrt(accum) + _ADAGRAD_EPS)
+
+
+# Per kind: the state buffers it keeps, and the function that turns the
+# (pre-scaled, decayed) gradient into the update direction.
+_DIRECTIONS = {
+    "sgd": ((), _sgd),
+    "sgd_momentum": (("velocity",), _sgd_momentum),
+    "adam": (("m", "v"), _adam),
+    "adagrad": (("accum",), _adagrad),
+}
+
+
 def make_state(cfg: OptimizerConfig, like: np.ndarray) -> OptimizerState:
     like = np.asarray(like)
-    buffers: dict[str, np.ndarray] = {}
-    if cfg.kind == "sgd_momentum":
-        buffers["velocity"] = np.zeros_like(like)
-    elif cfg.kind == "adam":
-        buffers["m"] = np.zeros_like(like)
-        buffers["v"] = np.zeros_like(like)
-    elif cfg.kind == "adagrad":
-        buffers["accum"] = np.zeros_like(like)
-    return OptimizerState(cfg=cfg, buffers=buffers)
+    names, _ = _DIRECTIONS[cfg.kind]
+    return OptimizerState(cfg=cfg, buffers={name: np.zeros_like(like) for name in names})
 
 
 def _check_scaling(scaling: np.ndarray | None, w: np.ndarray) -> np.ndarray | None:
@@ -91,69 +122,35 @@ def _check_scaling(scaling: np.ndarray | None, w: np.ndarray) -> np.ndarray | No
 
 def step(state: OptimizerState, w: np.ndarray, g: np.ndarray, lr: float,
          scaling: np.ndarray | None = None, position: str = "pre") -> np.ndarray:
-    """One optimizer step; returns the updated weights, mutating ``state``.
+    """One optimizer step of any kind; returns the updated weights, mutating ``state``.
 
     ``g`` is the raw loss gradient: weight decay is applied here, after the
     optional pre-scaling, never by the caller.
     """
     if position not in ("pre", "post"):
         raise ValueError(f"position must be 'pre' or 'post', got {position!r}")
-    cfg = state.cfg
-    if cfg.kind in ADAPTIVE_KINDS:
-        return adaptive_step(state, w, g, lr, scaling=scaling, position=position)
     w = np.asarray(w)
     g = np.asarray(g)
     if w.shape != g.shape:
         raise ShapeError(f"weight shape {w.shape} vs gradient shape {g.shape}")
     scaling = _check_scaling(scaling, w)
+    cfg = state.cfg
 
     g_eff = g * scaling if (scaling is not None and position == "pre") else g
-    d = g_eff + cfg.weight_decay * w if cfg.weight_decay != 0 else g_eff
-    if cfg.kind == "sgd_momentum":
-        v = cfg.momentum * state.buffers["velocity"] + d
-        state.buffers["velocity"] = v
-    else:
-        v = d
-    update = v * scaling if (scaling is not None and position == "post") else v
+    e = g_eff + cfg.weight_decay * w if cfg.weight_decay != 0 else g_eff
+    update = _DIRECTIONS[cfg.kind][1](state, e)
+    if scaling is not None and position == "post":
+        update = update * scaling
     state.step_count += 1
     return w - lr * update
 
 
 def adaptive_step(state: OptimizerState, w: np.ndarray, g: np.ndarray, lr: float,
                   scaling: np.ndarray | None = None, position: str = "pre") -> np.ndarray:
-    """Adam / adagrad step with the scaling inserted at ``position``."""
-    cfg = state.cfg
-    if cfg.kind not in ADAPTIVE_KINDS:
-        raise ValueError(f"adaptive_step requires an adaptive optimizer, got {cfg.kind!r}")
-    if position not in ("pre", "post"):
-        raise ValueError(f"position must be 'pre' or 'post', got {position!r}")
-    w = np.asarray(w)
-    g = np.asarray(g)
-    if w.shape != g.shape:
-        raise ShapeError(f"weight shape {w.shape} vs gradient shape {g.shape}")
-    scaling = _check_scaling(scaling, w)
-
-    g_eff = g * scaling if (scaling is not None and position == "pre") else g
-    e = g_eff + cfg.weight_decay * w if cfg.weight_decay != 0 else g_eff
-
-    if cfg.kind == "adam":
-        t = state.step_count + 1
-        m = cfg.beta1 * state.buffers["m"] + (1.0 - cfg.beta1) * e
-        v = cfg.beta2 * state.buffers["v"] + (1.0 - cfg.beta2) * e * e
-        state.buffers["m"] = m
-        state.buffers["v"] = v
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        update = m_hat / (np.sqrt(v_hat) + cfg.eps)
-    else:  # adagrad
-        accum = state.buffers["accum"] + e * e
-        state.buffers["accum"] = accum
-        update = e / (np.sqrt(accum) + _ADAGRAD_EPS)
-
-    if scaling is not None and position == "post":
-        update = update * scaling
-    state.step_count += 1
-    return w - lr * update
+    """``step`` restricted to the adaptive kinds (adam, adagrad)."""
+    if state.cfg.kind not in ADAPTIVE_KINDS:
+        raise ValueError(f"adaptive_step requires an adaptive optimizer, got {state.cfg.kind!r}")
+    return step(state, w, g, lr, scaling=scaling, position=position)
 
 
 @dataclass(frozen=True)

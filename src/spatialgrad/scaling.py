@@ -1,4 +1,4 @@
-"""Spatial gradient scaling matrices: construction, normalization, application.
+"""Spatial gradient scaling matrices: construction and normalization.
 
 A scaling matrix redistributes per-position learning rates inside a
 convolution kernel. Valid matrices are strictly positive with mean 1, so they
@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .tensor import broadcast_scale
 
 MEAN_TOLERANCE = 1e-9
 DEFAULT_EPSILON_FLOOR = 1e-3
@@ -120,9 +118,3 @@ def finalize(raw: np.ndarray, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> S
     if mean == 0.0:
         raise ValueError("all-zero scaling with a zero floor cannot be normalized")
     return ScalingMatrix(floored / mean)
-
-
-def apply(g: np.ndarray, scaling: ScalingMatrix | np.ndarray) -> np.ndarray:
-    """Scale a kernel gradient: broadcast the matrix over the channel dims."""
-    values = scaling.values if isinstance(scaling, ScalingMatrix) else np.asarray(scaling)
-    return broadcast_scale(g, values)

@@ -1,8 +1,7 @@
-"""Shape-checked arithmetic on dense rank-4 arrays.
+"""The shape contract of dense rank-4 arrays.
 
 Weights, activations, and gradients are plain ``numpy.ndarray`` values with
-layout (n0, n1, n2, n3), row-major contiguous. The helpers here add the shape
-contracts the rest of the engine relies on; they never mutate their inputs.
+layout (n0, n1, n2, n3), row-major contiguous.
 """
 
 from __future__ import annotations
@@ -19,46 +18,3 @@ def require_rank4(t: np.ndarray, name: str = "tensor") -> np.ndarray:
     if t.ndim != 4:
         raise ShapeError(f"{name} must be rank-4, got shape {t.shape}")
     return t
-
-
-def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def broadcast_scale(t: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Multiply every (n0, n1) slice of ``t`` elementwise by the matrix ``m``.
-
-    ``m`` must have exactly the spatial shape ``t.shape[2:]``; the result is
-    ``out[a, b, c, d] = t[a, b, c, d] * m[c, d]``.
-    """
-    t = require_rank4(t)
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape != t.shape[2:]:
-        raise ShapeError(
-            f"scaling matrix shape {m.shape} does not match spatial dims {t.shape[2:]}"
-        )
-    return t * m
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a), np.asarray(b)
-    require_same_shape(a, b)
-    return a + b
-
-
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a), np.asarray(b)
-    require_same_shape(a, b)
-    return a - b
-
-
-def scale(t: np.ndarray, alpha: float) -> np.ndarray:
-    return np.asarray(t) * float(alpha)
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """alpha * x + y, with x and y required to share a shape."""
-    x, y = np.asarray(x), np.asarray(y)
-    require_same_shape(x, y)
-    return float(alpha) * x + y

@@ -232,6 +232,19 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
+def build_run(model_spec: list, input_shape: tuple[int, ...], class_count: int,
+              cfg: TrainingConfig) -> tuple[Network, np.random.Generator, np.random.Generator]:
+    """A run's network and its shuffle and refresh generators.
+
+    The run seed spawns three child streams, in the order weight init, batch
+    shuffling, refresh sampling; the first one is spent on the network.
+    """
+    init_seed, shuffle_seed, refresh_seed = np.random.SeedSequence(cfg.seed).spawn(3)
+    net = build_network(model_spec, input_shape, class_count,
+                        np.random.default_rng(init_seed), cfg.dtype)
+    return net, np.random.default_rng(shuffle_seed), np.random.default_rng(refresh_seed)
+
+
 def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
           cfg: TrainingConfig) -> TrainResult:
     """Run the full training loop; see the module docstring for the shape of it."""
@@ -243,13 +256,8 @@ def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
     if len(eval_ds) == 0:
         raise ValueError("the eval set is empty; eval accuracy would divide by zero")
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(3)
-    init_rng = np.random.default_rng(seeds[0])
-    shuffle_rng = np.random.default_rng(seeds[1])
-    refresh_rng = np.random.default_rng(seeds[2])
-
-    input_shape = train_ds.images.shape[1:]
-    net = build_network(model_spec, input_shape, train_ds.class_count, init_rng, dtype)
+    net, shuffle_rng, refresh_rng = build_run(model_spec, train_ds.images.shape[1:],
+                                              train_ds.class_count, cfg)
 
     opt_states = {
         (idx, name): make_state(cfg.optimizer, value)

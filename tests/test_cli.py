@@ -119,6 +119,15 @@ test_labels = /nonexistent/labels
         err = capsys.readouterr().err
         assert "config error" in err and key in err
 
+    @pytest.mark.parametrize("key", ["epochs", "batch_size", "lr"])
+    def test_missing_required_train_key_is_a_config_error(self, tmp_path, capsys, key):
+        block = "\n".join(line for line in train_block().splitlines()
+                          if not line.startswith(f"{key} ="))
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(), block)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert (f"config error: missing key '{key}' in section [train]"
+                in capsys.readouterr().err)
+
     def test_unknown_section_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block(),
                            "\n[extras]\nfoo = 1\n")
@@ -433,3 +442,63 @@ class TestShippedConfigs:
         cfg = load_config(Path(__file__).parent.parent / "configs" / "digits_smoke.ini")
         assert cfg.train.sgs.refresh_every == 5
         assert cfg.train.sgs.refresh_batches == 2
+
+    def test_shipped_configs_round_trip_through_resolved_ini(self, tmp_path):
+        from pathlib import Path
+
+        from spatialgrad.expconfig import load_config, resolved_ini
+
+        for path in sorted((Path(__file__).parent.parent / "configs").glob("*.ini")):
+            cfg = load_config(path)
+            echo = tmp_path / path.name
+            echo.write_text(resolved_ini(cfg))
+            assert load_config(echo).train == cfg.train, path.name
+
+
+class TestConfigSchema:
+    def test_omitted_keys_load_to_the_dataclass_defaults(self, tmp_path):
+        from spatialgrad.expconfig import load_config
+        from spatialgrad.optim import OptimizerConfig
+        from spatialgrad.training import SgsSettings, TrainingConfig
+
+        path = write_config(tmp_path / "exp.ini", synth_data_block(),
+                            "\n[train]\nepochs = 3\nbatch_size = 16\nlr = 0.1\n")
+        cfg = load_config(path)
+        assert cfg.train.sgs == SgsSettings()
+        assert cfg.train == TrainingConfig(epochs=3, batch_size=16, lr=0.1,
+                                           optimizer=OptimizerConfig(momentum=0.9))
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad"])
+    def test_momentum_applies_only_to_sgd_momentum(self, tmp_path, kind):
+        from spatialgrad.expconfig import load_config
+        from spatialgrad.optim import OptimizerConfig
+
+        block = train_block().replace("optimizer = sgd_momentum", f"optimizer = {kind}")
+        cfg = load_config(write_config(tmp_path / "exp.ini", synth_data_block(), block))
+        assert cfg.train.optimizer == OptimizerConfig(kind=kind)
+
+    def test_train_and_sgs_accept_exactly_their_keys(self):
+        from spatialgrad.expconfig import _SGS_SCHEMA, _TRAIN_SCHEMA
+
+        assert set(_TRAIN_SCHEMA) == {"epochs", "batch_size", "lr", "schedule", "optimizer",
+                                      "momentum", "weight_decay", "seed", "precision"}
+        assert set(_SGS_SCHEMA) == {
+            "enabled", "measure", "k", "refresh_every", "refresh_batches", "warmup_epochs",
+            "bins", "epsilon_floor", "redundancy_filter", "scaling_position", "alpha",
+            "beta", "fixed_values", "mask_family"}
+
+    @pytest.mark.parametrize("section,line", [("train", "optimizer = rmsprop"),
+                                              ("train", "momentum = -1"),
+                                              ("sgs", "measure = entropy"),
+                                              ("sgs", "k = 0")])
+    def test_dataclass_validation_is_a_config_error(self, tmp_path, capsys, section, line):
+        if section == "train":
+            key = line.split(" =")[0]
+            block = "\n".join(ln for ln in train_block().splitlines()
+                              if not ln.startswith(key)) + f"\n{line}\n"
+            sgs = ""
+        else:
+            block, sgs = train_block(), f"\n[sgs]\n{line}\n"
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(), block, sgs)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: [{section}]" in capsys.readouterr().err

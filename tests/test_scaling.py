@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spatialgrad.scaling import ScalingMatrix, apply, finalize, from_masks, k_transform
-from spatialgrad.tensor import ShapeError
+from spatialgrad.scaling import ScalingMatrix, finalize, from_masks, k_transform
 
 
 class TestScalingMatrix:
@@ -154,23 +153,3 @@ class TestFinalize:
         out = finalize(raw, 1e-3)
         assert abs(out.values.mean() - 1.0) <= 1e-9
         assert out.values.min() > 0
-
-
-class TestApply:
-    def test_identity(self):
-        g = np.random.default_rng(1).normal(size=(2, 2, 3, 3))
-        out = apply(g, ScalingMatrix(np.ones((3, 3))))
-        assert np.array_equal(out, g)
-
-    def test_frozen_values_example(self):
-        g = np.ones((1, 1, 2, 2))
-        m = ScalingMatrix(np.array([[0.5, 1.5], [1.5, 0.5]]))
-        np.testing.assert_array_equal(apply(g, m)[0, 0], m.values)
-
-    def test_zero_gradient(self):
-        m = ScalingMatrix(np.array([[0.5, 1.5], [1.5, 0.5]]))
-        assert not apply(np.zeros((1, 1, 2, 2)), m).any()
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            apply(np.ones((1, 1, 3, 3)), ScalingMatrix(np.ones((2, 2))))

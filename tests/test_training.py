@@ -20,6 +20,7 @@ from spatialgrad.training import (
     SgsSettings,
     TrainingConfig,
     TrainingDivergedError,
+    build_run,
     inspect_scalings,
     metrics_to_csv,
     refresh_scalings,
@@ -142,6 +143,19 @@ class TestEndToEndGradients:
                 num = (up - down) / (2 * h)
                 np.testing.assert_allclose(analytic[(idx, name)].reshape(-1)[k], num,
                                            rtol=2e-4, atol=1e-7)
+
+
+class TestBuildRun:
+    def test_streams_are_init_shuffle_refresh_children_of_the_seed(self):
+        cfg = momentum_cfg(seed=7)
+        net, shuffle_rng, refresh_rng = build_run(tiny_model(), (1, 8, 8), 3, cfg)
+        init, shuffle, refresh = np.random.SeedSequence(7).spawn(3)
+        by_hand = build_network(tiny_model(), (1, 8, 8), 3, np.random.default_rng(init),
+                                cfg.dtype)
+        for name, w in by_hand.named_weights().items():
+            assert np.array_equal(net.named_weights()[name], w)
+        assert shuffle_rng.random() == np.random.default_rng(shuffle).random()
+        assert refresh_rng.random() == np.random.default_rng(refresh).random()
 
 
 class TestTrainLoop:
