@@ -50,14 +50,14 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _overrides(args) -> dict[str, dict[str, str]]:
+    """``--seed`` and ``--precision`` as [train] INI text for ``load_config``."""
+    given = {key: getattr(args, key) for key in ("seed", "precision")}
+    return {"train": {key: str(value) for key, value in given.items() if value is not None}}
+
+
 def _load(args) -> tuple:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.train.seed = args.seed
-        cfg.raw["train"]["seed"] = str(args.seed)
-    if args.precision is not None:
-        cfg.train.precision = args.precision
-        cfg.raw["train"]["precision"] = str(args.precision)
+    cfg = load_config(args.config, _overrides(args))
     train_ds, eval_ds = build_datasets(cfg.data)
     return cfg, train_ds, eval_ds
 
@@ -142,15 +142,10 @@ def _cell_settings(sgs: SgsSettings, cell: dict) -> SgsSettings:
     return replace(sgs, enabled=True, measure=measure, **cell)
 
 
-def _grid_cell(config_path: str, seed: int | None, precision: int | None,
-               cell: dict, validation_fraction: float) -> dict:
+def _grid_cell(config_path: str, overrides: dict[str, dict[str, str]], cell: dict,
+               validation_fraction: float) -> dict:
     """Train one grid cell on a train/validation split; runs in a worker process."""
-    cfg = load_config(config_path)
-    if seed is not None:
-        cfg.train.seed = seed
-    if precision is not None:
-        cfg.train.precision = precision
-    cfg.train.sgs = _cell_settings(cfg.train.sgs, cell)
+    cfg = load_config(config_path, overrides)
     full_train, _ = build_datasets(cfg.data)
     n = len(full_train)
     n_val = max(1, int(round(validation_fraction * n)))
@@ -161,8 +156,8 @@ def _grid_cell(config_path: str, seed: int | None, precision: int | None,
                                full_train.class_count)
     sub_val = LabeledDataset(full_train.images[val_idx], full_train.labels[val_idx],
                              full_train.class_count)
-    result = train(cfg.model, sub_train, sub_val, cfg.train)
-    last = result.metrics[-1]
+    run = replace(cfg.train, sgs=_cell_settings(cfg.train.sgs, cell))
+    last = train(cfg.model, sub_train, sub_val, run).metrics[-1]
     return {**cell, "val_acc": last.eval_acc, "final_train_loss": last.train_loss}
 
 
@@ -193,7 +188,7 @@ def cmd_grid_search(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"grid cell {cell}: {exc}") from exc
 
-    work = [(str(args.config), args.seed, args.precision, cell, args.validation_fraction)
+    work = [(str(args.config), _overrides(args), cell, args.validation_fraction)
             for cell in cells]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

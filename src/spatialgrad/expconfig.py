@@ -1,17 +1,19 @@
 """Experiment configuration files: INI sections [model], [data], [train], [sgs].
 
-The keys, defaults and value types of [sgs] are the fields of
-``SgsSettings``; those of [train] are the scalar fields of
-``TrainingConfig`` plus three ``OptimizerConfig`` fields. Unknown sections or
-keys are rejected, and every value is validated against the module
-preconditions at load time so a bad config fails before any work starts.
-``resolved_ini`` renders the fully-defaulted configuration back to INI text
-for provenance.
+Each section's keys, defaults and value types are dataclass fields: [sgs] is
+``SgsSettings``; [train] is the scalar fields of ``TrainingConfig`` plus three
+``OptimizerConfig`` fields; [data] is the dataclass its ``kind`` names; each
+[model] line is a layer spec. Unknown sections or keys are rejected, and every
+value is validated at load time, so a bad config fails before any dataset is
+built. ``resolved_ini`` renders the fully-defaulted configuration back to INI
+text for provenance.
 """
 
 from __future__ import annotations
 
 import configparser
+import io
+import logging
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -31,25 +33,62 @@ from .network import (
 from .optim import OptimizerConfig
 from .training import SgsSettings, TrainingConfig
 
+logger = logging.getLogger(__name__)
+
 
 class ConfigError(ValueError):
     """A configuration file is malformed; the message names the offending key."""
 
 
-_DATA_KEYS = {
-    "idx": {"kind", "train_images", "train_labels", "test_images", "test_labels"},
-    "cifar10": {"kind", "train_files", "test_files"},
-    "synth_digits": {"kind", "train_size", "test_size", "seed"},
-    "synth_field": {"kind", "samples", "channels", "height", "width", "corr_length", "seed"},
-}
+def _at_least(config: object, minimum: int, *names: str) -> None:
+    for name in names:
+        if getattr(config, name) < minimum:
+            raise ValueError(f"{name} = {getattr(config, name)} must be >= {minimum}")
 
-# Sizes of the synthetic digit sets when the config leaves them out.
-_SYNTH_DIGITS_SIZES = {"train_size": "2000", "test_size": "500"}
+
+# One dataclass per [data] kind; its fields are the section's keys besides "kind".
+@dataclass
+class IdxData:
+    train_images: str
+    train_labels: str
+    test_images: str
+    test_labels: str
+
 
 @dataclass
-class DataConfig:
-    kind: str
-    options: dict[str, str] = field(default_factory=dict)
+class Cifar10Data:
+    train_files: str
+    test_files: str
+
+
+@dataclass
+class SynthDigitsData:
+    train_size: int = 2000
+    test_size: int = 500
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "train_size", "test_size")
+        _at_least(self, 0, "seed")
+
+
+@dataclass
+class SynthFieldData:
+    samples: int = 64
+    channels: int = 1
+    height: int = 28
+    width: int = 28
+    corr_length: int = 0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "samples", "channels", "height", "width")
+        _at_least(self, 0, "corr_length", "seed")
+
+
+DataConfig = IdxData | Cifar10Data | SynthDigitsData | SynthFieldData
+_DATA_KINDS = {"idx": IdxData, "cifar10": Cifar10Data, "synth_digits": SynthDigitsData,
+               "synth_field": SynthFieldData}
 
 
 @dataclass
@@ -62,7 +101,7 @@ class ExperimentConfig:
 
 def _get(section: dict[str, str], key: str, where: str) -> str:
     if key not in section:
-        raise ConfigError(f"missing key '{key}' in section [{where}]")
+        raise ConfigError(f"[{where}] missing key '{key}'")
     return section[key]
 
 
@@ -99,10 +138,21 @@ def _parse_fixed_values(raw: str) -> np.ndarray | None:
         raise ConfigError(f"[sgs] fixed_values is not a numeric matrix: {exc}") from exc
 
 
+def _parse_kernel(raw: str) -> tuple[int, int]:
+    try:
+        sizes = [int(part) for part in raw.lower().split("x")]
+    except ValueError:
+        sizes = []
+    if len(sizes) not in (1, 2):
+        raise ConfigError(f"[model] kernel {raw!r} must look like '3' or '3x5'")
+    return (sizes[0], sizes[-1])
+
+
 # Keys whose value is not one scalar of the field's type.
 _SPECIAL_PARSERS = {
     "redundancy_filter": _parse_redundancy_filter,
     "fixed_values": _parse_fixed_values,
+    "kernel": _parse_kernel,
 }
 
 _SCALAR_TYPES = (bool, int, float, str)
@@ -158,68 +208,39 @@ def _build(cls: type, where: str, **kwargs):
         raise ConfigError(f"[{where}] {exc}") from exc
 
 
-def _parse_kernel(raw: str, where: str) -> tuple[int, int]:
-    parts = raw.lower().split("x")
-    try:
-        if len(parts) == 1:
-            k = int(parts[0])
-            return (k, k)
-        if len(parts) == 2:
-            return (int(parts[0]), int(parts[1]))
-    except ValueError:
-        pass
-    raise ConfigError(f"[{where}] kernel {raw!r} must look like '3' or '3x5'")
+# Model-line layer kind -> its spec class and each option's spec field.
+_LAYERS = {
+    "conv": (ConvLayerSpec, {"out": "out_channels", "kernel": "kernel", "stride": "stride",
+                             "pad": "padding", "act": "activation", "bn": "batch_norm"}),
+    "dense": (DenseSpec, {"out": "out_features"}),
+    "maxpool": (MaxPoolSpec, {}),
+    "gap": (GlobalAvgPoolSpec, {}),
+    "flatten": (FlattenSpec, {}),
+    "softmax_xent": (SoftmaxXentSpec, {}),
+}
 
 
 def parse_layer_line(line: str) -> object:
     """One model line, e.g. ``conv out=8 kernel=3 pad=1 act=relu bn=off``."""
-    tokens = line.split()
-    kind, opts = tokens[0], tokens[1:]
-    pairs = {}
-    for tok in opts:
+    kind, *tokens = line.split()
+    if kind not in _LAYERS:
+        raise ConfigError(f"[model] unknown layer kind {kind!r}")
+    for tok in tokens:
         if "=" not in tok:
             raise ConfigError(f"[model] bad token {tok!r} in line {line!r}")
-        key, _, value = tok.partition("=")
-        pairs[key] = value
-    known: dict[str, set[str]] = {
-        "conv": {"out", "kernel", "stride", "pad", "act", "bn"},
-        "maxpool": set(),
-        "gap": set(),
-        "flatten": set(),
-        "dense": {"out"},
-        "softmax_xent": set(),
-    }
-    if kind not in known:
-        raise ConfigError(f"[model] unknown layer kind {kind!r}")
-    unknown = set(pairs) - known[kind]
-    if unknown:
-        raise ConfigError(f"[model] unknown options {sorted(unknown)} for {kind!r}")
-    if kind == "conv":
-        if "out" not in pairs or "kernel" not in pairs:
-            raise ConfigError("[model] conv needs out= and kernel=")
-        try:
-            return ConvLayerSpec(
-                out_channels=int(pairs["out"]),
-                kernel=_parse_kernel(pairs["kernel"], "model"),
-                stride=int(pairs.get("stride", "1")),
-                padding=int(pairs.get("pad", "0")),
-                activation=pairs.get("act", "relu"),
-                batch_norm=_parse_typed(pairs.get("bn", "off"), "bn", bool, "model"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[model] {exc}") from exc
-    if kind == "dense":
-        if "out" not in pairs:
-            raise ConfigError("[model] dense needs out=")
-        return DenseSpec(out_features=_parse_typed(pairs["out"], "out", int, "model"))
-    return {"maxpool": MaxPoolSpec, "gap": GlobalAvgPoolSpec,
-            "flatten": FlattenSpec, "softmax_xent": SoftmaxXentSpec}[kind]()
+    cls, options = _LAYERS[kind]
+    spec_schema = _schema(cls)
+    values, _ = _parse_section(dict(tok.split("=", 1) for tok in tokens),
+                               {opt: spec_schema[name] for opt, name in options.items()}, "model")
+    return _build(cls, "model", **{options[opt]: value for opt, value in values.items()})
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path,
+                overrides: dict[str, dict[str, str]] | None = None) -> ExperimentConfig:
+    """Parse and validate a config; ``overrides`` (section -> key -> INI text) replace
+    the file's values before parsing, so they are validated and recorded like them."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
     sections = set(parser.sections())
     required = {"model", "data", "train"}
@@ -229,6 +250,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     unknown = sections - (required | {"sgs"})
     if unknown:
         raise ConfigError(f"unknown sections: {sorted(unknown)}")
+    parser.read_dict(overrides or {})
 
     model_section = dict(parser["model"])
     if set(model_section) != {"layers"}:
@@ -243,36 +265,35 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"[model] {exc}") from exc
 
     data_section = dict(parser["data"])
-    kind = _get(data_section, "kind", "data")
-    if kind not in _DATA_KEYS:
-        raise ConfigError(f"[data] unknown kind {kind!r}, expected one of {sorted(_DATA_KEYS)}")
-    unknown_keys = set(data_section) - _DATA_KEYS[kind]
-    if unknown_keys:
-        raise ConfigError(f"[data] unknown keys for kind {kind!r}: {sorted(unknown_keys)}")
-    if kind == "synth_digits":
-        for key, default in _SYNTH_DIGITS_SIZES.items():
-            size = _parse_typed(data_section.get(key, default), key, int, "data")
-            if size < 1:
-                raise ConfigError(f"[data] {key} = {size} must be >= 1")
-    data = DataConfig(kind=kind, options=data_section)
+    data_kind = _get(data_section, "kind", "data")
+    data_cls = _DATA_KINDS.get(data_kind)
+    if data_cls is None:
+        raise ConfigError(f"[data] unknown kind {data_kind!r}, "
+                          f"expected one of {sorted(_DATA_KINDS)}")
+    del data_section["kind"]
+    data_values, data_resolved = _parse_section(data_section, _schema(data_cls), "data")
+    data = _build(data_cls, "data", **data_values)
 
     sgs_values, sgs_section = _parse_section(
         dict(parser["sgs"]) if parser.has_section("sgs") else {}, _SGS_SCHEMA, "sgs")
-    train_values, train_section = _parse_section(dict(parser["train"]), _TRAIN_SCHEMA, "train")
+    train_given = dict(parser["train"])
+    train_values, train_section = _parse_section(train_given, _TRAIN_SCHEMA, "train")
     kind = train_values.pop("optimizer")
     momentum = train_values.pop("momentum")
-    optimizer = _build(
-        OptimizerConfig, "train",
-        kind=kind,
-        momentum=momentum if kind == "sgd_momentum" else 0.0,
-        weight_decay=train_values.pop("weight_decay"),
-    )
+    if kind != "sgd_momentum":
+        if momentum and "momentum" in train_given:
+            logger.warning("[train] momentum = %s is ignored: optimizer %r has no momentum",
+                           momentum, kind)
+        momentum = 0.0
+        train_section["momentum"] = str(momentum)
+    optimizer = _build(OptimizerConfig, "train", kind=kind, momentum=momentum,
+                       weight_decay=train_values.pop("weight_decay"))
     train = _build(TrainingConfig, "train", **train_values, optimizer=optimizer,
                    sgs=_build(SgsSettings, "sgs", **sgs_values))
 
     raw = {
         "model": {"layers": "\n" + "\n".join(lines)},
-        "data": dict(data_section),
+        "data": {"kind": data_kind, **data_resolved},
         "train": train_section,
         "sgs": sgs_section,
     }
@@ -280,52 +301,36 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def build_datasets(data: DataConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    opts = data.options
-    if data.kind == "idx":
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            if key not in opts:
-                raise ConfigError(f"missing key '{key}' in section [data]")
-            if not Path(opts[key]).exists():
-                raise ConfigError(f"[data] {key}: no such file {opts[key]!r}")
-        train = read_idx(opts["train_images"], opts["train_labels"])
-        test = read_idx(opts["test_images"], opts["test_labels"])
-        return train, test
-    if data.kind == "cifar10":
-        for key in ("train_files", "test_files"):
-            if key not in opts:
-                raise ConfigError(f"missing key '{key}' in section [data]")
+    if isinstance(data, IdxData):
+        for key, path in vars(data).items():
+            if not Path(path).exists():
+                raise ConfigError(f"[data] {key}: no such file {path!r}")
+        return (read_idx(data.train_images, data.train_labels),
+                read_idx(data.test_images, data.test_labels))
+    if isinstance(data, Cifar10Data):
         def paths(key: str) -> list[str]:
-            out = [p.strip() for p in opts[key].split(",") if p.strip()]
+            out = [p.strip() for p in getattr(data, key).split(",") if p.strip()]
             for p in out:
                 if not Path(p).exists():
                     raise ConfigError(f"[data] {key}: no such file {p!r}")
             return out
         return read_cifar_binary(paths("train_files")), read_cifar_binary(paths("test_files"))
-    if data.kind == "synth_digits":
-        seed = int(opts.get("seed", "0"))
-        train_size = int(opts.get("train_size", _SYNTH_DIGITS_SIZES["train_size"]))
-        test_size = int(opts.get("test_size", _SYNTH_DIGITS_SIZES["test_size"]))
-        return synth_digits(train_size, seed), synth_digits(test_size, seed + 1)
-    if data.kind == "synth_field":
-        shape = (int(opts.get("samples", "64")), int(opts.get("channels", "1")),
-                 int(opts.get("height", "28")), int(opts.get("width", "28")))
-        field_arr = synth_correlated_field(shape, int(opts.get("corr_length", "0")),
-                                           int(opts.get("seed", "0")))
-        lo, hi = field_arr.min(), field_arr.max()
-        span = hi - lo if hi > lo else 1.0
-        images = (field_arr - lo) / span
-        labels = np.zeros(shape[0], dtype=np.int64)
-        ds = LabeledDataset(images, labels, 1)
-        return ds, ds
-    raise ConfigError(f"[data] unknown kind {data.kind!r}")
+    if isinstance(data, SynthDigitsData):
+        return (synth_digits(data.train_size, data.seed),
+                synth_digits(data.test_size, data.seed + 1))
+    shape = (data.samples, data.channels, data.height, data.width)
+    field_arr = synth_correlated_field(shape, data.corr_length, data.seed)
+    lo, hi = field_arr.min(), field_arr.max()
+    span = hi - lo if hi > lo else 1.0
+    images = (field_arr - lo) / span
+    labels = np.zeros(shape[0], dtype=np.int64)
+    ds = LabeledDataset(images, labels, 1)
+    return ds, ds
 
 
 def resolved_ini(cfg: ExperimentConfig) -> str:
     out = configparser.ConfigParser()
-    for section, values in cfg.raw.items():
-        out[section] = values
-    from io import StringIO
-
-    buf = StringIO()
+    out.read_dict(cfg.raw)
+    buf = io.StringIO()
     out.write(buf)
     return buf.getvalue()

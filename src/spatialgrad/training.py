@@ -4,8 +4,8 @@ Per epoch: if spatial scaling is enabled and the epoch is past warm-up on the
 refresh cadence, sample a few batches, capture each convolution's input
 feature map in evaluation mode, and rebuild the per-layer scaling matrices.
 Every optimizer step then multiplies each conv weight gradient by its layer's
-scaling at the configured position; dense layers, batch-norm parameters, and
-1x1 convolutions are never scaled.
+scaling at the configured position; 1x1 convolutions get the uniform scaling,
+and biases, dense layers and batch-norm parameters are never scaled.
 
 Runs are bitwise deterministic for a given config and seed: weight init,
 batch shuffling, and refresh sampling draw from three separate child streams
@@ -32,7 +32,7 @@ from .layers import ConvLayer
 from .network import Network, build_network
 from .optim import LearningRateSchedule, OptimizerConfig, make_state, step
 from .reparam import standard_mask_sets
-from .scaling import ScalingMatrix, finalize, from_masks, k_transform
+from .scaling import DEFAULT_EPSILON_FLOOR, ScalingMatrix, finalize, from_masks, k_transform
 
 logger = logging.getLogger(__name__)
 
@@ -51,8 +51,8 @@ class SgsSettings:
     refresh_every: int = 5
     refresh_batches: int = 2
     warmup_epochs: int = 1
-    bins: int = 32
-    epsilon_floor: float = 1e-3
+    bins: int = BinningConfig.bins
+    epsilon_floor: float = DEFAULT_EPSILON_FLOOR
     redundancy_filter: float | str | None = None
     scaling_position: str = "pre"
     alpha: float = 1.0
@@ -97,6 +97,8 @@ class TrainingConfig:
             raise ValueError("schedule must be 'constant' or 'cosine'")
         if self.precision not in (32, 64):
             raise ValueError("precision must be 32 or 64")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def dtype(self):
@@ -266,8 +268,8 @@ def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
     schedule = cfg.lr_schedule()
     sgs = cfg.sgs
 
-    scalings: dict[int, ScalingMatrix] = {}
-    scaling_values: dict[int, np.ndarray] = {}
+    # (conv layer index, "W") -> the layer's scaling, keyed like ``opt_states``.
+    scaling_values: dict[tuple[int, str], np.ndarray] = {}
     history: list[dict] = []
     metrics: list[EpochMetrics] = []
 
@@ -277,7 +279,7 @@ def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
                 and (epoch - sgs.warmup_epochs) % sgs.refresh_every == 0:
             scalings = refresh_scalings(net, train_ds, sgs, refresh_rng, cfg.batch_size)
             scaling_values = {
-                idx: np.asarray(m.values, dtype=dtype) for idx, m in scalings.items()
+                (idx, "W"): np.asarray(m.values, dtype=dtype) for idx, m in scalings.items()
             }
             history.extend(
                 m.to_record(layer=f"conv{idx}", epoch=epoch) for idx, m in sorted(scalings.items())
@@ -300,13 +302,9 @@ def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
             seen += len(batch_idx)
             net.backward(net.head.grad())
             for idx, layer, name, value_arr in list(net.parameters()):
-                grad = layer.grads()[name]
-                scaling = None
-                if sgs.enabled and name == "W" and idx in scaling_values \
-                        and isinstance(layer, ConvLayer) and layer.spec.kernel != (1, 1):
-                    scaling = scaling_values[idx]
-                updated = step(opt_states[(idx, name)], value_arr, grad, lr=lr,
-                               scaling=scaling, position=sgs.scaling_position)
+                updated = step(opt_states[(idx, name)], value_arr, layer.grads()[name], lr=lr,
+                               scaling=scaling_values.get((idx, name)),
+                               position=sgs.scaling_position)
                 layer.set_param(name, updated)
 
         eval_hit = 0

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -125,8 +126,7 @@ test_labels = /nonexistent/labels
                           if not line.startswith(f"{key} ="))
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(), block)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert (f"config error: missing key '{key}' in section [train]"
-                in capsys.readouterr().err)
+        assert f"config error: [train] missing key '{key}'" in capsys.readouterr().err
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block(),
@@ -142,6 +142,43 @@ test_labels = /nonexistent/labels
         assert (read_metrics(out1 / "metrics.csv")[-1]["train_loss"]
                 != read_metrics(out2 / "metrics.csv")[-1]["train_loss"])
         assert "seed = 5" in (out1 / "resolved.ini").read_text()
+
+    @pytest.mark.parametrize("data", [
+        "\n[data]\nkind = synth_field\nsamples = x\n",
+        "\n[data]\nkind = synth_field\ncorr_length = -1\n",
+        synth_data_block().replace("seed = 0", "seed = abc"),
+        synth_data_block().replace("seed = 0", "seed = -1"),
+        synth_data_block() + "colour = red\n",
+        "\n[data]\nkind = idx\ntrain_images = a\ntrain_labels = b\ntest_images = c\n",
+        "\n[data]\nkind = mnist\n",
+    ], ids=["samples_not_int", "negative_corr_length", "seed_not_int", "negative_seed",
+            "unknown_key", "idx_without_test_labels", "unknown_kind"])
+    def test_bad_data_value_is_a_config_error_before_any_dataset(self, tmp_path, monkeypatch,
+                                                                 capsys, data):
+        def no_datasets(*args):
+            raise AssertionError("a dataset was built from a bad [data] section")
+
+        monkeypatch.setattr(cli, "build_datasets", no_datasets)
+        cfg = write_config(tmp_path / "exp.ini", data, train_block())
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config error: [data]" in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block())
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 1
+        assert "config error: [train] seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["conv out=4 kernel=3 pad=1 colour=red",
+                                      "conv out=4 kernel=3x",
+                                      "conv kernel=3",
+                                      "dense out=ten"])
+    def test_bad_model_line_is_a_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(MODEL_BLOCK.replace("conv out=4 kernel=3 pad=1 act=relu", line)
+                       + synth_data_block() + train_block())
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "config error: [model]" in capsys.readouterr().err
 
     def test_idx_dataset_end_to_end(self, tmp_path):
         ds = synth_digits(64, seed=0)
@@ -300,6 +337,21 @@ class TestGridSearch:
         assert len(rows) == 2
         assert {r["alpha"] for r in rows} == {"1.0", "2.0"}
 
+    def test_seed_flag_matches_the_seed_in_the_config(self, tmp_path):
+        sgs = "\n[sgs]\nwarmup_epochs = 0\nrefresh_every = 1\n"
+        flagged = write_config(tmp_path / "flagged.ini", synth_data_block(train_size=64),
+                               train_block(epochs=1), sgs)
+        written = write_config(tmp_path / "written.ini", synth_data_block(train_size=64),
+                               train_block(epochs=1).replace("seed = 11", "seed = 5"), sgs)
+        grids = []
+        for cfg, flags in ((flagged, ["--seed", "5"]), (written, [])):
+            out = tmp_path / f"o-{len(grids)}"
+            assert main(["grid-search", "--config", cfg, "--out", str(out),
+                         "--ks", "2,5", *flags]) == 0
+            grids.append((out / "grid.csv").read_text())
+            assert "seed = 5" in (out / "resolved.ini").read_text()
+        assert grids[0] == grids[1]
+
     def test_requires_a_grid(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block())
         assert main(["grid-search", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -452,7 +504,9 @@ class TestShippedConfigs:
             cfg = load_config(path)
             echo = tmp_path / path.name
             echo.write_text(resolved_ini(cfg))
-            assert load_config(echo).train == cfg.train, path.name
+            echoed = load_config(echo)
+            assert echoed.train == cfg.train, path.name
+            assert echoed.data == cfg.data, path.name
 
 
 class TestConfigSchema:
@@ -477,6 +531,32 @@ class TestConfigSchema:
         cfg = load_config(write_config(tmp_path / "exp.ini", synth_data_block(), block))
         assert cfg.train.optimizer == OptimizerConfig(kind=kind)
 
+    def test_omitted_data_keys_resolve_to_the_kind_defaults(self, tmp_path):
+        from spatialgrad.expconfig import SynthFieldData, load_config, resolved_ini
+
+        cfg = load_config(write_config(tmp_path / "exp.ini", "\n[data]\nkind = synth_field\n",
+                                       train_block()))
+        assert cfg.data == SynthFieldData()
+        assert cfg.raw["data"] == {"kind": "synth_field", "samples": "64", "channels": "1",
+                                   "height": "28", "width": "28", "corr_length": "0",
+                                   "seed": "0"}
+        assert "corr_length = 0" in resolved_ini(cfg)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad"])
+    def test_resolved_momentum_is_the_optimizer_momentum(self, tmp_path, caplog, kind):
+        from spatialgrad.expconfig import load_config, resolved_ini
+
+        written = train_block().replace("optimizer = sgd_momentum", f"optimizer = {kind}")
+        omitted = written.replace("momentum = 0.9", "")
+        for block, warnings in ((written, 1), (omitted, 0)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="spatialgrad.expconfig"):
+                cfg = load_config(write_config(tmp_path / "exp.ini", synth_data_block(), block))
+            assert len(caplog.messages) == warnings
+            assert all(kind in m and "momentum" in m for m in caplog.messages)
+            assert cfg.raw["train"]["momentum"] == "0.0"
+            assert "momentum = 0.0" in resolved_ini(cfg)
+
     def test_train_and_sgs_accept_exactly_their_keys(self):
         from spatialgrad.expconfig import _SGS_SCHEMA, _TRAIN_SCHEMA
 
@@ -489,6 +569,7 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("section,line", [("train", "optimizer = rmsprop"),
                                               ("train", "momentum = -1"),
+                                              ("train", "seed = -1"),
                                               ("sgs", "measure = entropy"),
                                               ("sgs", "k = 0")])
     def test_dataclass_validation_is_a_config_error(self, tmp_path, capsys, section, line):

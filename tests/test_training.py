@@ -190,6 +190,28 @@ class TestTrainLoop:
         wa, wb = a.final_weights(), b.final_weights()
         assert all(np.array_equal(wa[k], wb[k]) for k in wa)
 
+    @pytest.mark.parametrize("position", ["pre", "post"])
+    def test_one_by_one_conv_with_all_ones_scaling_bitwise_equals_disabled(self, position):
+        model = [
+            ConvLayerSpec(out_channels=4, kernel=(1, 1)),
+            ConvLayerSpec(out_channels=4, kernel=(3, 3), padding=1),
+            MaxPoolSpec(),
+            FlattenSpec(),
+            DenseSpec(out_features=10),
+            SoftmaxXentSpec(),
+        ]
+        train_ds = synth_digits(96, seed=8)
+        test_ds = synth_digits(32, seed=9)
+        base_cfg = momentum_cfg(sgs=SgsSettings(enabled=False, scaling_position=position))
+        ones_cfg = momentum_cfg(sgs=SgsSettings(enabled=True, measure="fixed", warmup_epochs=0,
+                                                refresh_every=1, scaling_position=position))
+        a = train(model, train_ds, test_ds, base_cfg)
+        b = train(model, train_ds, test_ds, ones_cfg)
+        assert {tuple(r["kernel"]) for r in b.scaling_history} == {(1, 1), (3, 3)}
+        assert [m.train_loss for m in a.metrics] == [m.train_loss for m in b.metrics]
+        wa, wb = a.final_weights(), b.final_weights()
+        assert all(np.array_equal(wa[k], wb[k]) for k in wa)
+
     def test_scaling_history_valid_and_seeded_refreshes(self):
         train_ds = synth_digits(128, seed=6)
         test_ds = synth_digits(64, seed=7)
