@@ -11,7 +11,7 @@ from .dependence import (
     spatial_dependence_autocorr,
     spatial_dependence_mi,
 )
-from .optim import LearningRateSchedule, OptimizerConfig, OptimizerState, adaptive_step, make_state, step
+from .optim import OptimizerConfig, OptimizerState, adaptive_step, make_state, step
 from .reparam import (
     BranchedConv,
     DivergenceReport,

@@ -82,15 +82,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify_equivalence(args) -> int:
-    kernel = (args.kernel, args.kernel) if isinstance(args.kernel, int) else args.kernel
-    masks = standard_mask_sets(kernel, args.mask_family, count=args.mask_count, seed=args.seed)
-    optimizer = OptimizerConfig(
-        kind=args.optimizer,
-        momentum=args.momentum if args.optimizer == "sgd_momentum" else 0.0,
-        weight_decay=args.weight_decay,
-    )
-    report = equivalence_run(masks, optimizer, steps=args.steps, seed=args.seed,
-                             kernel=kernel, lr=args.lr)
+    kernel = (args.kernel, args.kernel)
+    # Each ValueError raised here rejects a flag value; the run itself
+    # reports overflow through the report, not by raising.
+    try:
+        masks = standard_mask_sets(kernel, args.mask_family, count=args.mask_count,
+                                   seed=args.seed)
+        optimizer = OptimizerConfig(
+            kind=args.optimizer,
+            momentum=args.momentum if args.optimizer == "sgd_momentum" else 0.0,
+            weight_decay=args.weight_decay,
+        )
+        report = equivalence_run(masks, optimizer, steps=args.steps, seed=args.seed,
+                                 kernel=kernel, lr=args.lr)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _out_dir(args.out)
     report.to_csv(out / "divergence.csv")
     print(f"wrote {out / 'divergence.csv'}")
@@ -187,6 +193,9 @@ def cmd_grid_search(args) -> int:
             _cell_settings(cfg.train.sgs, cell)
         except ValueError as exc:
             raise ConfigError(f"grid cell {cell}: {exc}") from exc
+    if not 0 < args.validation_fraction < 1:
+        raise ConfigError(f"--validation-fraction must lie in (0, 1), "
+                          f"got {args.validation_fraction}")
 
     work = [(str(args.config), _overrides(args), cell, args.validation_fraction)
             for cell in cells]

@@ -165,8 +165,8 @@ def _schema(cls: type) -> dict[str, tuple[type, object]]:
 
 
 # [train] exposes the optimizer kind under the key "optimizer", and its
-# momentum and weight decay; adam's beta1, beta2 and eps keep their defaults.
-# An INI run defaults to momentum 0.9, where OptimizerConfig() has 0.0.
+# momentum and weight decay. An INI run defaults to momentum 0.9, where
+# OptimizerConfig() has 0.0.
 _OPTIMIZER_SCHEMA = _schema(OptimizerConfig)
 _TRAIN_SCHEMA = {
     **{key: spec for key, spec in _schema(TrainingConfig).items() if spec[0] in _SCALAR_TYPES},

@@ -173,14 +173,14 @@ class DenseLayer(Layer):
 class BatchNormLayer(Layer):
     """Per-channel batch norm; batch statistics in training, running in eval."""
 
-    def __init__(self, channels: int, dtype=np.float64, momentum: float = 0.1,
-                 eps: float = 1e-5):
+    MOMENTUM = 0.1  # torch defaults
+    EPS = 1e-5
+
+    def __init__(self, channels: int, dtype=np.float64):
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
         self.dgamma: np.ndarray | None = None
         self.dbeta: np.ndarray | None = None
 
@@ -188,11 +188,11 @@ class BatchNormLayer(Layer):
         if train:
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            self.running_mean = (1 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * mean
+            self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * var
         else:
             mean, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + self.EPS)
         x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
         self._x_hat = x_hat
         self._inv_std = inv_std

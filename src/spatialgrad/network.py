@@ -73,10 +73,9 @@ def validate_model_spec(specs: list) -> None:
 class Network:
     """An ordered stack of layers plus a softmax cross-entropy head."""
 
-    def __init__(self, layers: list[Layer], head: SoftmaxCrossEntropy, class_count: int):
+    def __init__(self, layers: list[Layer], head: SoftmaxCrossEntropy):
         self.layers = layers
         self.head = head
-        self.class_count = class_count
         self.conv_indices = [i for i, l in enumerate(layers) if isinstance(l, ConvLayer)]
 
     def forward(self, x: np.ndarray, train: bool,
@@ -172,7 +171,7 @@ def build_network(specs: list, input_shape: tuple[int, int, int], class_count: i
         raise ValueError(
             f"final feature count {flat_features} does not match class count {class_count}"
         )
-    return Network(layers, SoftmaxCrossEntropy(), class_count)
+    return Network(layers, SoftmaxCrossEntropy())
 
 
 def kernel_magnitude_matrix(w: np.ndarray) -> np.ndarray:

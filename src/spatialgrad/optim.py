@@ -18,7 +18,6 @@ The ``position`` argument controls where a scaling matrix multiplies in:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,10 @@ LINEAR_KINDS = ("sgd", "sgd_momentum")
 ADAPTIVE_KINDS = ("adam", "adagrad")
 KINDS = LINEAR_KINDS + ADAPTIVE_KINDS
 
-_ADAGRAD_EPS = 1e-10  # torch default
+_ADAM_BETA1 = 0.9  # torch defaults
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+_ADAGRAD_EPS = 1e-10
 
 
 @dataclass
@@ -37,9 +39,6 @@ class OptimizerConfig:
     kind: str = "sgd_momentum"
     momentum: float = 0.0
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -72,15 +71,14 @@ def _sgd_momentum(state: OptimizerState, e: np.ndarray) -> np.ndarray:
 
 
 def _adam(state: OptimizerState, e: np.ndarray) -> np.ndarray:
-    cfg = state.cfg
     t = state.step_count + 1
-    m = cfg.beta1 * state.buffers["m"] + (1.0 - cfg.beta1) * e
-    v = cfg.beta2 * state.buffers["v"] + (1.0 - cfg.beta2) * e * e
+    m = _ADAM_BETA1 * state.buffers["m"] + (1.0 - _ADAM_BETA1) * e
+    v = _ADAM_BETA2 * state.buffers["v"] + (1.0 - _ADAM_BETA2) * e * e
     state.buffers["m"] = m
     state.buffers["v"] = v
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    return m_hat / (np.sqrt(v_hat) + cfg.eps)
+    m_hat = m / (1.0 - _ADAM_BETA1**t)
+    v_hat = v / (1.0 - _ADAM_BETA2**t)
+    return m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def _adagrad(state: OptimizerState, e: np.ndarray) -> np.ndarray:
@@ -151,27 +149,3 @@ def adaptive_step(state: OptimizerState, w: np.ndarray, g: np.ndarray, lr: float
     if state.cfg.kind not in ADAPTIVE_KINDS:
         raise ValueError(f"adaptive_step requires an adaptive optimizer, got {state.cfg.kind!r}")
     return step(state, w, g, lr, scaling=scaling, position=position)
-
-
-@dataclass(frozen=True)
-class LearningRateSchedule:
-    """Constant or cosine-annealed learning rate over ``total_steps`` ticks."""
-
-    kind: str = "constant"
-    initial_lr: float = 0.1
-    total_steps: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("constant", "cosine_annealing"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.initial_lr <= 0:
-            raise ValueError("initial_lr must be positive")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-
-    def value(self, t: int) -> float:
-        if t < 0:
-            raise ValueError("schedule tick must be non-negative")
-        if self.kind == "constant":
-            return self.initial_lr
-        return self.initial_lr * (1.0 + math.cos(math.pi * t / self.total_steps)) / 2.0

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,17 +25,10 @@ from .scaling import from_masks
 
 MASK_FAMILIES = ("acb", "full_plus_center", "all_rectangles", "random")
 
-
-def validate_mask(mask: np.ndarray) -> np.ndarray:
-    """Check a binary receptive-field mask; returns it as float64 0/1."""
-    mask = np.asarray(mask)
-    if mask.ndim != 2:
-        raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
-    if not np.all(np.isin(mask, (0, 1))):
-        raise ValueError("mask entries must be 0 or 1")
-    if not mask.any():
-        raise ValueError("mask must have at least one set position")
-    return mask.astype(np.float64)
+# The lockstep twins of ``equivalence_run``: conv(2 -> 3 channels), relu,
+# conv(3 -> 2 channels), trained on batches of 4 random 8x8 images.
+_IN_CHANNELS, _HIDDEN_CHANNELS, _OUT_CHANNELS = 2, 3, 2
+_BATCH, _HEIGHT, _WIDTH = 4, 8, 8
 
 
 @dataclass
@@ -83,11 +76,10 @@ def split_init(w_base: np.ndarray, masks: Sequence[np.ndarray], spec: ConvSpec) 
     w_base = np.asarray(w_base)
     if w_base.shape != spec.weight_shape:
         raise ValueError(f"base weight shape {w_base.shape}, expected {spec.weight_shape}")
-    mask_arrays = [validate_mask(m) for m in masks]
-    for m in mask_arrays:
-        if m.shape != spec.kernel:
-            raise ValueError(f"mask shape {m.shape} does not match kernel {spec.kernel}")
-    _, coverage = from_masks(mask_arrays)  # raises naming any uncovered position
+    _, coverage = from_masks(masks)  # raises naming any uncovered position
+    mask_arrays = [np.array(m, dtype=np.float64) for m in masks]
+    if coverage.shape != spec.kernel:
+        raise ValueError(f"mask shape {coverage.shape} does not match kernel {spec.kernel}")
     coverage = coverage.astype(w_base.dtype)
 
     last_covering = np.zeros(spec.kernel, dtype=np.int64)
@@ -235,24 +227,17 @@ class DivergenceReport:
         self.max_rel.append(float(np.max(max_rs)))
         self.mean_rel.append(float(np.mean(mean_rs)))
 
-    def to_csv(self, target: str | Path | IO[str]) -> None:
-        def _write(f: IO[str]) -> None:
+    def to_csv(self, path: str | Path) -> None:
+        with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["step", "max_rel_divergence", "mean_rel_divergence"])
             for s, mx, mn in zip(self.steps, self.max_rel, self.mean_rel):
                 writer.writerow([s, repr(mx), repr(mn)])
 
-        if isinstance(target, (str, Path)):
-            with open(target, "w", newline="") as f:
-                _write(f)
-        else:
-            _write(target)
-
 
 def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, steps: int,
-                    seed: int, kernel: tuple[int, int] = (3, 3), in_channels: int = 2,
-                    hidden_channels: int = 3, out_channels: int = 2, batch: int = 4,
-                    height: int = 8, width: int = 8, lr: float = 0.05) -> DivergenceReport:
+                    seed: int, kernel: tuple[int, int] = (3, 3),
+                    lr: float = 0.05) -> DivergenceReport:
     """Train a branched twin and a gradient-scaled twin in lockstep.
 
     Both sides are two-layer convolutional regressors (conv, relu, conv,
@@ -266,16 +251,18 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    mask_arrays = [validate_mask(m) for m in masks]
-    _, coverage = from_masks(mask_arrays)
+    if not lr > 0:
+        raise ValueError(f"lr must be positive, got {lr}")
+    _, coverage = from_masks(masks)
+    mask_arrays = [np.array(m, dtype=np.float64) for m in masks]
     kx, ky = kernel
     pad = (max(kx, ky)) // 2
-    spec1 = ConvSpec(in_channels, hidden_channels, kernel, stride=1, padding=pad)
-    spec2 = ConvSpec(hidden_channels, out_channels, kernel, stride=1, padding=pad)
+    spec1 = ConvSpec(_IN_CHANNELS, _HIDDEN_CHANNELS, kernel, stride=1, padding=pad)
+    spec2 = ConvSpec(_HIDDEN_CHANNELS, _OUT_CHANNELS, kernel, stride=1, padding=pad)
 
     rng = np.random.default_rng(seed)
-    w1 = rng.normal(0.0, np.sqrt(2.0 / (in_channels * kx * ky)), size=spec1.weight_shape)
-    w2 = rng.normal(0.0, np.sqrt(2.0 / (hidden_channels * kx * ky)), size=spec2.weight_shape)
+    w1 = rng.normal(0.0, np.sqrt(2.0 / (_IN_CHANNELS * kx * ky)), size=spec1.weight_shape)
+    w2 = rng.normal(0.0, np.sqrt(2.0 / (_HIDDEN_CHANNELS * kx * ky)), size=spec2.weight_shape)
 
     branched1 = split_init(w1, mask_arrays, spec1)
     branched2 = split_init(w2, mask_arrays, spec2)
@@ -294,15 +281,15 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
     # it is detected by the finiteness check and flagged, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
-            x = rng.normal(size=(batch, in_channels, height, width))
-            target = rng.normal(size=(batch, out_channels, height, width))
+            x = rng.normal(size=(_BATCH, _IN_CHANNELS, _HEIGHT, _WIDTH))
+            target = rng.normal(size=(_BATCH, _OUT_CHANNELS, _HEIGHT, _WIDTH))
 
             # Branched twin: forward, backward through the branch sum, step branches.
             h1 = branched_forward(branched1, x)
             a1 = np.maximum(h1, 0.0)
             y = branched_forward(branched2, a1)
             dy = (y - target) / y.size
-            da1 = branched_backward_input(branched2, dy, (height, width))
+            da1 = branched_backward_input(branched2, dy, (_HEIGHT, _WIDTH))
             dh1 = da1 * (h1 > 0)
             branched_backward_step(branched2, a1, dy, states_b2, lr)
             branched_backward_step(branched1, x, dh1, states_b1, lr)
@@ -313,7 +300,7 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
             ys = conv_forward(a1s, single2, spec2)
             dys = (ys - target) / ys.size
             g2 = conv_backward_weights(dys, a1s, spec2)
-            da1s = conv_backward_input(dys, single2, spec2, (height, width))
+            da1s = conv_backward_input(dys, single2, spec2, (_HEIGHT, _WIDTH))
             dh1s = da1s * (h1s > 0)
             g1 = conv_backward_weights(dh1s, x, spec1)
             single2 = step(state_s2, single2, g2, lr=lr, scaling=raw_scaling, position="pre")

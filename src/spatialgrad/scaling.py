@@ -58,9 +58,9 @@ def from_masks(masks: Sequence[np.ndarray]) -> tuple[ScalingMatrix, np.ndarray]:
     """Sum binary branch masks into a coverage matrix and its mean-1 normalization.
 
     Returns ``(normalized, raw)`` where ``raw`` holds integer per-position
-    coverage counts. Every kernel position must be covered by at least one
-    mask; uncovered positions would make the scaling non-positive and a
-    branch split impossible.
+    coverage counts. Each mask must set at least one position, and every
+    kernel position must be covered by at least one mask; uncovered positions
+    would make the scaling non-positive and a branch split impossible.
     """
     if len(masks) == 0:
         raise ValueError("at least one mask is required")
@@ -76,6 +76,8 @@ def from_masks(masks: Sequence[np.ndarray]) -> tuple[ScalingMatrix, np.ndarray]:
             raise ValueError(f"mask {idx} shape {m.shape} differs from {shape}")
         if not np.all(np.isin(m, (0, 1))):
             raise ValueError(f"mask {idx} must be binary")
+        if not m.any():
+            raise ValueError(f"mask {idx} has no set position")
         arrays.append(m.astype(np.int64))
     raw = np.zeros(shape, dtype=np.int64)
     for m in arrays:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ from .data import LabeledDataset
 from .dependence import BinningConfig, EstimatorError
 from .layers import ConvLayer
 from .network import Network, build_network
-from .optim import LearningRateSchedule, OptimizerConfig, make_state, step
+from .optim import OptimizerConfig, make_state, step
 from .reparam import standard_mask_sets
 from .scaling import DEFAULT_EPSILON_FLOOR, ScalingMatrix, finalize, from_masks, k_transform
 
@@ -104,9 +105,11 @@ class TrainingConfig:
     def dtype(self):
         return np.float64 if self.precision == 64 else np.float32
 
-    def lr_schedule(self) -> LearningRateSchedule:
-        kind = "constant" if self.schedule == "constant" else "cosine_annealing"
-        return LearningRateSchedule(kind=kind, initial_lr=self.lr, total_steps=self.epochs)
+    def lr_at(self, epoch: int) -> float:
+        """The epoch's learning rate: ``lr``, or ``lr`` cosine-annealed over ``epochs``."""
+        if self.schedule == "constant":
+            return self.lr
+        return self.lr * (1.0 + math.cos(math.pi * epoch / self.epochs)) / 2.0
 
 
 @dataclass
@@ -255,6 +258,8 @@ def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
     eval_ds = eval_ds.astype(dtype)
     if train_ds.class_count < 2:
         raise ValueError("training needs a dataset with at least 2 classes")
+    if len(train_ds) == 0:
+        raise ValueError("the training set is empty; the epoch loss would divide by zero")
     if len(eval_ds) == 0:
         raise ValueError("the eval set is empty; eval accuracy would divide by zero")
 
@@ -265,7 +270,6 @@ def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
         (idx, name): make_state(cfg.optimizer, value)
         for idx, _, name, value in net.parameters()
     }
-    schedule = cfg.lr_schedule()
     sgs = cfg.sgs
 
     # (conv layer index, "W") -> the layer's scaling, keyed like ``opt_states``.
@@ -285,7 +289,7 @@ def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
                 m.to_record(layer=f"conv{idx}", epoch=epoch) for idx, m in sorted(scalings.items())
             )
 
-        lr = schedule.value(epoch)
+        lr = cfg.lr_at(epoch)
         loss_sum = 0.0
         hit = 0
         seen = 0
@@ -342,8 +346,3 @@ def scaling_history_to_jsonl(history: Sequence[dict], path: str | Path) -> None:
 
 def save_weights(weights: dict[str, np.ndarray], path: str | Path) -> None:
     np.savez(path, **weights)
-
-
-def load_weights(path: str | Path) -> dict[str, np.ndarray]:
-    with np.load(path) as archive:
-        return {name: archive[name] for name in archive.files}

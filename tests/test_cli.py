@@ -234,6 +234,16 @@ class TestVerifyEquivalence:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [["--kernel", "0"], ["--steps", "0"],
+                                       ["--momentum", "-1"], ["--lr", "0"],
+                                       ["--lr", "-0.05"]])
+    def test_bad_flag_value_is_a_config_error(self, tmp_path, capsys, flags):
+        code = main(["verify-equivalence", "--optimizer", "sgd_momentum", *flags,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "divergence.csv").exists()
+
     def test_overflowing_lr_gives_no_verdict(self, tmp_path, capsys):
         code = main(["verify-equivalence", "--kernel", "7",
                      "--mask-family", "all_rectangles", "--optimizer", "sgd",
@@ -356,7 +366,11 @@ class TestGridSearch:
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block())
         assert main(["grid-search", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
-    @pytest.mark.parametrize("grid", [["--ks", "0,5"], ["--ks", "5,-1"], ["--ks", "2,x"]])
+    @pytest.mark.parametrize("grid", [["--ks", "0,5"], ["--ks", "5,-1"], ["--ks", "2,x"],
+                                      ["--ks", "2,5", "--validation-fraction", "1.0"],
+                                      ["--ks", "2,5", "--validation-fraction", "1.5"],
+                                      ["--ks", "2,5", "--validation-fraction", "-0.2"],
+                                      ["--ks", "2,5", "--validation-fraction", "0"]])
     def test_invalid_cell_rejected_before_any_worker(self, tmp_path, monkeypatch, capsys,
                                                       grid):
         def no_training(*args):

@@ -1,8 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
 from spatialgrad.optim import (
-    LearningRateSchedule,
     OptimizerConfig,
     adaptive_step,
     make_state,
@@ -70,8 +71,7 @@ class TestLinearStep:
         w0 = rng.normal(size=(2, 2, 3, 3))
         grads = [rng.normal(size=w0.shape) for _ in range(50)]
         scaling = rng.uniform(0.5, 2.0, size=(3, 3))
-        schedule = LearningRateSchedule(kind="cosine_annealing", initial_lr=0.1, total_steps=50)
-        lr_values = [schedule.value(t) for t in range(50)]
+        lr_values = [0.1 * (1.0 + math.cos(math.pi * t / 50)) / 2.0 for t in range(50)]
         cfg = OptimizerConfig(kind=kind, momentum=mu, weight_decay=wd)
         state = make_state(cfg, w0)
         w = w0.copy()
@@ -173,24 +173,3 @@ class TestAdaptiveStep:
         a = step(s1, w, kernel_param(1.0), lr=0.1)
         b = adaptive_step(s2, w, kernel_param(1.0), lr=0.1)
         assert np.array_equal(a, b)
-
-
-class TestSchedule:
-    def test_constant(self):
-        sched = LearningRateSchedule(kind="constant", initial_lr=0.05, total_steps=10)
-        assert [sched.value(t) for t in (0, 5, 9)] == [0.05, 0.05, 0.05]
-
-    def test_cosine_formula(self):
-        sched = LearningRateSchedule(kind="cosine_annealing", initial_lr=0.1, total_steps=100)
-        for t in (0, 1, 17, 50, 99):
-            expected = 0.1 * (1 + np.cos(np.pi * t / 100)) / 2
-            assert sched.value(t) == pytest.approx(expected, rel=1e-15)
-        assert all(sched.value(t) > 0 for t in range(100))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LearningRateSchedule(kind="linear", initial_lr=0.1, total_steps=1)
-        with pytest.raises(ValueError):
-            LearningRateSchedule(initial_lr=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(kind="rmsprop")

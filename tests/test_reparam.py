@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -12,8 +10,8 @@ from spatialgrad.reparam import (
     equivalence_run,
     split_init,
     standard_mask_sets,
-    validate_mask,
 )
+from spatialgrad.scaling import from_masks
 
 
 def acb_masks():
@@ -21,13 +19,17 @@ def acb_masks():
 
 
 class TestMaskValidation:
+    """Branch masks are checked by ``from_masks``, which every split goes through."""
+
     def test_rejects_empty_mask(self):
         with pytest.raises(ValueError):
-            validate_mask(np.zeros((3, 3)))
+            from_masks([np.zeros((3, 3))])
+        with pytest.raises(ValueError, match="mask 1 has no set position"):
+            from_masks([np.ones((3, 3)), np.zeros((3, 3))])
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
-            validate_mask(np.full((2, 2), 0.3))
+            from_masks([np.full((2, 2), 0.3)])
 
 
 class TestStandardMaskSets:
@@ -236,12 +238,18 @@ class TestEquivalenceRun:
         assert not report.linear_guarantee
         assert report.optimizer_kind == "adam"
 
-    def test_csv_export(self):
+    @pytest.mark.parametrize("kwargs", [{"steps": 0}, {"lr": 0.0}, {"lr": -0.05}])
+    def test_rejects_bad_run_arguments(self, kwargs):
+        args = {"steps": 5, "seed": 0, **kwargs}
+        with pytest.raises(ValueError, match="must be"):
+            equivalence_run(acb_masks(), OptimizerConfig(kind="sgd"), **args)
+
+    def test_csv_export(self, tmp_path):
         report = equivalence_run([np.ones((3, 3))], OptimizerConfig(kind="sgd"),
                                  steps=3, seed=0)
-        buffer = io.StringIO()
-        report.to_csv(buffer)
-        lines = buffer.getvalue().strip().splitlines()
+        path = tmp_path / "divergence.csv"
+        report.to_csv(path)
+        lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,max_rel_divergence,mean_rel_divergence"
         assert len(lines) == 4
         step0 = lines[1].split(",")

@@ -57,6 +57,28 @@ def momentum_cfg(**kwargs):
     return TrainingConfig(**defaults)
 
 
+class TestSchedule:
+    def test_constant(self):
+        cfg = TrainingConfig(epochs=10, batch_size=1, lr=0.05, schedule="constant")
+        assert [cfg.lr_at(t) for t in (0, 5, 9)] == [0.05, 0.05, 0.05]
+
+    def test_cosine_formula(self):
+        cfg = TrainingConfig(epochs=100, batch_size=1, lr=0.1, schedule="cosine")
+        for t in (0, 1, 17, 50, 99):
+            expected = 0.1 * (1 + np.cos(np.pi * t / 100)) / 2
+            assert cfg.lr_at(t) == pytest.approx(expected, rel=1e-15)
+        assert all(cfg.lr_at(t) > 0 for t in range(100))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            TrainingConfig(epochs=1, batch_size=1, lr=0.1, schedule="linear")
+        with pytest.raises(ValueError):
+            TrainingConfig(epochs=1, batch_size=1, lr=0.0)
+        with pytest.raises(ValueError):
+            TrainingConfig(epochs=1, batch_size=1, lr=0.1,
+                           optimizer=OptimizerConfig(kind="rmsprop"))
+
+
 class TestNetworkSpecValidation:
     def test_requires_single_trailing_head(self):
         with pytest.raises(ValueError):
@@ -261,6 +283,18 @@ class TestTrainLoop:
         empty = LabeledDataset(train_ds.images[:0], train_ds.labels[:0], train_ds.class_count)
         with pytest.raises(ValueError, match="eval set is empty"):
             train(two_conv_model(), train_ds, empty, momentum_cfg(sgs=SgsSettings(enabled=False)))
+
+    def test_empty_training_set_rejected_before_training(self, monkeypatch):
+        import spatialgrad.training as training_mod
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("train() built a network for an empty training set")
+
+        monkeypatch.setattr(training_mod, "build_network", no_network)
+        eval_ds = synth_digits(64, seed=16)
+        empty = LabeledDataset(eval_ds.images[:0], eval_ds.labels[:0], eval_ds.class_count)
+        with pytest.raises(ValueError, match="training set is empty"):
+            train(two_conv_model(), empty, eval_ds, momentum_cfg(sgs=SgsSettings(enabled=False)))
 
     def test_metrics_csv_format(self, tmp_path):
         train_ds = synth_digits(64, seed=14)
