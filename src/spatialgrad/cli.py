@@ -43,6 +43,8 @@ EXIT_EQUIVALENCE_FAIL = 3
 
 EQUIVALENCE_TOLERANCE = 1e-8
 
+logger = logging.getLogger(__name__)
+
 
 def _out_dir(path: str) -> Path:
     out = Path(path)
@@ -83,6 +85,12 @@ def cmd_train(args) -> int:
 
 def cmd_verify_equivalence(args) -> int:
     kernel = (args.kernel, args.kernel)
+    momentum = 0.9 if args.momentum is None else args.momentum
+    if args.optimizer != "sgd_momentum":
+        if args.momentum:
+            logger.warning("--momentum %s is ignored: optimizer %r has no momentum",
+                           args.momentum, args.optimizer)
+        momentum = 0.0
     # Each ValueError raised here rejects a flag value; the run itself
     # reports overflow through the report, not by raising.
     try:
@@ -90,7 +98,7 @@ def cmd_verify_equivalence(args) -> int:
                                    seed=args.seed)
         optimizer = OptimizerConfig(
             kind=args.optimizer,
-            momentum=args.momentum if args.optimizer == "sgd_momentum" else 0.0,
+            momentum=momentum,
             weight_decay=args.weight_decay,
         )
         report = equivalence_run(masks, optimizer, steps=args.steps, seed=args.seed,
@@ -148,13 +156,22 @@ def _cell_settings(sgs: SgsSettings, cell: dict) -> SgsSettings:
     return replace(sgs, enabled=True, measure=measure, **cell)
 
 
+def _validation_count(n: int, validation_fraction: float) -> int:
+    """Samples a grid cell holds out for validation from its ``n`` training samples."""
+    n_val = max(1, int(round(validation_fraction * n)))
+    if n_val >= n:
+        raise ConfigError(f"--validation-fraction {validation_fraction} puts {n_val} of {n} "
+                          "training samples in validation, leaving none to train on")
+    return n_val
+
+
 def _grid_cell(config_path: str, overrides: dict[str, dict[str, str]], cell: dict,
                validation_fraction: float) -> dict:
     """Train one grid cell on a train/validation split; runs in a worker process."""
     cfg = load_config(config_path, overrides)
     full_train, _ = build_datasets(cfg.data)
     n = len(full_train)
-    n_val = max(1, int(round(validation_fraction * n)))
+    n_val = _validation_count(n, validation_fraction)
     split_rng = np.random.default_rng(np.random.SeedSequence([cfg.train.seed, 917]))
     order = split_rng.permutation(n)
     val_idx, train_idx = order[:n_val], order[n_val:]
@@ -175,7 +192,7 @@ def _float_list(raw: str, flag: str) -> list[float]:
 
 
 def cmd_grid_search(args) -> int:
-    cfg, _, _ = _load(args)  # fail fast on config errors before spawning workers
+    cfg, train_ds, _ = _load(args)  # fail fast on config errors before spawning workers
     out = _out_dir(args.out)
     _echo_config(cfg, out)
     if args.ks:
@@ -196,6 +213,7 @@ def cmd_grid_search(args) -> int:
     if not 0 < args.validation_fraction < 1:
         raise ConfigError(f"--validation-fraction must lie in (0, 1), "
                           f"got {args.validation_fraction}")
+    _validation_count(len(train_ds), args.validation_fraction)
 
     work = [(str(args.config), _overrides(args), cell, args.validation_fraction)
             for cell in cells]
@@ -269,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random-family mask count")
     p_ver.add_argument("--optimizer", default="sgd_momentum",
                        choices=OPTIMIZER_KINDS)
-    p_ver.add_argument("--momentum", type=float, default=0.9)
+    p_ver.add_argument("--momentum", type=float, default=None,
+                       help="sgd_momentum's momentum (default 0.9)")
     p_ver.add_argument("--weight-decay", type=float, default=1e-4)
     p_ver.add_argument("--lr", type=float, default=0.05)
     p_ver.add_argument("--steps", type=int, default=100)

@@ -86,9 +86,14 @@ class MaxPoolLayer(Layer):
     times a false mask gives -0.0). A non-finite ``dy`` reaches its whole
     2x2 block, since inf * 0 and NaN * 0 are NaN, as ReLU backward already
     does with its mask.
+
+    An eval-mode forward (``train=False``) computes the max alone and keeps
+    no route, since no backward follows it; ``backward`` after it raises
+    ``RuntimeError``.
     """
 
     _QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+    _route: np.ndarray | None = None
 
     def forward(self, x, train):
         n, c, h, w = x.shape
@@ -97,6 +102,9 @@ class MaxPoolLayer(Layer):
             raise ShapeError(f"input {h}x{w} too small for 2x2 pooling")
         q00, q01, q10, q11 = (x[:, :, r : 2 * oh : 2, s : 2 * ow : 2] for r, s in self._QUADRANTS)
         out = np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
+        if not train:
+            self._route = None
+            return out
         # route = number of leading quadrants that miss the max
         miss = q00 != out
         route = miss.astype(np.uint8)
@@ -109,6 +117,9 @@ class MaxPoolLayer(Layer):
         return out
 
     def backward(self, dy):
+        if self._route is None:
+            raise RuntimeError("MaxPoolLayer.backward needs a train-mode forward first; "
+                               "an eval-mode forward keeps no route")
         oh, ow = dy.shape[2], dy.shape[3]
         dx = np.empty(self._in_shape, dtype=dy.dtype)
         dx[:, :, 2 * oh :] = 0

@@ -79,10 +79,19 @@ class Network:
         self.conv_indices = [i for i, l in enumerate(layers) if isinstance(l, ConvLayer)]
 
     def forward(self, x: np.ndarray, train: bool,
-                capture_conv_inputs: dict[int, np.ndarray] | None = None) -> np.ndarray:
+                capture_conv_inputs: dict[int, np.ndarray] | None = None) -> np.ndarray | None:
+        """The network's logits for ``x``, or ``None`` when capturing conv inputs.
+
+        With ``capture_conv_inputs``, each conv layer's input is stored under
+        its layer index, and the forward returns ``None`` as soon as the last
+        conv's input is stored: the layers from there on cannot change
+        anything captured, so they do not run.
+        """
         for idx, layer in enumerate(self.layers):
             if capture_conv_inputs is not None and isinstance(layer, ConvLayer):
                 capture_conv_inputs[idx] = x
+                if idx == self.conv_indices[-1]:
+                    return None
             x = layer.forward(x, train)
         return x
 

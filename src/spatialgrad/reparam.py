@@ -151,8 +151,8 @@ def standard_mask_sets(kernel: tuple[int, int], family: str, count: int = 3,
     ``acb``: full kernel plus its middle row and middle column.
     ``full_plus_center``: full kernel plus the 1x1 center.
     ``all_rectangles``: every centerd odd a x b rectangle (odd kernels only).
-    ``random``: ``count`` random non-empty masks plus the full mask, which
-    forces full coverage; deterministic per seed.
+    ``random``: ``count`` (at least 1) random non-empty masks plus the full
+    mask, which forces full coverage; deterministic per seed.
     """
     kx, ky = kernel
     if kx < 1 or ky < 1:
@@ -183,6 +183,8 @@ def standard_mask_sets(kernel: tuple[int, int], family: str, count: int = 3,
                 masks.append(m)
         return masks
     if family == "random":
+        if count < 1:
+            raise ValueError(f"random masks need a count >= 1, got {count}")
         rng = np.random.default_rng(seed)
         masks = []
         for _ in range(count):

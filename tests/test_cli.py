@@ -10,7 +10,7 @@ from spatialgrad import cli
 from spatialgrad.cli import main
 from spatialgrad.data import synth_digits, write_idx
 from spatialgrad.optim import KINDS
-from spatialgrad.reparam import MASK_FAMILIES
+from spatialgrad.reparam import MASK_FAMILIES, equivalence_run
 
 MODEL_BLOCK = """
 [model]
@@ -211,13 +211,44 @@ class TestVerifyEquivalence:
         assert len(rows) == 101
         assert float(rows[-1].split(",")[1]) < 1e-8
 
-    def test_full_mask_tight_divergence(self, tmp_path, capsys):
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_random_mask_count_below_one_is_a_config_error(self, tmp_path, capsys, count):
         code = main(["verify-equivalence", "--kernel", "3", "--mask-family", "random",
-                     "--mask-count", "0", "--optimizer", "sgd", "--steps", "20",
-                     "--seed", "0", "--out", str(tmp_path)])
+                     "--mask-count", count, "--optimizer", "sgd", "--steps", "1",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert f"count >= 1, got {count}" in capsys.readouterr().err
+        assert not (tmp_path / "divergence.csv").exists()
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam", "adagrad"])
+    def test_momentum_for_a_kind_without_momentum_warns(self, tmp_path, caplog, optimizer):
+        with caplog.at_level(logging.WARNING, logger="spatialgrad.cli"):
+            code = main(["verify-equivalence", "--optimizer", optimizer, "--momentum", "0.5",
+                         "--steps", "1", "--out", str(tmp_path)])
         assert code == 0
-        rows = (tmp_path / "divergence.csv").read_text().strip().splitlines()[1:]
-        assert max(float(r.split(",")[1]) for r in rows) <= 1e-12
+        warnings = [r.message for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "--momentum 0.5 is ignored" in warnings[0] and repr(optimizer) in warnings[0]
+
+    @pytest.mark.parametrize("flags, momentum", [
+        (["--optimizer", "sgd"], 0.0),
+        (["--optimizer", "sgd_momentum", "--momentum", "0.5"], 0.5),
+        (["--optimizer", "sgd_momentum"], 0.9),
+    ])
+    def test_momentum_without_conflict_does_not_warn(self, tmp_path, caplog, monkeypatch,
+                                                     flags, momentum):
+        optimizers = []
+
+        def recording_run(masks, optimizer, **kwargs):
+            optimizers.append(optimizer)
+            return equivalence_run(masks, optimizer, **kwargs)
+
+        monkeypatch.setattr(cli, "equivalence_run", recording_run)
+        with caplog.at_level(logging.WARNING, logger="spatialgrad.cli"):
+            assert main(["verify-equivalence", *flags, "--steps", "1",
+                         "--out", str(tmp_path)]) == 0
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert [o.momentum for o in optimizers] == [momentum]
 
     def test_adam_warns_without_failing(self, tmp_path, capsys):
         code = main(["verify-equivalence", "--kernel", "3", "--mask-family", "acb",
@@ -381,6 +412,22 @@ class TestGridSearch:
         out = tmp_path / "o"
         assert main(["grid-search", "--config", cfg, "--out", str(out), *grid]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not (out / "grid.csv").exists()
+
+    @pytest.mark.parametrize("fraction", ["0.999", "0.995"])
+    def test_split_with_an_empty_side_rejected_before_any_worker(self, tmp_path, monkeypatch,
+                                                                 capsys, fraction):
+        def no_training(*args):
+            raise AssertionError("a grid cell trained before the split was validated")
+
+        monkeypatch.setattr(cli, "_grid_cell", no_training)
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(train_size=96),
+                           train_block())
+        out = tmp_path / "o"
+        assert main(["grid-search", "--config", cfg, "--out", str(out), "--ks", "2,5",
+                     "--validation-fraction", fraction]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and fraction in err and "96 training samples" in err
         assert not (out / "grid.csv").exists()
 
     def test_cells_keep_config_settings(self):

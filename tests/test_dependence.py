@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,45 @@ class TestSpatialDependenceMI:
         s5 = spatial_dependence_mi(maps5, (3, 3), BinningConfig(bins=32))
         s6 = spatial_dependence_mi(maps6, (3, 3), BinningConfig(bins=32))
         assert np.abs(s5.values - s6.values).max() < 0.02
+
+
+def tied_maps(seed):
+    """Two ReLU'd, coarsely rounded batches: many zeros and many tied values."""
+    rng = np.random.default_rng(seed)
+    return [np.round(np.maximum(rng.normal(size=shape), 0.0), 1)
+            for shape in ((3, 2, 9, 8), (2, 2, 9, 8))]
+
+
+def collect_pairs_rebuild(maps, kernel, cfg):
+    """The MI matrix from one collect_pairs call per displacement, filter off at (0, 0)."""
+    kx, ky = kernel
+    cfg = replace(cfg, value_range=(min(float(m.min()) for m in maps),
+                                    max(float(m.max()) for m in maps)))
+    center = replace(cfg, redundancy_filter=None)
+    return np.array([[normalized_mi(collect_pairs(
+        maps, (a - kx // 2, b - ky // 2), center if (a, b) == (kx // 2, ky // 2) else cfg))
+        for b in range(ky)] for a in range(kx)])
+
+
+class TestEstimatorEqualsCollectPairs:
+    """The estimator is bitwise a per-displacement collect_pairs rebuild."""
+
+    @pytest.mark.parametrize("kernel", [(3, 3), (7, 7), (5, 3), (4, 4), (2, 1)])
+    @pytest.mark.parametrize("redundancy_filter", [None, "auto", 0.3])
+    def test_matches_rebuild(self, kernel, redundancy_filter):
+        maps = tied_maps(sum(kernel))
+        cfg = BinningConfig(bins=8, redundancy_filter=redundancy_filter)
+        fast = spatial_dependence_mi(maps, kernel, cfg).values
+        assert np.array_equal(fast, collect_pairs_rebuild(maps, kernel, cfg))
+
+    @pytest.mark.parametrize("redundancy_filter", [None, "auto", 0.3])
+    def test_mirrored_displacement_is_the_transpose(self, redundancy_filter):
+        maps = tied_maps(11)
+        cfg = BinningConfig(bins=8, value_range=(0.0, 3.0),
+                            redundancy_filter=redundancy_filter)
+        for i, j in [(0, 1), (1, 0), (1, 2), (-2, 1), (3, -3)]:
+            joint = collect_pairs(maps, (i, j), cfg)
+            assert np.array_equal(joint, collect_pairs(maps, (-i, -j), cfg).T)
 
 
 def synth_field(target_pairs, seed):

@@ -146,6 +146,22 @@ class TestMaxPoolOracle:
         np.testing.assert_array_equal(layer.backward(dy), ref_dx)
 
 
+class TestMaxPoolEvalMode:
+    def test_eval_forward_keeps_no_route(self):
+        x = np.random.default_rng(5).normal(size=(2, 3, 6, 4))
+        layer = MaxPoolLayer()
+        layer.forward(x, train=True)
+        out = layer.forward(x, train=False)
+        np.testing.assert_array_equal(out, loop_maxpool(x, np.zeros(out.shape))[0])
+        assert layer._route is None
+        with pytest.raises(RuntimeError, match="train-mode forward"):
+            layer.backward(np.ones(out.shape))
+
+    def test_backward_before_any_forward_raises(self):
+        with pytest.raises(RuntimeError, match="train-mode forward"):
+            MaxPoolLayer().backward(np.ones((1, 1, 2, 2)))
+
+
 def where_maxpool_backward(route, dy, in_shape):
     """Reference routing with an ``np.where`` temporary per quadrant."""
     oh, ow = dy.shape[2:]

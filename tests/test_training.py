@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spatialgrad.data import LabeledDataset, synth_digits
+from spatialgrad.layers import DenseLayer
 from spatialgrad.network import (
     ConvLayerSpec,
     DenseSpec,
@@ -20,6 +21,7 @@ from spatialgrad.training import (
     SgsSettings,
     TrainingConfig,
     TrainingDivergedError,
+    _capture_feature_maps,
     build_run,
     inspect_scalings,
     metrics_to_csv,
@@ -379,6 +381,35 @@ class TestRefreshScalings:
             np.testing.assert_array_equal(scaling.values, np.ones((3, 3)))
             assert any(f"layer {idx}:" in m and "non-finite" in m and "uniform" in m
                        for m in messages)
+
+    def test_capture_stops_at_the_last_conv_input(self, monkeypatch):
+        net = self.build_net(two_conv_model())
+        ds = synth_digits(96, seed=8)
+        sgs = SgsSettings(enabled=True, measure="mi", refresh_batches=2)
+
+        def no_dense(self, x, train):
+            raise AssertionError("the capture forward ran past the last conv")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(DenseLayer, "forward", no_dense)
+            captured = _capture_feature_maps(net, ds, sgs, np.random.default_rng(3), 32)
+        last_conv = net.layers[net.conv_indices[-1]]
+        assert last_conv._x is None  # its forward never ran
+
+        order = np.random.default_rng(3).choice(len(ds), size=64, replace=False)
+        expected = {idx: [] for idx in net.conv_indices}
+        for start in (0, 32):
+            x = ds.images[order[start : start + 32]]
+            for idx, layer in enumerate(net.layers):  # the full eval forward
+                if idx in expected:
+                    expected[idx].append(x)
+                x = layer.forward(x, train=False)
+            assert x.shape == (32, 10)
+        assert captured.keys() == expected.keys()
+        for idx, maps in captured.items():
+            assert len(maps) == len(expected[idx]) == 2
+            for got, want in zip(maps, expected[idx]):
+                np.testing.assert_array_equal(got, want)
 
     def test_one_by_one_kernels_stay_uniform(self):
         model = [
