@@ -22,10 +22,36 @@ the N per-sample products. The weight gradient therefore sums over the
 output cells inside BLAS first and over the batch last, an order that
 differs from a contraction over all of (n, h, w) at once (such as
 ``einsum`` over the window view), so the two agree to rounding, not
-bitwise. The input gradient makes one plain matmul per kernel offset,
-``W[:, :, kh, kw].T @ dY``, and adds each product into the padded grid at
-that offset. Every path has a fixed reduction order, so the results are
-deterministic for a given input.
+bitwise.
+
+The input gradient is the adjoint of the forward map,
+
+    dXp[n, ci, h*s + kh, w*s + kw] += W[co, ci, kh, kw] * dY[n, co, h, w],
+
+cropped by the padding, and it makes one GEMM per call by one of two
+duals. The choice depends only on the channel counts, and each builds the
+smaller of the two intermediates:
+
+- Gather (``Co <= Ci``), the transposed-convolution identity (Dumoulin and
+  Visin, arXiv 1603.07285). Dilate dY by the stride, pad it by k - 1 on
+  each side, and run a stride-1 valid conv over it with the kernel rotated
+  180 degrees and its in/out channels swapped:
+  ``dX = conv(dilate(dY), W[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))``.
+  Only the windows that land inside the unpadded input are built, so the
+  ``_im2col`` matrix has N*Co*kx*ky*H*W entries. Each dX entry is one dot
+  product over (co, kh, kw) inside BLAS; the dilation zeros add exact
+  zeros.
+- Scatter (``Co > Ci``). One GEMM ``W.reshape(Co, -1).T @ dY`` gives every
+  offset's contribution, [N, Ci*kx*ky, H'*W'] (N*Ci*kx*ky*H'*W' entries);
+  col2im then adds each offset's slice into the padded grid. Each
+  contribution is a dot over co, and the kx*ky offsets are added in
+  row-major order.
+
+The two paths sum in different orders, so for one input they agree to
+rounding, not bitwise; which one runs is fixed by the spec, and every path
+has a fixed reduction order, so results are deterministic for a given
+input. The gather path calls ``_im2col`` directly rather than
+``conv_forward``, so a profiler attributes its time to the input gradient.
 """
 
 from __future__ import annotations
@@ -137,7 +163,11 @@ def conv_backward_weights(dy: np.ndarray, x: np.ndarray, spec: ConvSpec) -> np.n
 
 def conv_backward_input(dy: np.ndarray, w: np.ndarray, spec: ConvSpec,
                         input_hw: tuple[int, int]) -> np.ndarray:
-    """Loss gradient w.r.t. the input, for an input of spatial size ``input_hw``."""
+    """Loss gradient w.r.t. the input, for an input of spatial size ``input_hw``.
+
+    One GEMM per call: a forward conv of the dilated dY when ``Co <= Ci``,
+    ``W.reshape(Co, -1).T @ dY`` plus col2im otherwise (module docstring).
+    """
     w = _check_weights(w, spec)
     dy = require_rank4(dy, "output gradient")
     height, width = input_hw
@@ -148,14 +178,25 @@ def conv_backward_input(dy: np.ndarray, w: np.ndarray, spec: ConvSpec,
         )
     pad, s = spec.padding, spec.stride
     kx, ky = spec.kernel
-    n = dy.shape[0]
-    dxp = np.zeros((n, spec.in_channels, height + 2 * pad, width + 2 * pad), dtype=dy.dtype)
-    dy_flat = dy.reshape(n, spec.out_channels, oh * ow)
-    # Scatter each kernel offset's contribution back onto the padded grid.
+    n, ci, co = dy.shape[0], spec.in_channels, spec.out_channels
+    hp, wp = height + 2 * pad, width + 2 * pad
+    if co <= ci:
+        # Gather: a stride-1 valid conv of dY, dilated by the stride and padded
+        # by k - 1, with the kernel rotated 180 degrees and in/out swapped. The
+        # conv reads only the window rows and columns of the unpadded input.
+        dyp = np.zeros((n, co, hp + kx - 1, wp + ky - 1), dtype=dy.dtype)
+        dyp[:, :, kx - 1 : kx + s * (oh - 1) : s, ky - 1 : ky + s * (ow - 1) : s] = dy
+        dyp = dyp[:, :, pad : pad + height + kx - 1, pad : pad + width + ky - 1]
+        w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
+        cols = _im2col(dyp, ConvSpec(co, ci, spec.kernel))
+        return (w_t @ cols).reshape(n, ci, height, width).astype(dy.dtype, copy=False)
+    # Scatter: every offset's contribution in one GEMM, then col2im.
+    cols = (w.reshape(co, -1).T @ dy.reshape(n, co, oh * ow)).reshape(n, ci, kx, ky, oh, ow)
+    dxp = np.zeros((n, ci, hp, wp), dtype=dy.dtype)
     for kh in range(kx):
         for kw in range(ky):
-            contrib = (w[:, :, kh, kw].T @ dy_flat).reshape(n, spec.in_channels, oh, ow)
-            dxp[:, :, kh : kh + s * (oh - 1) + 1 : s, kw : kw + s * (ow - 1) + 1 : s] += contrib
+            dxp[:, :, kh : kh + s * (oh - 1) + 1 : s, kw : kw + s * (ow - 1) + 1 : s] += \
+                cols[:, :, kh, kw]
     if pad == 0:
         return dxp
     return dxp[:, :, pad : pad + height, pad : pad + width]

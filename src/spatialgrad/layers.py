@@ -60,11 +60,23 @@ class ConvLayer(Layer):
 
 
 class ReLULayer(Layer):
+    """Elementwise max(x, 0); backward multiplies dy by the mask ``x > 0``.
+
+    An eval-mode forward (``train=False``) keeps no mask, since no backward
+    follows it; ``backward`` after it raises ``RuntimeError``, as
+    ``MaxPoolLayer.backward`` does.
+    """
+
+    _mask: np.ndarray | None = None
+
     def forward(self, x, train):
-        self._mask = x > 0
+        self._mask = x > 0 if train else None
         return np.maximum(x, 0.0)
 
     def backward(self, dy):
+        if self._mask is None:
+            raise RuntimeError("ReLULayer.backward needs a train-mode forward first; "
+                               "an eval-mode forward keeps no mask")
         return dy * self._mask
 
 

@@ -116,10 +116,13 @@ class Network:
                 yield idx, layer, name, value
 
     def named_weights(self) -> dict[str, np.ndarray]:
-        out = {}
-        for idx, layer, name, value in self.parameters():
-            out[f"{type(layer).__name__.removesuffix('Layer').lower()}{idx}.{name}"] = value
-        return out
+        return {parameter_name(idx, layer, name): value
+                for idx, layer, name, value in self.parameters()}
+
+
+def parameter_name(idx: int, layer: Layer, name: str) -> str:
+    """The parameter's saved name: layer kind, layer index and name, as in ``conv0.W``."""
+    return f"{type(layer).__name__.removesuffix('Layer').lower()}{idx}.{name}"
 
 
 def build_network(specs: list, input_shape: tuple[int, int, int], class_count: int,

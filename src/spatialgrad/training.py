@@ -30,7 +30,7 @@ from . import dependence
 from .data import LabeledDataset
 from .dependence import BinningConfig, EstimatorError
 from .layers import ConvLayer
-from .network import Network, build_network
+from .network import Network, build_network, parameter_name
 from .optim import OptimizerConfig, make_state, step
 from .reparam import standard_mask_sets
 from .scaling import DEFAULT_EPSILON_FLOOR, ScalingMatrix, finalize, from_masks, k_transform
@@ -41,7 +41,7 @@ MEASURES = ("mi", "autocorr", "alpha_beta", "fixed", "masks")
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training hit a non-finite loss and was aborted."""
+    """Training hit a non-finite loss or parameter gradient and was aborted."""
 
 
 @dataclass
@@ -301,11 +301,18 @@ def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
                 raise TrainingDivergedError(
                     f"non-finite loss {value} at epoch {epoch}, sample offset {seen}"
                 )
+            net.backward(net.head.grad())
+            params = list(net.parameters())
+            for idx, layer, name, _ in params:
+                if not np.isfinite(layer.grads()[name]).all():
+                    raise TrainingDivergedError(
+                        f"non-finite gradient of {parameter_name(idx, layer, name)} "
+                        f"with finite loss {value} at epoch {epoch}, sample offset {seen}"
+                    )
             loss_sum += value * len(batch_idx)
             hit += int((probs.argmax(axis=1) == labels).sum())
             seen += len(batch_idx)
-            net.backward(net.head.grad())
-            for idx, layer, name, value_arr in list(net.parameters()):
+            for idx, layer, name, value_arr in params:
                 updated = step(opt_states[(idx, name)], value_arr, layer.grads()[name], lr=lr,
                                scaling=scaling_values.get((idx, name)),
                                position=sgs.scaling_position)

@@ -48,6 +48,24 @@ def loop_conv_backward_weights(dy, x, stride, padding, kernel):
     return dw
 
 
+def loop_conv_backward_input(dy, w, stride, padding, input_hw):
+    """Nested-loop oracle: each dY[n,o,i,j] * W[o,c,kh,kw] lands on Xp[n,c,i*s+kh,j*s+kw]."""
+    n, co, oh, ow = dy.shape
+    _, ci, kx, ky = w.shape
+    h, iw = input_hw
+    dxp = np.zeros((n, ci, h + 2 * padding, iw + 2 * padding))
+    for b in range(n):
+        for o in range(co):
+            for i in range(oh):
+                for j in range(ow):
+                    for c in range(ci):
+                        for kh in range(kx):
+                            for kw in range(ky):
+                                dxp[b, c, i * stride + kh, j * stride + kw] += \
+                                    float(w[o, c, kh, kw]) * float(dy[b, o, i, j])
+    return dxp[:, :, padding : padding + h, padding : padding + iw]
+
+
 def findiff_weight_grad(x, w, dy, spec, h=1e-5):
     """Central finite differences of L = sum(dY * Y) w.r.t. W."""
     num = np.zeros_like(w)
@@ -249,6 +267,23 @@ class TestConvBackwardInput:
         dx = conv_backward_input(dy, w, spec, x.shape[2:])
         num = findiff_input_grad(x, w, dy, spec)
         np.testing.assert_allclose(dx, num, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("kernel", [(3, 3), (2, 3), (3, 1)])
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("ci,co", [(1, 4), (3, 3), (4, 1)])  # both sides of co <= ci
+    def test_matches_loop_oracle(self, ci, co, stride, padding, kernel, dtype, tol):
+        rng = np.random.default_rng(12)
+        spec = ConvSpec(ci, co, kernel, stride=stride, padding=padding)
+        w = rng.normal(size=spec.weight_shape).astype(dtype)
+        dy = rng.normal(size=(2, co, *spec.out_size(5, 6))).astype(dtype)
+        dx = conv_backward_input(dy, w, spec, (5, 6))
+        assert dx.dtype == dtype and dx.shape == (2, ci, 5, 6)
+        ref = loop_conv_backward_input(dy, w, stride, padding, (5, 6))
+        # each entry's rounding error is bounded by its sum of |products|
+        scale = loop_conv_backward_input(np.abs(dy), np.abs(w), stride, padding, (5, 6))
+        assert np.all(np.abs(dx - ref) <= tol * scale)
 
     def test_shape_error(self):
         spec = ConvSpec(1, 2, (3, 3))

@@ -42,6 +42,22 @@ class TestReLU:
         num = layer_findiff(lambda a: np.maximum(a, 0.0), x, dy)
         np.testing.assert_allclose(layer.backward(dy), num, rtol=1e-6, atol=1e-9)
 
+    def test_eval_forward_keeps_no_mask(self):
+        x = np.random.default_rng(6).normal(size=(2, 3, 4, 5))
+        layer = ReLULayer()
+        layer.forward(x, train=True)
+        np.testing.assert_array_equal(layer.forward(x, train=False), np.maximum(x, 0.0))
+        assert layer._mask is None
+
+    def test_backward_after_eval_forward_raises(self):
+        x = np.random.default_rng(7).normal(size=(2, 3))
+        layer = ReLULayer()
+        layer.forward(x, train=False)
+        with pytest.raises(RuntimeError, match="train-mode forward"):
+            layer.backward(np.ones_like(x))
+        with pytest.raises(RuntimeError, match="train-mode forward"):
+            ReLULayer().backward(np.ones_like(x))
+
 
 class TestMaxPool:
     def test_forward_blocks(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spatialgrad.data import LabeledDataset, synth_digits
-from spatialgrad.layers import DenseLayer
+from spatialgrad.layers import ConvLayer, DenseLayer
 from spatialgrad.network import (
     ConvLayerSpec,
     DenseSpec,
@@ -272,6 +272,24 @@ class TestTrainLoop:
         # one step at this rate overflows the weights; the next forward is NaN
         cfg = momentum_cfg(lr=1e308, epochs=3, sgs=SgsSettings(enabled=False))
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="epoch"):
+            train(two_conv_model(), train_ds, test_ds, cfg)
+
+    def test_nan_gradient_with_finite_loss_aborts_naming_the_parameter(self, monkeypatch):
+        original = ConvLayer.backward
+
+        def nan_second_conv(self, dy):
+            dx = original(self, dy)
+            if self.spec.in_channels > 1:
+                self.dw = np.full_like(self.dw, np.nan)
+            return dx
+
+        monkeypatch.setattr(ConvLayer, "backward", nan_second_conv)
+        train_ds = synth_digits(96, seed=12)
+        test_ds = synth_digits(32, seed=13)
+        cfg = momentum_cfg(sgs=SgsSettings(enabled=False))
+        with pytest.raises(TrainingDivergedError,
+                           match=r"gradient of conv3\.W with finite loss .* at epoch 0, "
+                                 r"sample offset 0$"):
             train(two_conv_model(), train_ds, test_ds, cfg)
 
     def test_empty_eval_set_rejected_before_training(self, monkeypatch):
