@@ -29,8 +29,8 @@ The input gradient is the adjoint of the forward map,
     dXp[n, ci, h*s + kh, w*s + kw] += W[co, ci, kh, kw] * dY[n, co, h, w],
 
 cropped by the padding, and it makes one GEMM per call by one of two
-duals. The choice depends only on the channel counts, and each builds the
-smaller of the two intermediates:
+duals. The choice depends only on the channel counts; when H'*W' = H*W
+(stride 1, "same" padding) it picks the smaller of the two intermediates:
 
 - Gather (``Co <= Ci``), the transposed-convolution identity (Dumoulin and
   Visin, arXiv 1603.07285). Dilate dY by the stride, pad it by k - 1 on
@@ -40,7 +40,7 @@ smaller of the two intermediates:
   Only the windows that land inside the unpadded input are built, so the
   ``_im2col`` matrix has N*Co*kx*ky*H*W entries. Each dX entry is one dot
   product over (co, kh, kw) inside BLAS; the dilation zeros add exact
-  zeros.
+  zeros, and at stride 2 they are three quarters of the matrix.
 - Scatter (``Co > Ci``). One GEMM ``W.reshape(Co, -1).T @ dY`` gives every
   offset's contribution, [N, Ci*kx*ky, H'*W'] (N*Ci*kx*ky*H'*W' entries);
   col2im then adds each offset's slice into the padded grid. Each
