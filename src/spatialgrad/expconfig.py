@@ -240,7 +240,11 @@ def load_config(path: str | Path,
     """Parse and validate a config; ``overrides`` (section -> key -> INI text) replace
     the file's values before parsing, so they are validated and recorded like them."""
     parser = configparser.ConfigParser()
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:  # its messages span lines; report them as one
+        raise ConfigError(" ".join(str(exc).split())) from exc
+    if not found:
         raise ConfigError(f"config file not found: {path}")
     sections = set(parser.sections())
     required = {"model", "data", "train"}

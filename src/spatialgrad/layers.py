@@ -1,8 +1,11 @@
-"""Network layer primitives: forward, backward, and parameter access.
+"""Network layer primitives: forward and backward.
 
-Each layer caches what its backward pass needs during forward. Layers with
-parameters expose them through ``params()``/``grads()`` keyed by name; the
-trainer owns the optimizer state and writes updated arrays back.
+Each layer caches what its backward pass needs during forward. A layer holds
+its parameters in ``params`` and their gradients in ``grads``, two dicts keyed
+by parameter name (``W``, ``b``, ``gamma``, ``beta``; empty for layers without
+parameters). Each backward refills ``grads``; the trainer owns the optimizer
+state and writes each updated array into ``params``, which the next forward
+reads. Batch norm's running statistics are plain attributes, not parameters.
 """
 
 from __future__ import annotations
@@ -14,49 +17,33 @@ from .tensor import ShapeError
 
 
 class Layer:
+    def __init__(self) -> None:
+        self.params: dict[str, np.ndarray] = {}
+        self.grads: dict[str, np.ndarray] = {}
+
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        raise KeyError(f"{type(self).__name__} has no parameter {name!r}")
-
 
 class ConvLayer(Layer):
     def __init__(self, spec: ConvSpec, weights: np.ndarray):
         if weights.shape != spec.weight_shape:
             raise ShapeError(f"weights shape {weights.shape}, spec wants {spec.weight_shape}")
+        super().__init__()
         self.spec = spec
-        self.w = weights
+        self.params["W"] = weights
         self._x: np.ndarray | None = None
-        self.dw: np.ndarray | None = None
 
     def forward(self, x, train):
         self._x = x
-        return conv_forward(x, self.w, self.spec)
+        return conv_forward(x, self.params["W"], self.spec)
 
     def backward(self, dy):
-        self.dw = conv_backward_weights(dy, self._x, self.spec)
-        return conv_backward_input(dy, self.w, self.spec, self._x.shape[2:])
-
-    def params(self):
-        return {"W": self.w}
-
-    def grads(self):
-        return {"W": self.dw}
-
-    def set_param(self, name, value):
-        if name != "W":
-            raise KeyError(name)
-        self.w = value
+        self.grads["W"] = conv_backward_weights(dy, self._x, self.spec)
+        return conv_backward_input(dy, self.params["W"], self.spec, self._x.shape[2:])
 
 
 class ReLULayer(Layer):
@@ -162,35 +149,19 @@ class FlattenLayer(Layer):
 
 class DenseLayer(Layer):
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
-        self.w = weights
-        self.b = bias
-        self.dw: np.ndarray | None = None
-        self.db: np.ndarray | None = None
+        super().__init__()
+        self.params.update(W=weights, b=bias)
 
     def forward(self, x, train):
-        if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
-            raise ShapeError(f"dense input shape {x.shape}, weights {self.w.shape}")
+        w = self.params["W"]
+        if x.ndim != 2 or x.shape[1] != w.shape[0]:
+            raise ShapeError(f"dense input shape {x.shape}, weights {w.shape}")
         self._x = x
-        return x @ self.w + self.b
+        return x @ w + self.params["b"]
 
     def backward(self, dy):
-        self.dw = self._x.T @ dy
-        self.db = dy.sum(axis=0)
-        return dy @ self.w.T
-
-    def params(self):
-        return {"W": self.w, "b": self.b}
-
-    def grads(self):
-        return {"W": self.dw, "b": self.db}
-
-    def set_param(self, name, value):
-        if name == "W":
-            self.w = value
-        elif name == "b":
-            self.b = value
-        else:
-            raise KeyError(name)
+        self.grads.update(W=self._x.T @ dy, b=dy.sum(axis=0))
+        return dy @ self.params["W"].T
 
 
 class BatchNormLayer(Layer):
@@ -200,12 +171,11 @@ class BatchNormLayer(Layer):
     EPS = 1e-5
 
     def __init__(self, channels: int, dtype=np.float64):
-        self.gamma = np.ones(channels, dtype=dtype)
-        self.beta = np.zeros(channels, dtype=dtype)
+        super().__init__()
+        self.params.update(gamma=np.ones(channels, dtype=dtype),
+                           beta=np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.dgamma: np.ndarray | None = None
-        self.dbeta: np.ndarray | None = None
 
     def forward(self, x, train):
         if train:
@@ -220,35 +190,19 @@ class BatchNormLayer(Layer):
         self._x_hat = x_hat
         self._inv_std = inv_std
         self._train = train
-        return self.gamma[None, :, None, None] * x_hat + self.beta[None, :, None, None]
+        return (self.params["gamma"][None, :, None, None] * x_hat
+                + self.params["beta"][None, :, None, None])
 
     def backward(self, dy):
-        self.dgamma = (dy * self._x_hat).sum(axis=(0, 2, 3))
-        self.dbeta = dy.sum(axis=(0, 2, 3))
-        g_inv = (self.gamma * self._inv_std)[None, :, None, None]
+        self.grads.update(gamma=(dy * self._x_hat).sum(axis=(0, 2, 3)),
+                          beta=dy.sum(axis=(0, 2, 3)))
+        g_inv = (self.params["gamma"] * self._inv_std)[None, :, None, None]
         if not self._train:
             return dy * g_inv
         m = dy.shape[0] * dy.shape[2] * dy.shape[3]
         mean_dy = dy.mean(axis=(0, 2, 3))[None, :, None, None]
         mean_dy_xhat = (dy * self._x_hat).mean(axis=(0, 2, 3))[None, :, None, None]
         return g_inv * (dy - mean_dy - self._x_hat * mean_dy_xhat)
-
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self):
-        return {"gamma": self.dgamma, "beta": self.dbeta}
-
-    def set_param(self, name, value):
-        if name == "gamma":
-            self.gamma = value
-        elif name == "beta":
-            self.beta = value
-        else:
-            raise KeyError(name)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
 
 class SoftmaxCrossEntropy:

@@ -59,9 +59,6 @@ class SoftmaxXentSpec:
     pass
 
 
-LayerSpecT = ConvLayerSpec | MaxPoolSpec | GlobalAvgPoolSpec | FlattenSpec | DenseSpec | SoftmaxXentSpec
-
-
 def validate_model_spec(specs: list) -> None:
     if not specs:
         raise ValueError("model spec is empty")
@@ -112,7 +109,7 @@ class Network:
     def parameters(self):
         """Yield (layer_index, layer, parameter_name, array) for every parameter."""
         for idx, layer in enumerate(self.layers):
-            for name, value in layer.params().items():
+            for name, value in layer.params.items():
                 yield idx, layer, name, value
 
     def named_weights(self) -> dict[str, np.ndarray]:

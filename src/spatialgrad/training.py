@@ -32,7 +32,7 @@ from .dependence import BinningConfig, EstimatorError
 from .layers import ConvLayer
 from .network import Network, build_network, parameter_name
 from .optim import OptimizerConfig, make_state, step
-from .reparam import standard_mask_sets
+from .reparam import MASK_FAMILIES, standard_mask_sets
 from .scaling import DEFAULT_EPSILON_FLOOR, ScalingMatrix, finalize, from_masks, k_transform
 
 logger = logging.getLogger(__name__)
@@ -72,6 +72,15 @@ class SgsSettings:
             raise ValueError("warmup_epochs must be >= 0")
         if self.scaling_position not in ("pre", "post"):
             raise ValueError("scaling_position must be 'pre' or 'post'")
+        BinningConfig(bins=self.bins, redundancy_filter=self.redundancy_filter)
+        if not self.epsilon_floor >= 0:
+            raise ValueError(f"epsilon_floor must be >= 0, got {self.epsilon_floor}")
+        if not (self.alpha > 0 and self.beta > 0):
+            raise ValueError(f"alpha and beta must be positive, "
+                             f"got alpha={self.alpha}, beta={self.beta}")
+        if self.mask_family not in MASK_FAMILIES:
+            raise ValueError(f"unknown mask_family {self.mask_family!r}, "
+                             f"expected one of {MASK_FAMILIES}")
 
     @property
     def needs_feature_maps(self) -> bool:
@@ -304,7 +313,7 @@ def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
             net.backward(net.head.grad())
             params = list(net.parameters())
             for idx, layer, name, _ in params:
-                if not np.isfinite(layer.grads()[name]).all():
+                if not np.isfinite(layer.grads[name]).all():
                     raise TrainingDivergedError(
                         f"non-finite gradient of {parameter_name(idx, layer, name)} "
                         f"with finite loss {value} at epoch {epoch}, sample offset {seen}"
@@ -313,10 +322,9 @@ def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
             hit += int((probs.argmax(axis=1) == labels).sum())
             seen += len(batch_idx)
             for idx, layer, name, value_arr in params:
-                updated = step(opt_states[(idx, name)], value_arr, layer.grads()[name], lr=lr,
-                               scaling=scaling_values.get((idx, name)),
-                               position=sgs.scaling_position)
-                layer.set_param(name, updated)
+                layer.params[name] = step(opt_states[(idx, name)], value_arr, layer.grads[name],
+                                          lr=lr, scaling=scaling_values.get((idx, name)),
+                                          position=sgs.scaling_position)
 
         eval_hit = 0
         for start in range(0, len(eval_ds), cfg.batch_size):

@@ -149,7 +149,7 @@ def test_criterion_3_gradient_correctness():
     net.backward(net.head.grad())
     err_net = 0.0
     for idx, layer, name, param in list(net.parameters()):
-        analytic = layer.grads()[name]
+        analytic = layer.grads[name]
         num = np.zeros_like(param)
         it = np.nditer(param, flags=["multi_index"])
         for _ in it:

@@ -128,6 +128,18 @@ test_labels = /nonexistent/labels
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert f"config error: [train] missing key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        MODEL_BLOCK + synth_data_block() + train_block().replace("lr = 0.05\n",
+                                                                 "lr = 0.05\nlr = 0.1\n"),
+        "epochs = 2\n" + MODEL_BLOCK + synth_data_block() + train_block(),
+    ], ids=["duplicate_key", "missing_section_header"])
+    def test_malformed_ini_is_one_config_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_unknown_section_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block(),
                            "\n[extras]\nfoo = 1\n")
@@ -398,6 +410,8 @@ class TestGridSearch:
         assert main(["grid-search", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
     @pytest.mark.parametrize("grid", [["--ks", "0,5"], ["--ks", "5,-1"], ["--ks", "2,x"],
+                                      ["--alphas", "0,1", "--betas", "1"],
+                                      ["--alphas", "1", "--betas", "-2"],
                                       ["--ks", "2,5", "--validation-fraction", "1.0"],
                                       ["--ks", "2,5", "--validation-fraction", "1.5"],
                                       ["--ks", "2,5", "--validation-fraction", "-0.2"],
@@ -632,7 +646,13 @@ class TestConfigSchema:
                                               ("train", "momentum = -1"),
                                               ("train", "seed = -1"),
                                               ("sgs", "measure = entropy"),
-                                              ("sgs", "k = 0")])
+                                              ("sgs", "k = 0"),
+                                              ("sgs", "bins = 1"),
+                                              ("sgs", "epsilon_floor = -1"),
+                                              ("sgs", "redundancy_filter = -0.5"),
+                                              ("sgs", "alpha = 0"),
+                                              ("sgs", "beta = -1"),
+                                              ("sgs", "measure = masks\nmask_family = nope")])
     def test_dataclass_validation_is_a_config_error(self, tmp_path, capsys, section, line):
         if section == "train":
             key = line.split(" =")[0]

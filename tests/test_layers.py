@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from spatialgrad.conv import ConvSpec, conv_backward_input, conv_backward_weights, conv_forward
 from spatialgrad.layers import (
     BatchNormLayer,
+    ConvLayer,
     DenseLayer,
     FlattenLayer,
     GlobalAvgPoolLayer,
@@ -262,9 +264,9 @@ class TestDense:
         num_x = layer_findiff(lambda a: a @ w + b, x, dy)
         np.testing.assert_allclose(dx, num_x, rtol=1e-6, atol=1e-9)
         num_w = layer_findiff(lambda a: x @ a + b, w, dy)
-        np.testing.assert_allclose(layer.grads()["W"], num_w, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(layer.grads["W"], num_w, rtol=1e-6, atol=1e-9)
         num_b = layer_findiff(lambda a: x @ w + a, b, dy)
-        np.testing.assert_allclose(layer.grads()["b"], num_b, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(layer.grads["b"], num_b, rtol=1e-6, atol=1e-9)
 
     def test_shape_error(self):
         layer = DenseLayer(np.eye(3), np.zeros(3))
@@ -292,29 +294,97 @@ class TestBatchNorm:
 
     def test_running_stats_not_updated_in_eval(self):
         layer = BatchNormLayer(3)
-        before = layer.state_arrays()["running_mean"].copy()
+        before = layer.running_mean.copy()
         layer.forward(np.random.default_rng(7).normal(size=(2, 3, 4, 4)), train=False)
-        np.testing.assert_array_equal(layer.state_arrays()["running_mean"], before)
+        np.testing.assert_array_equal(layer.running_mean, before)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 2, 3, 3))
         layer = BatchNormLayer(2)
-        layer.gamma = rng.uniform(0.5, 1.5, size=2)
-        layer.beta = rng.normal(size=2)
+        layer.params["gamma"] = rng.uniform(0.5, 1.5, size=2)
+        layer.params["beta"] = rng.normal(size=2)
         out = layer.forward(x, train=True)
         dy = rng.normal(size=out.shape)
         dx = layer.backward(dy)
 
         def bn(a):
             probe = BatchNormLayer(2)
-            probe.gamma = layer.gamma
-            probe.beta = layer.beta
+            probe.params["gamma"] = layer.params["gamma"]
+            probe.params["beta"] = layer.params["beta"]
             return probe.forward(a, train=True)
 
         num = layer_findiff(bn, x, dy, h=1e-6)
         np.testing.assert_allclose(dx, num, rtol=1e-4, atol=1e-7)
-        np.testing.assert_allclose(layer.grads()["beta"], dy.sum(axis=(0, 2, 3)), rtol=1e-12)
+        np.testing.assert_allclose(layer.grads["beta"], dy.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+
+class TestParamsDicts:
+    """A write to ``layer.params[name]`` is what the next forward and backward
+    read, and every backward refills ``layer.grads``."""
+
+    def test_conv(self):
+        rng = np.random.default_rng(10)
+        spec = ConvSpec(2, 3, (3, 3), padding=1)
+        layer = ConvLayer(spec, rng.normal(size=spec.weight_shape))
+        x = rng.normal(size=(2, 2, 5, 5))
+        layer.params["W"] = np.zeros(spec.weight_shape)
+        np.testing.assert_array_equal(layer.forward(x, train=True), 0.0)
+        dy = rng.normal(size=(2, 3, 5, 5))
+        np.testing.assert_array_equal(layer.backward(dy), 0.0)
+        np.testing.assert_array_equal(layer.grads["W"], conv_backward_weights(dy, x, spec))
+
+        w = rng.normal(size=spec.weight_shape)
+        layer.params["W"] = w
+        np.testing.assert_array_equal(layer.forward(x, train=True), conv_forward(x, w, spec))
+        dy = rng.normal(size=dy.shape)
+        np.testing.assert_array_equal(layer.backward(dy),
+                                      conv_backward_input(dy, w, spec, x.shape[2:]))
+        np.testing.assert_array_equal(layer.grads["W"], conv_backward_weights(dy, x, spec))
+
+    def test_dense(self):
+        rng = np.random.default_rng(11)
+        layer = DenseLayer(rng.normal(size=(4, 3)), rng.normal(size=3))
+        x = rng.normal(size=(5, 4))
+        bias = rng.normal(size=3)
+        layer.params["W"] = np.zeros((4, 3))
+        layer.params["b"] = bias
+        np.testing.assert_array_equal(layer.forward(x, train=True), np.tile(bias, (5, 1)))
+        dy = rng.normal(size=(5, 3))
+        np.testing.assert_array_equal(layer.backward(dy), 0.0)
+
+        w = rng.normal(size=(4, 3))
+        layer.params["W"] = w
+        np.testing.assert_array_equal(layer.forward(x, train=True), x @ w + bias)
+        dy = rng.normal(size=dy.shape)
+        np.testing.assert_array_equal(layer.backward(dy), dy @ w.T)
+        np.testing.assert_array_equal(layer.grads["W"], x.T @ dy)
+        np.testing.assert_array_equal(layer.grads["b"], dy.sum(axis=0))
+
+    def test_batch_norm(self):
+        rng = np.random.default_rng(12)
+        layer = BatchNormLayer(2)
+        x = rng.normal(size=(4, 2, 3, 3))
+        beta = rng.normal(size=2)
+        layer.params["gamma"] = np.zeros(2)
+        layer.params["beta"] = beta
+        np.testing.assert_array_equal(layer.forward(x, train=True),
+                                      np.broadcast_to(beta[None, :, None, None], x.shape))
+        dy = rng.normal(size=x.shape)
+        np.testing.assert_array_equal(layer.backward(dy), 0.0)
+        np.testing.assert_array_equal(layer.grads["beta"], dy.sum(axis=(0, 2, 3)))
+
+        layer.params["gamma"] = np.full(2, 2.0)
+        out = layer.forward(x, train=True)
+        np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), beta, atol=1e-12)
+        np.testing.assert_allclose(out.std(axis=(0, 2, 3)), 2.0, rtol=1e-3)
+        dy = rng.normal(size=x.shape)
+        assert np.abs(layer.backward(dy)).max() > 0
+        np.testing.assert_array_equal(layer.grads["beta"], dy.sum(axis=(0, 2, 3)))
+
+    def test_parameterless_layers_have_empty_dicts(self):
+        for layer in (ReLULayer(), MaxPoolLayer(), GlobalAvgPoolLayer(), FlattenLayer()):
+            assert layer.params == {} and layer.grads == {}
 
 
 class TestSoftmaxCrossEntropy:

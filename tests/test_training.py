@@ -124,7 +124,7 @@ class TestEndToEndGradients:
 
         value, _ = net.loss(x, labels, train=True)
         net.backward(net.head.grad())
-        analytic = {(idx, name): layer.grads()[name]
+        analytic = {(idx, name): layer.grads[name]
                     for idx, layer, name, _ in net.parameters()}
 
         h = 1e-5
@@ -151,7 +151,7 @@ class TestEndToEndGradients:
         labels = rng.integers(0, 3, size=4)
         net.loss(x, labels, train=True)
         net.backward(net.head.grad())
-        analytic = {(idx, name): layer.grads()[name].copy()
+        analytic = {(idx, name): layer.grads[name].copy()
                     for idx, layer, name, _ in net.parameters()}
         h = 1e-5
         for idx, layer, name, param in list(net.parameters()):
@@ -280,7 +280,7 @@ class TestTrainLoop:
         def nan_second_conv(self, dy):
             dx = original(self, dy)
             if self.spec.in_channels > 1:
-                self.dw = np.full_like(self.dw, np.nan)
+                self.grads["W"] = np.full_like(self.grads["W"], np.nan)
             return dx
 
         monkeypatch.setattr(ConvLayer, "backward", nan_second_conv)
