@@ -31,7 +31,6 @@ from .training import (
     build_run,
     inspect_scalings,
     metrics_to_csv,
-    save_weights,
     scaling_history_to_jsonl,
     train,
 )
@@ -75,7 +74,7 @@ def cmd_train(args) -> int:
     result = train(cfg.model, train_ds, eval_ds, cfg.train)
     metrics_to_csv(result.metrics, out / "metrics.csv")
     scaling_history_to_jsonl(result.scaling_history, out / "scalings.jsonl")
-    save_weights(result.final_weights(), out / "weights.npz")
+    np.savez(out / "weights.npz", **result.final_weights())
     last = result.metrics[-1]
     print(f"trained {cfg.train.epochs} epochs: "
           f"train_loss={last.train_loss:.4f} eval_acc={last.eval_acc:.4f}")

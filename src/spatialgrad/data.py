@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import uniform_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -131,8 +131,9 @@ def synth_correlated_field(shape: tuple[int, int, int, int], correlation_length:
                            seed: int) -> np.ndarray:
     """Gaussian white noise, box-smoothed over the spatial axes.
 
-    ``correlation_length`` is the box half-width; 0 returns the raw i.i.d.
-    noise. Deterministic for a given seed.
+    ``correlation_length`` is the box half-width r: each output pixel is the
+    mean of the zero-padded (2r+1)x(2r+1) window centred on it. r = 0 returns
+    the raw i.i.d. noise. Deterministic for a given seed.
     """
     if correlation_length < 0:
         raise ValueError(f"correlation_length must be non-negative, got {correlation_length}")
@@ -140,8 +141,9 @@ def synth_correlated_field(shape: tuple[int, int, int, int], correlation_length:
     field = rng.standard_normal(shape)
     if correlation_length == 0:
         return field
-    size = 2 * correlation_length + 1
-    return uniform_filter(field, size=(1, 1, size, size), mode="constant")
+    r = correlation_length
+    padded = np.pad(field, ((0, 0), (0, 0), (r, r), (r, r)))
+    return sliding_window_view(padded, (2 * r + 1, 2 * r + 1), axis=(2, 3)).mean(axis=(-2, -1))
 
 
 # Seven-segment layout for the synthetic digit classification fixture:

@@ -113,8 +113,14 @@ class Network:
                 yield idx, layer, name, value
 
     def named_weights(self) -> dict[str, np.ndarray]:
-        return {parameter_name(idx, layer, name): value
-                for idx, layer, name, value in self.parameters()}
+        """Every parameter and each batch norm's running statistics, by saved name."""
+        weights = {parameter_name(idx, layer, name): value
+                   for idx, layer, name, value in self.parameters()}
+        for idx, layer in enumerate(self.layers):
+            if isinstance(layer, BatchNormLayer):
+                for name in ("running_mean", "running_var"):
+                    weights[parameter_name(idx, layer, name)] = getattr(layer, name)
+        return weights
 
 
 def parameter_name(idx: int, layer: Layer, name: str) -> str:

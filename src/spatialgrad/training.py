@@ -78,6 +78,8 @@ class SgsSettings:
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError(f"alpha and beta must be positive, "
                              f"got alpha={self.alpha}, beta={self.beta}")
+        if self.fixed_values is not None:
+            ScalingMatrix(self.fixed_values)
         if self.mask_family not in MASK_FAMILIES:
             raise ValueError(f"unknown mask_family {self.mask_family!r}, "
                              f"expected one of {MASK_FAMILIES}")
@@ -357,7 +359,3 @@ def scaling_history_to_jsonl(history: Sequence[dict], path: str | Path) -> None:
     with open(path, "w") as f:
         for record in history:
             f.write(json.dumps(record) + "\n")
-
-
-def save_weights(weights: dict[str, np.ndarray], path: str | Path) -> None:
-    np.savez(path, **weights)

@@ -494,6 +494,34 @@ class TestMagnitude:
             values = np.array(record["values"])
             assert values.mean() == pytest.approx(1.0, rel=1e-9)
 
+    def test_batch_norm_run_saves_running_statistics(self, tmp_path, monkeypatch):
+        real_train, results = cli.train, []
+
+        def recording_train(*args):
+            results.append(real_train(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(MODEL_BLOCK.replace("act=relu\n", "act=relu bn=on\n", 1)
+                       + synth_data_block() + train_block(epochs=1)
+                       + "\n[sgs]\nenabled = false\n")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        bn = results[0].network.layers[1]
+        with np.load(run / "weights.npz") as saved:
+            assert set(saved.files) == {"conv0.W", "batchnorm1.gamma", "batchnorm1.beta",
+                                        "batchnorm1.running_mean", "batchnorm1.running_var",
+                                        "conv4.W", "dense8.W", "dense8.b"}
+            assert np.array_equal(saved["batchnorm1.running_mean"], bn.running_mean)
+            assert np.array_equal(saved["batchnorm1.running_var"], bn.running_var)
+            assert not np.array_equal(bn.running_mean, np.zeros_like(bn.running_mean))
+        out = tmp_path / "mag"
+        assert main(["magnitude", "--weights", str(run / "weights.npz"),
+                     "--out", str(out)]) == 0
+        records = json.loads((out / "magnitude.json").read_text())
+        assert [r["layer"] for r in records] == ["conv0.W", "conv4.W"]
+
     def test_missing_file_errors(self, tmp_path, capsys):
         assert main(["magnitude", "--weights", str(tmp_path / "none.npz"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -652,7 +680,11 @@ class TestConfigSchema:
                                               ("sgs", "redundancy_filter = -0.5"),
                                               ("sgs", "alpha = 0"),
                                               ("sgs", "beta = -1"),
-                                              ("sgs", "measure = masks\nmask_family = nope")])
+                                              ("sgs", "measure = masks\nmask_family = nope"),
+                                              ("sgs", "measure = fixed\nfixed_values = 1,1,1\n"
+                                                      "  1,5,1\n  1,1,1"),
+                                              ("sgs", "measure = fixed\nfixed_values = 1,1,1\n"
+                                                      "  1,-1,1\n  1,1,3")])
     def test_dataclass_validation_is_a_config_error(self, tmp_path, capsys, section, line):
         if section == "train":
             key = line.split(" =")[0]

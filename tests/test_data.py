@@ -1,8 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spatialgrad
 from spatialgrad.data import (
     DataFormatError,
     LabeledDataset,
@@ -132,6 +137,28 @@ class TestSynthField:
         with pytest.raises(ValueError):
             synth_correlated_field((1, 1, 4, 4), -1, seed=0)
 
+    @pytest.mark.parametrize("shape", [(2, 1, 7, 11), (1, 3, 9, 5), (3, 2, 4, 4)])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_box_mean_matches_window_loop(self, shape, r):
+        noise = np.random.default_rng(4).standard_normal(shape)
+        _, _, h, w = shape
+        expected = np.zeros(shape)
+        for i in range(h):
+            for j in range(w):
+                for di in range(-r, r + 1):
+                    for dj in range(-r, r + 1):
+                        if 0 <= i + di < h and 0 <= j + dj < w:
+                            expected[:, :, i, j] += noise[:, :, i + di, j + dj]
+        expected /= (2 * r + 1) ** 2
+        got = synth_correlated_field(shape, r, seed=4)
+        assert got.shape == shape
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_zero_length_is_the_raw_noise_bitwise(self):
+        shape = (3, 2, 9, 7)
+        expected = np.random.default_rng(8).standard_normal(shape)
+        assert synth_correlated_field(shape, 0, seed=8).tobytes() == expected.tobytes()
+
     def test_zero_length_is_iid_low_mi(self):
         maps = [synth_correlated_field((4, 4, 40, 40), 0, seed=1)]
         s = spatial_dependence_mi(maps, (3, 3), BinningConfig(bins=32))
@@ -179,3 +206,12 @@ class TestLabeledDataset:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 1, 2, 2)), np.array([0]), 3)
+
+
+def test_package_import_loads_no_scipy():
+    src = str(Path(spatialgrad.__file__).parents[1])
+    code = ("import sys, spatialgrad, spatialgrad.cli, spatialgrad.expconfig\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
