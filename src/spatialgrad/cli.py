@@ -2,8 +2,10 @@
 grid-search, magnitude.
 
 Every command is deterministic given its config and seed, and writes plain
-CSV / JSON-lines artifacts meant for offline plotting. Exit codes: 0 success,
-1 config error, 2 runtime or numeric failure, 3 equivalence check failed.
+CSV / JSON / JSON-lines artifacts meant for offline plotting. This module
+renders every artifact; the library modules only return values. Exit codes:
+0 success, 1 config error, 2 runtime or numeric failure, 3 equivalence check
+failed.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +28,11 @@ from .optim import KINDS as OPTIMIZER_KINDS
 from .optim import OptimizerConfig
 from .reparam import MASK_FAMILIES, equivalence_run, standard_mask_sets
 from .training import (
+    EpochMetrics,
     SgsSettings,
     TrainingDivergedError,
     build_run,
     inspect_scalings,
-    metrics_to_csv,
-    scaling_history_to_jsonl,
     train,
 )
 
@@ -41,8 +42,6 @@ EXIT_RUNTIME = 2
 EXIT_EQUIVALENCE_FAIL = 3
 
 EQUIVALENCE_TOLERANCE = 1e-8
-
-logger = logging.getLogger(__name__)
 
 
 def _out_dir(path: str) -> Path:
@@ -63,17 +62,36 @@ def _load(args) -> tuple:
     return cfg, train_ds, eval_ds
 
 
+def _build_run(cfg, ds: LabeledDataset, class_count: int) -> tuple:
+    """``build_run`` on ``ds``; called before anything is written, so that a model
+    whose shapes do not chain on the data is a config error."""
+    try:
+        return build_run(cfg.model, ds.images.shape[1:], class_count, cfg.train)
+    except ValueError as exc:
+        raise ConfigError(f"[model] {exc}") from exc
+
+
 def _echo_config(cfg, out: Path) -> None:
     (out / "resolved.ini").write_text(resolved_ini(cfg))
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def cmd_train(args) -> int:
     cfg, train_ds, eval_ds = _load(args)
+    _build_run(cfg, train_ds, train_ds.class_count)
     out = _out_dir(args.out)
     _echo_config(cfg, out)
     result = train(cfg.model, train_ds, eval_ds, cfg.train)
-    metrics_to_csv(result.metrics, out / "metrics.csv")
-    scaling_history_to_jsonl(result.scaling_history, out / "scalings.jsonl")
+    _write_csv(out / "metrics.csv", [f.name for f in fields(EpochMetrics)],
+               [astuple(m) for m in result.metrics])
+    (out / "scalings.jsonl").write_text(
+        "".join(json.dumps(record) + "\n" for record in result.scaling_history))
     np.savez(out / "weights.npz", **result.final_weights())
     last = result.metrics[-1]
     print(f"trained {cfg.train.epochs} epochs: "
@@ -84,12 +102,6 @@ def cmd_train(args) -> int:
 
 def cmd_verify_equivalence(args) -> int:
     kernel = (args.kernel, args.kernel)
-    momentum = 0.9 if args.momentum is None else args.momentum
-    if args.optimizer != "sgd_momentum":
-        if args.momentum:
-            logger.warning("--momentum %s is ignored: optimizer %r has no momentum",
-                           args.momentum, args.optimizer)
-        momentum = 0.0
     # Each ValueError raised here rejects a flag value; the run itself
     # reports overflow through the report, not by raising.
     try:
@@ -97,7 +109,7 @@ def cmd_verify_equivalence(args) -> int:
                                    seed=args.seed)
         optimizer = OptimizerConfig(
             kind=args.optimizer,
-            momentum=momentum,
+            momentum=args.momentum,
             weight_decay=args.weight_decay,
         )
         report = equivalence_run(masks, optimizer, steps=args.steps, seed=args.seed,
@@ -105,7 +117,9 @@ def cmd_verify_equivalence(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = _out_dir(args.out)
-    report.to_csv(out / "divergence.csv")
+    _write_csv(out / "divergence.csv",
+               ["step", "max_rel_divergence", "mean_rel_divergence"],
+               zip(report.steps, report.max_rel, report.mean_rel))
     print(f"wrote {out / 'divergence.csv'}")
     if report.diverged_numerically:
         print(f"NO VERDICT: both trainees overflowed at step {report.steps[-1]}; "
@@ -128,21 +142,21 @@ def cmd_verify_equivalence(args) -> int:
 
 def cmd_inspect_scaling(args) -> int:
     cfg, train_ds, _ = _load(args)
-    out = _out_dir(args.out)
-    _echo_config(cfg, out)
     ds = train_ds.astype(cfg.train.dtype)
     # Inspection never touches labels; size the head by the model itself so
     # unlabeled synthetic datasets work.
     dense_widths = [s.out_features for s in cfg.model if isinstance(s, DenseSpec)]
     class_count = dense_widths[-1] if dense_widths else ds.class_count
-    net, _, refresh_rng = build_run(cfg.model, ds.images.shape[1:], class_count, cfg.train)
+    net, _, refresh_rng = _build_run(cfg, ds, class_count)
+    out = _out_dir(args.out)
+    _echo_config(cfg, out)
     results = inspect_scalings(net, ds, cfg.train.sgs, refresh_rng, cfg.train.batch_size)
     records = []
     for idx in sorted(results):
         dep, scal = results[idx]
         if dep is not None:
             records.append(dep.to_record(layer=f"conv{idx}", epoch=0))
-        records.append({"kind": "scaling", **scal.to_record(layer=f"conv{idx}", epoch=0)})
+        records.append(scal.to_record(layer=f"conv{idx}", epoch=0))
     path = out / "scalings.json"
     path.write_text(json.dumps(records, indent=2))
     print(f"wrote {path} ({len(records)} records)")
@@ -192,8 +206,7 @@ def _float_list(raw: str, flag: str) -> list[float]:
 
 def cmd_grid_search(args) -> int:
     cfg, train_ds, _ = _load(args)  # fail fast on config errors before spawning workers
-    out = _out_dir(args.out)
-    _echo_config(cfg, out)
+    _build_run(cfg, train_ds, train_ds.class_count)
     if args.ks:
         cells = [{"k": k} for k in _float_list(args.ks, "--ks")]
         columns = ["k"]
@@ -213,6 +226,8 @@ def cmd_grid_search(args) -> int:
         raise ConfigError(f"--validation-fraction must lie in (0, 1), "
                           f"got {args.validation_fraction}")
     _validation_count(len(train_ds), args.validation_fraction)
+    out = _out_dir(args.out)
+    _echo_config(cfg, out)
 
     work = [(str(args.config), _overrides(args), cell, args.validation_fraction)
             for cell in cells]
@@ -223,12 +238,8 @@ def cmd_grid_search(args) -> int:
         rows = [_grid_cell(*w) for w in work]
 
     path = out / "grid.csv"
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(columns + ["val_acc", "final_train_loss"])
-        for row in rows:
-            writer.writerow([row[c] for c in columns]
-                            + [repr(row["val_acc"]), repr(row["final_train_loss"])])
+    header = columns + ["val_acc", "final_train_loss"]
+    _write_csv(path, header, [[row[c] for c in header] for row in rows])
     best = max(rows, key=lambda r: r["val_acc"])
     print(f"wrote {path}; best cell: "
           + ", ".join(f"{c}={best[c]}" for c in columns)

@@ -12,11 +12,11 @@ entry (a, b) holding the displacement (a - kx//2, b - ky//2).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .scaling import ScalingMatrix
+from .scaling import KernelMatrix, ScalingMatrix
 
 
 class EstimatorError(RuntimeError):
@@ -49,33 +49,14 @@ class BinningConfig:
 
 
 @dataclass(frozen=True)
-class SpatialDependenceMatrix:
+class SpatialDependenceMatrix(KernelMatrix):
     """Per-displacement dependence scores in [0, 1], kernel-shaped."""
 
-    values: np.ndarray
+    kind: ClassVar[str] = "dependence"
 
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(f"dependence values must be 2-D, got shape {values.shape}")
+    def _check(self, values: np.ndarray) -> None:
         if np.any(values < 0) or np.any(values > 1):
             raise ValueError("dependence values must lie in [0, 1]")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def kernel(self) -> tuple[int, int]:
-        return self.values.shape  # type: ignore[return-value]
-
-    def to_record(self, layer: str, epoch: int) -> dict:
-        kx, ky = self.kernel
-        return {
-            "kind": "dependence",
-            "layer": layer,
-            "epoch": int(epoch),
-            "kernel": [int(kx), int(ky)],
-            "values": [float(v) for v in self.values.ravel()],
-        }
 
 
 def _check_maps(feature_maps: Sequence[np.ndarray]) -> list[np.ndarray]:

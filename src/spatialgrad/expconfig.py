@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import configparser
 import io
-import logging
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -32,8 +31,6 @@ from .network import (
 )
 from .optim import OptimizerConfig
 from .training import SgsSettings, TrainingConfig
-
-logger = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -165,13 +162,12 @@ def _schema(cls: type) -> dict[str, tuple[type, object]]:
 
 
 # [train] exposes the optimizer kind under the key "optimizer", and its
-# momentum and weight decay. An INI run defaults to momentum 0.9, where
-# OptimizerConfig() has 0.0.
+# momentum and weight decay. An unset momentum is resolved by OptimizerConfig.
 _OPTIMIZER_SCHEMA = _schema(OptimizerConfig)
 _TRAIN_SCHEMA = {
     **{key: spec for key, spec in _schema(TrainingConfig).items() if spec[0] in _SCALAR_TYPES},
     "optimizer": _OPTIMIZER_SCHEMA["kind"],
-    "momentum": (_OPTIMIZER_SCHEMA["momentum"][0], 0.9),
+    "momentum": (float, None),
     "weight_decay": _OPTIMIZER_SCHEMA["weight_decay"],
 }
 _SGS_SCHEMA = _schema(SgsSettings)
@@ -280,18 +276,11 @@ def load_config(path: str | Path,
 
     sgs_values, sgs_section = _parse_section(
         dict(parser["sgs"]) if parser.has_section("sgs") else {}, _SGS_SCHEMA, "sgs")
-    train_given = dict(parser["train"])
-    train_values, train_section = _parse_section(train_given, _TRAIN_SCHEMA, "train")
-    kind = train_values.pop("optimizer")
-    momentum = train_values.pop("momentum")
-    if kind != "sgd_momentum":
-        if momentum and "momentum" in train_given:
-            logger.warning("[train] momentum = %s is ignored: optimizer %r has no momentum",
-                           momentum, kind)
-        momentum = 0.0
-        train_section["momentum"] = str(momentum)
-    optimizer = _build(OptimizerConfig, "train", kind=kind, momentum=momentum,
+    train_values, train_section = _parse_section(dict(parser["train"]), _TRAIN_SCHEMA, "train")
+    optimizer = _build(OptimizerConfig, "train", kind=train_values.pop("optimizer"),
+                       momentum=train_values.pop("momentum"),
                        weight_decay=train_values.pop("weight_decay"))
+    train_section["momentum"] = str(optimizer.momentum)
     train = _build(TrainingConfig, "train", **train_values, optimizer=optimizer,
                    sgs=_build(SgsSettings, "sgs", **sgs_values))
 

@@ -60,11 +60,20 @@ class SoftmaxXentSpec:
 
 
 def validate_model_spec(specs: list) -> None:
-    if not specs:
-        raise ValueError("model spec is empty")
+    """Check the layer order, which needs no input shape: conv, maxpool and gap
+    layers, exactly one flatten, dense layers, and the softmax_xent head last."""
     heads = [i for i, s in enumerate(specs) if isinstance(s, SoftmaxXentSpec)]
     if len(heads) != 1 or heads[0] != len(specs) - 1:
         raise ValueError("model must end with exactly one softmax_xent head")
+    flattens = [i for i, s in enumerate(specs) if isinstance(s, FlattenSpec)]
+    if len(flattens) != 1:
+        raise ValueError(f"model must have exactly one flatten, found {len(flattens)}")
+    for spec in specs[:flattens[0]]:
+        if not isinstance(spec, (ConvLayerSpec, MaxPoolSpec, GlobalAvgPoolSpec)):
+            raise ValueError(f"{spec!r} before flatten; only conv, maxpool and gap may precede it")
+    for spec in specs[flattens[0] + 1 : -1]:
+        if not isinstance(spec, DenseSpec):
+            raise ValueError(f"{spec!r} after flatten; only dense layers may follow it")
 
 
 class Network:
@@ -132,17 +141,16 @@ def build_network(specs: list, input_shape: tuple[int, int, int], class_count: i
                   rng: np.random.Generator, dtype=np.float64) -> Network:
     """Instantiate a network, validating that shapes chain consistently.
 
-    Weights use fan-in-scaled normal init; shape errors surface here, before
-    any training starts.
+    The layer order is checked by ``validate_model_spec``; the shape checks,
+    which need ``input_shape`` and ``class_count``, are made here, before any
+    training starts. Weights use fan-in-scaled normal init.
     """
     validate_model_spec(specs)
     c, h, w = input_shape
     layers: list[Layer] = []
-    flat_features: int | None = None
+    flat_features = 0
     for spec in specs[:-1]:
         if isinstance(spec, ConvLayerSpec):
-            if flat_features is not None:
-                raise ValueError("conv layer after flatten")
             conv_spec = ConvSpec(c, spec.out_channels, spec.kernel, spec.stride, spec.padding)
             fan_in = c * spec.kernel[0] * spec.kernel[1]
             weights = (rng.normal(size=conv_spec.weight_shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
@@ -154,34 +162,22 @@ def build_network(specs: list, input_shape: tuple[int, int, int], class_count: i
             if spec.activation == "relu":
                 layers.append(ReLULayer())
         elif isinstance(spec, MaxPoolSpec):
-            if flat_features is not None:
-                raise ValueError("maxpool after flatten")
             if h < 2 or w < 2:
                 raise ValueError(f"spatial size {h}x{w} too small for 2x2 pooling")
             layers.append(MaxPoolLayer())
             h, w = h // 2, w // 2
         elif isinstance(spec, GlobalAvgPoolSpec):
-            if flat_features is not None:
-                raise ValueError("global average pool after flatten")
             layers.append(GlobalAvgPoolLayer())
             h = w = 1
         elif isinstance(spec, FlattenSpec):
-            if flat_features is not None:
-                raise ValueError("duplicate flatten")
             layers.append(FlattenLayer())
             flat_features = c * h * w
-        elif isinstance(spec, DenseSpec):
-            if flat_features is None:
-                raise ValueError("dense layer requires a flatten before it")
+        else:  # DenseSpec: validate_model_spec allows nothing else here
             weights = (rng.normal(size=(flat_features, spec.out_features))
                        * np.sqrt(2.0 / flat_features)).astype(dtype)
             bias = np.zeros(spec.out_features, dtype=dtype)
             layers.append(DenseLayer(weights, bias))
             flat_features = spec.out_features
-        else:
-            raise ValueError(f"unsupported layer spec {spec!r}")
-    if flat_features is None:
-        raise ValueError("model must flatten before its loss head")
     if flat_features != class_count:
         raise ValueError(
             f"final feature count {flat_features} does not match class count {class_count}"

@@ -18,6 +18,7 @@ The ``position`` argument controls where a scaling matrix multiplies in:
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,18 +34,34 @@ _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 _ADAGRAD_EPS = 1e-10
 
+logger = logging.getLogger(__name__)
+
 
 @dataclass
 class OptimizerConfig:
+    """An optimizer kind and its hyperparameters.
+
+    ``momentum`` is read only by ``sgd_momentum``, where it defaults to 0.9;
+    every other kind holds 0.0, and a non-zero value given for one is ignored
+    with a warning.
+    """
+
     kind: str = "sgd_momentum"
-    momentum: float = 0.0
+    momentum: float | None = None
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}, expected one of {KINDS}")
-        if self.momentum < 0 or self.weight_decay < 0:
+        if (self.momentum or 0.0) < 0 or self.weight_decay < 0:
             raise ValueError("momentum and weight_decay must be non-negative")
+        if self.kind != "sgd_momentum":
+            if self.momentum:
+                logger.warning("momentum %s is ignored: optimizer %r has no momentum",
+                               self.momentum, self.kind)
+            self.momentum = 0.0
+        elif self.momentum is None:
+            self.momentum = 0.9
 
     @property
     def is_linear(self) -> bool:

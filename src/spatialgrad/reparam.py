@@ -12,9 +12,7 @@ weight divergence so that claim can be machine-checked rather than trusted.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -228,13 +226,6 @@ class DivergenceReport:
         self.steps.append(step_idx)
         self.max_rel.append(float(np.max(max_rs)))
         self.mean_rel.append(float(np.mean(mean_rs)))
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["step", "max_rel_divergence", "mean_rel_divergence"])
-            for s, mx, mn in zip(self.steps, self.max_rel, self.mean_rel):
-                writer.writerow([s, repr(mx), repr(mn)])
 
 
 def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, steps: int,

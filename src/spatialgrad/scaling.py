@@ -8,7 +8,7 @@ shift learning focus without changing the overall gradient magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -17,15 +17,50 @@ DEFAULT_EPSILON_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
-class ScalingMatrix:
-    """Kernel-shaped gradient scaling; strictly positive, mean 1."""
+class KernelMatrix:
+    """A read-only float64 matrix of kernel shape, one value per kernel position.
+
+    Subclasses name their record ``kind`` and check their own value rule in
+    ``_check``; the 2-D shape is checked here.
+    """
 
     values: np.ndarray
+    kind: ClassVar[str]
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=np.float64)
         if values.ndim != 2:
-            raise ValueError(f"scaling values must be a 2-D matrix, got shape {values.shape}")
+            raise ValueError(f"{self.kind} values must be a 2-D matrix, got shape {values.shape}")
+        self._check(values)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    def _check(self, values: np.ndarray) -> None:
+        raise NotImplementedError
+
+    @property
+    def kernel(self) -> tuple[int, int]:
+        return self.values.shape  # type: ignore[return-value]
+
+    def to_record(self, layer: str, epoch: int) -> dict:
+        """The JSON record of this matrix for ``layer`` at ``epoch``."""
+        kx, ky = self.kernel
+        return {
+            "kind": self.kind,
+            "layer": layer,
+            "epoch": int(epoch),
+            "kernel": [int(kx), int(ky)],
+            "values": [float(v) for v in self.values.ravel()],
+        }
+
+
+@dataclass(frozen=True)
+class ScalingMatrix(KernelMatrix):
+    """Kernel-shaped gradient scaling; strictly positive, mean 1."""
+
+    kind: ClassVar[str] = "scaling"
+
+    def _check(self, values: np.ndarray) -> None:
         if not np.all(np.isfinite(values)):
             raise ValueError("scaling values must be finite")
         if not np.all(values > 0):
@@ -33,25 +68,10 @@ class ScalingMatrix:
         mean = values.mean()
         if abs(mean - 1.0) > MEAN_TOLERANCE:
             raise ValueError(f"scaling mean must be 1 within {MEAN_TOLERANCE}, got {mean!r}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def kernel(self) -> tuple[int, int]:
-        return self.values.shape  # type: ignore[return-value]
 
     @classmethod
     def uniform(cls, kernel: tuple[int, int]) -> "ScalingMatrix":
         return cls(np.ones(kernel))
-
-    def to_record(self, layer: str, epoch: int) -> dict:
-        kx, ky = self.kernel
-        return {
-            "layer": layer,
-            "epoch": int(epoch),
-            "kernel": [int(kx), int(ky)],
-            "values": [float(v) for v in self.values.ravel()],
-        }
 
 
 def from_masks(masks: Sequence[np.ndarray]) -> tuple[ScalingMatrix, np.ndarray]:

@@ -15,13 +15,10 @@ data order.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import math
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -342,20 +339,3 @@ def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
         ))
     return TrainResult(metrics=metrics, network=net, scaling_history=history)
 
-
-METRICS_FIELDS = ("epoch", "train_loss", "train_acc", "eval_acc", "wall_seconds")
-
-
-def metrics_to_csv(metrics: Sequence[EpochMetrics], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(METRICS_FIELDS)
-        for m in metrics:
-            writer.writerow([m.epoch, repr(m.train_loss), repr(m.train_acc),
-                             repr(m.eval_acc), repr(m.wall_seconds)])
-
-
-def scaling_history_to_jsonl(history: Sequence[dict], path: str | Path) -> None:
-    with open(path, "w") as f:
-        for record in history:
-            f.write(json.dumps(record) + "\n")

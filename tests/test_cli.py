@@ -2,15 +2,19 @@ import argparse
 import csv
 import json
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spatialgrad import cli
 from spatialgrad.cli import main
-from spatialgrad.data import synth_digits, write_idx
+from spatialgrad.data import synth_digits
 from spatialgrad.optim import KINDS
 from spatialgrad.reparam import MASK_FAMILIES, equivalence_run
+
+from idxfiles import write_idx
 
 MODEL_BLOCK = """
 [model]
@@ -72,6 +76,29 @@ class TestTrainCommand:
         assert "refresh_every = 5" in resolved
         assert "refresh_batches = 2" in resolved
         assert "warmup_epochs = 1" in resolved
+
+    def test_metrics_csv_format(self, tmp_path):
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(train_size=64),
+                           train_block(epochs=1), "\n[sgs]\nenabled = false\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "metrics.csv").read_text().strip().splitlines()
+        assert lines[0] == "epoch,train_loss,train_acc,eval_acc,wall_seconds"
+        assert len(lines) == 2
+
+    def test_scaling_records_match_inspect_scaling(self, tmp_path):
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block(epochs=1),
+                           "\n[sgs]\nwarmup_epochs = 0\nrefresh_every = 1\n")
+        run, inspected = tmp_path / "run", tmp_path / "inspect"
+        assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+        assert main(["inspect-scaling", "--config", cfg, "--out", str(inspected)]) == 0
+        trained = [json.loads(line)
+                   for line in (run / "scalings.jsonl").read_text().splitlines()]
+        inspected = [r for r in json.loads((inspected / "scalings.json").read_text())
+                     if r["kind"] == "scaling"]
+        assert len(trained) == 2
+        assert all(r["kind"] == "scaling" for r in trained)
+        assert [list(r) for r in trained] == [list(r) for r in inspected]
 
     def test_identity_scaling_matches_disabled_bitwise(self, tmp_path):
         cfg_off = write_config(tmp_path / "off.ini", synth_data_block(), train_block(),
@@ -192,6 +219,38 @@ test_labels = /nonexistent/labels
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "config error: [model]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new", [
+        ("    flatten\n", ""),
+        ("    flatten\n", "    flatten\n    conv out=4 kernel=1\n"),
+        ("    flatten\n", "    flatten\n    flatten\n"),
+        ("    flatten\n", "    flatten\n    gap\n"),
+    ], ids=["missing_flatten", "conv_after_flatten", "two_flattens", "gap_after_flatten"])
+    def test_bad_layer_order_is_a_config_error_before_any_dataset(self, tmp_path, monkeypatch,
+                                                                  capsys, old, new):
+        def no_datasets(*args):
+            raise AssertionError("a dataset was built for a model in a bad layer order")
+
+        monkeypatch.setattr(cli, "build_datasets", no_datasets)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(MODEL_BLOCK.replace(old, new) + synth_data_block() + train_block())
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "config error: [model]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["train"], ["grid-search", "--ks", "2,5"]],
+                             ids=["train", "grid_search"])
+    @pytest.mark.parametrize("old,new", [
+        ("dense out=10", "dense out=7"),
+        ("conv out=8 kernel=3 pad=1", "conv out=16 kernel=15 pad=0"),
+    ], ids=["head_width", "conv_larger_than_its_input"])
+    def test_model_shape_fault_is_a_config_error_before_any_file(self, tmp_path, capsys,
+                                                                command, old, new):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(MODEL_BLOCK.replace(old, new) + synth_data_block() + train_block())
+        out = tmp_path / "o"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config error: [model]" in capsys.readouterr().err
+        assert not (out / "resolved.ini").exists()
+
     def test_idx_dataset_end_to_end(self, tmp_path):
         ds = synth_digits(64, seed=0)
         write_idx(ds.images, ds.labels, tmp_path / "tr_img", tmp_path / "tr_lab")
@@ -223,6 +282,16 @@ class TestVerifyEquivalence:
         assert len(rows) == 101
         assert float(rows[-1].split(",")[1]) < 1e-8
 
+    def test_csv_export(self, tmp_path):
+        assert main(["verify-equivalence", "--mask-family", "acb", "--optimizer", "sgd",
+                     "--steps", "3", "--seed", "0", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "divergence.csv").read_text().strip().splitlines()
+        assert lines[0] == "step,max_rel_divergence,mean_rel_divergence"
+        assert len(lines) == 4
+        step0 = lines[1].split(",")
+        assert step0[0] == "0"
+        float(step0[1])
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_random_mask_count_below_one_is_a_config_error(self, tmp_path, capsys, count):
         code = main(["verify-equivalence", "--kernel", "3", "--mask-family", "random",
@@ -234,13 +303,13 @@ class TestVerifyEquivalence:
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam", "adagrad"])
     def test_momentum_for_a_kind_without_momentum_warns(self, tmp_path, caplog, optimizer):
-        with caplog.at_level(logging.WARNING, logger="spatialgrad.cli"):
+        with caplog.at_level(logging.WARNING, logger="spatialgrad.optim"):
             code = main(["verify-equivalence", "--optimizer", optimizer, "--momentum", "0.5",
                          "--steps", "1", "--out", str(tmp_path)])
         assert code == 0
         warnings = [r.message for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
-        assert "--momentum 0.5 is ignored" in warnings[0] and repr(optimizer) in warnings[0]
+        assert "momentum 0.5 is ignored" in warnings[0] and repr(optimizer) in warnings[0]
 
     @pytest.mark.parametrize("flags, momentum", [
         (["--optimizer", "sgd"], 0.0),
@@ -256,7 +325,7 @@ class TestVerifyEquivalence:
             return equivalence_run(masks, optimizer, **kwargs)
 
         monkeypatch.setattr(cli, "equivalence_run", recording_run)
-        with caplog.at_level(logging.WARNING, logger="spatialgrad.cli"):
+        with caplog.at_level(logging.WARNING, logger="spatialgrad.optim"):
             assert main(["verify-equivalence", *flags, "--steps", "1",
                          "--out", str(tmp_path)]) == 0
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
@@ -653,7 +722,7 @@ class TestConfigSchema:
         omitted = written.replace("momentum = 0.9", "")
         for block, warnings in ((written, 1), (omitted, 0)):
             caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="spatialgrad.expconfig"):
+            with caplog.at_level(logging.WARNING, logger="spatialgrad.optim"):
                 cfg = load_config(write_config(tmp_path / "exp.ini", synth_data_block(), block))
             assert len(caplog.messages) == warnings
             assert all(kind in m and "momentum" in m for m in caplog.messages)
@@ -696,3 +765,24 @@ class TestConfigSchema:
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(), block, sgs)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert f"config error: [{section}]" in capsys.readouterr().err
+
+
+class TestArtifactWriters:
+    # Writing calls that would render an artifact outside the CLI.
+    WRITES = re.compile(r"""csv\.writer|json\.dump\(|write_text|write_bytes|np\.save"""
+                        r"""|open\([^)]*["'][rab+]*w""")
+
+    def test_only_the_cli_writes_files(self):
+        package = Path(cli.__file__).parent
+        found = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(package.glob("*.py")) if path.name != "cli.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if self.WRITES.search(line)]
+        assert found == []
+
+    def test_the_scan_sees_each_writing_call(self):
+        for line in ['writer = csv.writer(f)', 'json.dump(records, f)',
+                     '(out / "a").write_text(text)', 'np.savez(path, **arrays)',
+                     'with open(path, "w", newline="") as f:', "open(p, 'wb')"]:
+            assert self.WRITES.search(line), line
+        assert not self.WRITES.search('with open(images_path, "rb") as f:')

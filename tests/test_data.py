@@ -15,9 +15,10 @@ from spatialgrad.data import (
     read_idx,
     synth_correlated_field,
     synth_digits,
-    write_idx,
 )
 from spatialgrad.dependence import BinningConfig, spatial_dependence_mi
+
+from idxfiles import write_idx
 
 
 def craft_idx_images(pixels, n, h, w, magic=0x00000803):

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -173,3 +174,33 @@ class TestAdaptiveStep:
         a = step(s1, w, kernel_param(1.0), lr=0.1)
         b = adaptive_step(s2, w, kernel_param(1.0), lr=0.1)
         assert np.array_equal(a, b)
+
+
+class TestOptimizerConfigMomentum:
+    @pytest.mark.parametrize("kind,expected", [("sgd_momentum", 0.9), ("sgd", 0.0),
+                                               ("adam", 0.0), ("adagrad", 0.0)])
+    def test_unset_momentum_resolves_by_kind(self, kind, expected):
+        assert OptimizerConfig(kind=kind).momentum == expected
+
+    def test_given_momentum_is_kept_for_sgd_momentum(self):
+        assert OptimizerConfig(kind="sgd_momentum", momentum=0.5).momentum == 0.5
+        assert OptimizerConfig(kind="sgd_momentum", momentum=0.0).momentum == 0.0
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad"])
+    def test_momentum_for_another_kind_warns_once_and_becomes_zero(self, kind, caplog):
+        with caplog.at_level(logging.WARNING, logger="spatialgrad.optim"):
+            cfg = OptimizerConfig(kind=kind, momentum=0.5)
+        assert cfg.momentum == 0.0
+        assert len(caplog.messages) == 1
+        assert "momentum 0.5 is ignored" in caplog.messages[0] and repr(kind) in caplog.messages[0]
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_zero_momentum_for_another_kind_does_not_warn(self, kind, caplog):
+        with caplog.at_level(logging.WARNING, logger="spatialgrad.optim"):
+            assert OptimizerConfig(kind=kind, momentum=0.0).momentum == 0.0
+        assert not caplog.messages
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "sgd"])
+    def test_negative_momentum_is_rejected(self, kind):
+        with pytest.raises(ValueError, match="non-negative"):
+            OptimizerConfig(kind=kind, momentum=-0.1)

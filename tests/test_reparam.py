@@ -244,18 +244,6 @@ class TestEquivalenceRun:
         with pytest.raises(ValueError, match="must be"):
             equivalence_run(acb_masks(), OptimizerConfig(kind="sgd"), **args)
 
-    def test_csv_export(self, tmp_path):
-        report = equivalence_run([np.ones((3, 3))], OptimizerConfig(kind="sgd"),
-                                 steps=3, seed=0)
-        path = tmp_path / "divergence.csv"
-        report.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,max_rel_divergence,mean_rel_divergence"
-        assert len(lines) == 4
-        step0 = lines[1].split(",")
-        assert step0[0] == "0"
-        float(step0[1])
-
     @pytest.mark.slow
     def test_lemma_property_random_mask_sets(self):
         """Twenty random full-coverage mask sets stay in lockstep for 100 steps."""

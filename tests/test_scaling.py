@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spatialgrad.dependence import SpatialDependenceMatrix
 from spatialgrad.scaling import ScalingMatrix, finalize, from_masks, k_transform
 
 
@@ -29,6 +30,7 @@ class TestScalingMatrix:
     def test_json_record_roundtrip(self):
         m = ScalingMatrix(np.array([[0.5, 1.5], [1.5, 0.5]]))
         record = json.loads(json.dumps(m.to_record(layer="conv0", epoch=3)))
+        assert record["kind"] == "scaling"
         assert record["layer"] == "conv0"
         assert record["epoch"] == 3
         assert record["kernel"] == [2, 2]
@@ -153,3 +155,9 @@ class TestFinalize:
         out = finalize(raw, 1e-3)
         assert abs(out.values.mean() - 1.0) <= 1e-9
         assert out.values.min() > 0
+
+
+@pytest.mark.parametrize("cls", [ScalingMatrix, SpatialDependenceMatrix])
+def test_kernel_matrix_rejects_a_3d_input(cls):
+    with pytest.raises(ValueError, match="2-D"):
+        cls(np.ones((2, 3, 3)))  # values valid for both kinds; only the rank is wrong

@@ -24,7 +24,6 @@ from spatialgrad.training import (
     _capture_feature_maps,
     build_run,
     inspect_scalings,
-    metrics_to_csv,
     refresh_scalings,
     train,
 )
@@ -315,17 +314,6 @@ class TestTrainLoop:
         empty = LabeledDataset(eval_ds.images[:0], eval_ds.labels[:0], eval_ds.class_count)
         with pytest.raises(ValueError, match="training set is empty"):
             train(two_conv_model(), empty, eval_ds, momentum_cfg(sgs=SgsSettings(enabled=False)))
-
-    def test_metrics_csv_format(self, tmp_path):
-        train_ds = synth_digits(64, seed=14)
-        test_ds = synth_digits(32, seed=15)
-        cfg = momentum_cfg(epochs=1, sgs=SgsSettings(enabled=False))
-        result = train(two_conv_model(), train_ds, test_ds, cfg)
-        path = tmp_path / "metrics.csv"
-        metrics_to_csv(result.metrics, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,train_loss,train_acc,eval_acc,wall_seconds"
-        assert len(lines) == 2
 
 
 class TestRefreshScalings:
