@@ -23,13 +23,15 @@ import numpy as np
 
 from .data import LabeledDataset
 from .expconfig import ConfigError, build_datasets, load_config, resolved_ini
-from .network import DenseSpec, kernel_magnitude_matrix
+from .network import DenseSpec, Network, kernel_magnitude_matrix, parameter_name
 from .optim import KINDS as OPTIMIZER_KINDS
 from .optim import OptimizerConfig
 from .reparam import MASK_FAMILIES, equivalence_run, standard_mask_sets
 from .training import (
     EpochMetrics,
+    Refresh,
     SgsSettings,
+    TrainingConfig,
     TrainingDivergedError,
     build_run,
     inspect_scalings,
@@ -82,6 +84,22 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _record(kind: str, layer: str, epoch: int | None, values: np.ndarray) -> dict:
+    """The JSON record of one kernel-shaped matrix; ``layer`` is the key of its
+    conv weight in ``weights.npz``, and ``epoch`` is ``None`` for a matrix no
+    refresh made."""
+    kx, ky = values.shape
+    return {"kind": kind, "layer": layer, "epoch": epoch, "kernel": [int(kx), int(ky)],
+            "values": [float(v) for v in values.ravel()]}
+
+
+def _refresh_records(net: Network, refresh: Refresh, epoch: int) -> list[dict]:
+    """One refresh's records: per conv layer in order, its dependence record
+    when it has one, then its scaling record."""
+    return [_record(m.kind, parameter_name(idx, net.layers[idx], "W"), epoch, m.values)
+            for idx in sorted(refresh) for m in refresh[idx] if m is not None]
+
+
 def cmd_train(args) -> int:
     cfg, train_ds, eval_ds = _load(args)
     _build_run(cfg, train_ds, train_ds.class_count)
@@ -90,8 +108,9 @@ def cmd_train(args) -> int:
     result = train(cfg.model, train_ds, eval_ds, cfg.train)
     _write_csv(out / "metrics.csv", [f.name for f in fields(EpochMetrics)],
                [astuple(m) for m in result.metrics])
-    (out / "scalings.jsonl").write_text(
-        "".join(json.dumps(record) + "\n" for record in result.scaling_history))
+    (out / "scalings.jsonl").write_text("".join(
+        json.dumps(record) + "\n" for epoch, refresh in result.refreshes
+        for record in _refresh_records(result.network, refresh, epoch)))
     np.savez(out / "weights.npz", **result.final_weights())
     last = result.metrics[-1]
     print(f"trained {cfg.train.epochs} epochs: "
@@ -150,13 +169,8 @@ def cmd_inspect_scaling(args) -> int:
     net, _, refresh_rng = _build_run(cfg, ds, class_count)
     out = _out_dir(args.out)
     _echo_config(cfg, out)
-    results = inspect_scalings(net, ds, cfg.train.sgs, refresh_rng, cfg.train.batch_size)
-    records = []
-    for idx in sorted(results):
-        dep, scal = results[idx]
-        if dep is not None:
-            records.append(dep.to_record(layer=f"conv{idx}", epoch=0))
-        records.append(scal.to_record(layer=f"conv{idx}", epoch=0))
+    records = _refresh_records(
+        net, inspect_scalings(net, ds, cfg.train.sgs, refresh_rng, cfg.train.batch_size), 0)
     path = out / "scalings.json"
     path.write_text(json.dumps(records, indent=2))
     print(f"wrote {path} ({len(records)} records)")
@@ -164,37 +178,21 @@ def cmd_inspect_scaling(args) -> int:
 
 
 def _cell_settings(sgs: SgsSettings, cell: dict) -> SgsSettings:
-    """The config's scaling settings with one grid cell applied, validated."""
+    """The config's scaling settings with one grid cell applied; a cell that
+    ``SgsSettings`` rejects is a config error."""
     measure = "alpha_beta" if "alpha" in cell else sgs.measure
-    return replace(sgs, enabled=True, measure=measure, **cell)
+    try:
+        return replace(sgs, enabled=True, measure=measure, **cell)
+    except ValueError as exc:
+        raise ConfigError(f"grid cell {cell}: {exc}") from exc
 
 
-def _validation_count(n: int, validation_fraction: float) -> int:
-    """Samples a grid cell holds out for validation from its ``n`` training samples."""
-    n_val = max(1, int(round(validation_fraction * n)))
-    if n_val >= n:
-        raise ConfigError(f"--validation-fraction {validation_fraction} puts {n_val} of {n} "
-                          "training samples in validation, leaving none to train on")
-    return n_val
-
-
-def _grid_cell(config_path: str, overrides: dict[str, dict[str, str]], cell: dict,
-               validation_fraction: float) -> dict:
-    """Train one grid cell on a train/validation split; runs in a worker process."""
-    cfg = load_config(config_path, overrides)
-    full_train, _ = build_datasets(cfg.data)
-    n = len(full_train)
-    n_val = _validation_count(n, validation_fraction)
-    split_rng = np.random.default_rng(np.random.SeedSequence([cfg.train.seed, 917]))
-    order = split_rng.permutation(n)
-    val_idx, train_idx = order[:n_val], order[n_val:]
-    sub_train = LabeledDataset(full_train.images[train_idx], full_train.labels[train_idx],
-                               full_train.class_count)
-    sub_val = LabeledDataset(full_train.images[val_idx], full_train.labels[val_idx],
-                             full_train.class_count)
-    run = replace(cfg.train, sgs=_cell_settings(cfg.train.sgs, cell))
-    last = train(cfg.model, sub_train, sub_val, run).metrics[-1]
-    return {**cell, "val_acc": last.eval_acc, "final_train_loss": last.train_loss}
+def _grid_cell(model: list, fit: LabeledDataset, val: LabeledDataset,
+               run: TrainingConfig) -> tuple[float, float]:
+    """(validation accuracy, final training loss) of one grid cell; runs in a
+    worker process when ``--jobs`` is above 1."""
+    last = train(model, fit, val, run).metrics[-1]
+    return last.eval_acc, last.train_loss
 
 
 def _float_list(raw: str, flag: str) -> list[float]:
@@ -209,41 +207,41 @@ def cmd_grid_search(args) -> int:
     _build_run(cfg, train_ds, train_ds.class_count)
     if args.ks:
         cells = [{"k": k} for k in _float_list(args.ks, "--ks")]
-        columns = ["k"]
     elif args.alphas and args.betas:
         alphas = _float_list(args.alphas, "--alphas")
         betas = _float_list(args.betas, "--betas")
         cells = [{"alpha": a, "beta": b} for a in alphas for b in betas]
-        columns = ["alpha", "beta"]
     else:
         raise ConfigError("grid-search needs either --ks or both --alphas and --betas")
-    for cell in cells:  # reject a bad cell before any worker trains
-        try:
-            _cell_settings(cfg.train.sgs, cell)
-        except ValueError as exc:
-            raise ConfigError(f"grid cell {cell}: {exc}") from exc
-    if not 0 < args.validation_fraction < 1:
-        raise ConfigError(f"--validation-fraction must lie in (0, 1), "
-                          f"got {args.validation_fraction}")
-    _validation_count(len(train_ds), args.validation_fraction)
+    # Every cell is validated and the split is made before any worker trains.
+    runs = [replace(cfg.train, sgs=_cell_settings(cfg.train.sgs, cell)) for cell in cells]
+    fraction, n = args.validation_fraction, len(train_ds)
+    if not 0 < fraction < 1:
+        raise ConfigError(f"--validation-fraction must lie in (0, 1), got {fraction}")
+    n_val = max(1, int(round(fraction * n)))
+    if n_val >= n:
+        raise ConfigError(f"--validation-fraction {fraction} puts {n_val} of {n} "
+                          "training samples in validation, leaving none to train on")
+    order = np.random.default_rng(np.random.SeedSequence([cfg.train.seed, 917])).permutation(n)
+    fit, val = (LabeledDataset(train_ds.images[idx], train_ds.labels[idx], train_ds.class_count)
+                for idx in (order[n_val:], order[:n_val]))
     out = _out_dir(args.out)
     _echo_config(cfg, out)
 
-    work = [(str(args.config), _overrides(args), cell, args.validation_fraction)
-            for cell in cells]
+    work = [(cfg.model, fit, val, run) for run in runs]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_grid_cell, *zip(*work)))
+            results = list(pool.map(_grid_cell, *zip(*work)))
     else:
-        rows = [_grid_cell(*w) for w in work]
+        results = [_grid_cell(*w) for w in work]
 
     path = out / "grid.csv"
-    header = columns + ["val_acc", "final_train_loss"]
-    _write_csv(path, header, [[row[c] for c in header] for row in rows])
-    best = max(rows, key=lambda r: r["val_acc"])
+    _write_csv(path, [*cells[0], "val_acc", "final_train_loss"],
+               [[*cell.values(), *result] for cell, result in zip(cells, results)])
+    best_cell, (best_acc, _) = max(zip(cells, results), key=lambda pair: pair[1][0])
     print(f"wrote {path}; best cell: "
-          + ", ".join(f"{c}={best[c]}" for c in columns)
-          + f" (val_acc={best['val_acc']:.4f})")
+          + ", ".join(f"{c}={v}" for c, v in best_cell.items())
+          + f" (val_acc={best_acc:.4f})")
     return EXIT_OK
 
 
@@ -252,16 +250,9 @@ def cmd_magnitude(args) -> int:
     if not path.exists():
         raise ConfigError(f"no such weights file: {path}")
     with np.load(path) as archive:
-        records = []
-        for name in archive.files:
-            arr = archive[name]
-            if arr.ndim == 4:
-                matrix = kernel_magnitude_matrix(arr)
-                records.append({
-                    "layer": name,
-                    "kernel": list(matrix.shape),
-                    "values": [float(v) for v in matrix.ravel()],
-                })
+        arrays = {name: archive[name] for name in archive.files}
+    records = [_record("magnitude", name, None, kernel_magnitude_matrix(arr))
+               for name, arr in arrays.items() if arr.ndim == 4]
     out = _out_dir(args.out)
     target = out / "magnitude.json"
     target.write_text(json.dumps(records, indent=2))

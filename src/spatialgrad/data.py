@@ -50,7 +50,9 @@ class LabeledDataset:
         return len(self.images)
 
     def astype(self, dtype) -> "LabeledDataset":
-        return LabeledDataset(self.images.astype(dtype), self.labels, self.class_count)
+        """The dataset with images of ``dtype``; shares ``images`` when they already are."""
+        return LabeledDataset(self.images.astype(dtype, copy=False), self.labels,
+                              self.class_count)
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -155,10 +157,11 @@ _DIGIT_SEGMENTS = {
 }
 
 _GLYPH_H, _GLYPH_W = 16, 10
+# Image side in pixels, additive noise standard deviation, largest glyph shift per axis.
+DIGIT_SIZE, DIGIT_NOISE, DIGIT_JITTER = 28, 0.08, 3
 
 
-def synth_digits(n: int, seed: int, image_size: int = 28, noise: float = 0.08,
-                 jitter: int = 3) -> LabeledDataset:
+def synth_digits(n: int, seed: int) -> LabeledDataset:
     """Procedural ten-class digit images: jittered seven-segment glyphs plus noise.
 
     A stand-in for a small handwritten-digit subset: same shape (28x28
@@ -168,18 +171,18 @@ def synth_digits(n: int, seed: int, image_size: int = 28, noise: float = 0.08,
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
-    images = np.zeros((n, 1, image_size, image_size))
+    images = np.zeros((n, 1, DIGIT_SIZE, DIGIT_SIZE))
     labels = rng.integers(0, 10, size=n)
-    max_r = image_size - _GLYPH_H
-    max_c = image_size - _GLYPH_W
+    max_r = DIGIT_SIZE - _GLYPH_H
+    max_c = DIGIT_SIZE - _GLYPH_W
     base_r, base_c = max_r // 2, max_c // 2
     for idx in range(n):
-        r = int(np.clip(base_r + rng.integers(-jitter, jitter + 1), 0, max_r))
-        c = int(np.clip(base_c + rng.integers(-jitter, jitter + 1), 0, max_c))
+        r = int(np.clip(base_r + rng.integers(-DIGIT_JITTER, DIGIT_JITTER + 1), 0, max_r))
+        c = int(np.clip(base_c + rng.integers(-DIGIT_JITTER, DIGIT_JITTER + 1), 0, max_c))
         intensity = rng.uniform(0.75, 1.0)
         for name in _DIGIT_SEGMENTS[int(labels[idx])]:
             r0, r1, c0, c1 = _SEGMENTS[name]
             images[idx, 0, r + r0 : r + r1, c + c0 : c + c1] = intensity
-    images += rng.normal(0.0, noise, size=images.shape)
+    images += rng.normal(0.0, DIGIT_NOISE, size=images.shape)
     np.clip(images, 0.0, 1.0, out=images)
     return LabeledDataset(images, labels, 10)

@@ -165,10 +165,16 @@ class DenseLayer(Layer):
 
 
 class BatchNormLayer(Layer):
-    """Per-channel batch norm; batch statistics in training, running in eval."""
+    """Per-channel batch norm; batch statistics in training, running in eval.
+
+    An eval-mode forward (``train=False``) keeps no normalized input, since
+    no backward follows it; ``backward`` after it raises ``RuntimeError``, as
+    ``ReLULayer.backward`` and ``MaxPoolLayer.backward`` do.
+    """
 
     MOMENTUM = 0.1  # torch defaults
     EPS = 1e-5
+    _x_hat: np.ndarray | None = None
 
     def __init__(self, channels: int, dtype=np.float64):
         super().__init__()
@@ -187,19 +193,17 @@ class BatchNormLayer(Layer):
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        self._x_hat = x_hat
-        self._inv_std = inv_std
-        self._train = train
+        self._x_hat, self._inv_std = (x_hat, inv_std) if train else (None, None)
         return (self.params["gamma"][None, :, None, None] * x_hat
                 + self.params["beta"][None, :, None, None])
 
     def backward(self, dy):
+        if self._x_hat is None:
+            raise RuntimeError("BatchNormLayer.backward needs a train-mode forward first; "
+                               "an eval-mode forward keeps no normalized input")
         self.grads.update(gamma=(dy * self._x_hat).sum(axis=(0, 2, 3)),
                           beta=dy.sum(axis=(0, 2, 3)))
         g_inv = (self.params["gamma"] * self._inv_std)[None, :, None, None]
-        if not self._train:
-            return dy * g_inv
-        m = dy.shape[0] * dy.shape[2] * dy.shape[3]
         mean_dy = dy.mean(axis=(0, 2, 3))[None, :, None, None]
         mean_dy_xhat = (dy * self._x_hat).mean(axis=(0, 2, 3))[None, :, None, None]
         return g_inv * (dy - mean_dy - self._x_hat * mean_dy_xhat)

@@ -188,11 +188,14 @@ def build_network(specs: list, input_shape: tuple[int, int, int], class_count: i
 def kernel_magnitude_matrix(w: np.ndarray) -> np.ndarray:
     """Channel-averaged absolute kernel weights, normalized to mean 1.
 
-    Shows where a trained kernel concentrates its magnitude spatially.
+    Shows where a trained kernel concentrates its magnitude spatially. A
+    tensor holding inf or NaN has no such profile and raises ``ValueError``.
     """
     w = np.asarray(w)
     if w.ndim != 4:
         raise ValueError(f"expected a conv weight tensor, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("conv weight tensor holds non-finite values; no magnitude profile")
     magnitude = np.abs(w).mean(axis=(0, 1))
     mean = magnitude.mean()
     if mean == 0:

@@ -42,17 +42,6 @@ class KernelMatrix:
     def kernel(self) -> tuple[int, int]:
         return self.values.shape  # type: ignore[return-value]
 
-    def to_record(self, layer: str, epoch: int) -> dict:
-        """The JSON record of this matrix for ``layer`` at ``epoch``."""
-        kx, ky = self.kernel
-        return {
-            "kind": self.kind,
-            "layer": layer,
-            "epoch": int(epoch),
-            "kernel": [int(kx), int(ky)],
-            "values": [float(v) for v in self.values.ravel()],
-        }
-
 
 @dataclass(frozen=True)
 class ScalingMatrix(KernelMatrix):

@@ -36,6 +36,9 @@ logger = logging.getLogger(__name__)
 
 MEASURES = ("mi", "autocorr", "alpha_beta", "fixed", "masks")
 
+# One refresh: conv layer index -> (dependence matrix or None, scaling matrix).
+Refresh = dict[int, tuple[dependence.SpatialDependenceMatrix | None, ScalingMatrix]]
+
 
 class TrainingDivergedError(RuntimeError):
     """Training hit a non-finite loss or parameter gradient and was aborted."""
@@ -133,7 +136,7 @@ class EpochMetrics:
 class TrainResult:
     metrics: list[EpochMetrics]
     network: Network
-    scaling_history: list[dict]
+    refreshes: list[tuple[int, Refresh]]  # (epoch, that epoch's refresh), in order
 
     def final_weights(self) -> dict[str, np.ndarray]:
         return self.network.named_weights()
@@ -196,18 +199,21 @@ def _capture_feature_maps(net: Network, dataset: LabeledDataset, sgs: SgsSetting
 
 
 def inspect_scalings(net: Network, dataset: LabeledDataset, sgs: SgsSettings,
-                     rng: np.random.Generator, batch_size: int,
-                     ) -> dict[int, tuple[dependence.SpatialDependenceMatrix | None, ScalingMatrix]]:
+                     rng: np.random.Generator, batch_size: int) -> Refresh:
     """Per-conv-layer (dependence matrix, scaling matrix) without any training.
 
-    Analytic measures have no dependence matrix and report ``None`` there.
-    Estimator failures degrade the layer to the uniform scaling, as during
-    training.
+    Estimator-backed measures sample ``refresh_batches`` random batches and
+    forward them in evaluation mode, recording each conv layer's input feature
+    map. Analytic measures have no dependence matrix and report ``None``
+    there. A per-layer estimator failure (degenerate or non-finite maps,
+    undersized spatial extent, mismatched analytic kernel) degrades that layer
+    to the uniform scaling, with no dependence matrix, and a warning; a
+    refresh never aborts the run.
     """
     captured: dict[int, list[np.ndarray]] = {}
     if sgs.needs_feature_maps:
         captured = _capture_feature_maps(net, dataset, sgs, rng, batch_size)
-    out: dict[int, tuple[dependence.SpatialDependenceMatrix | None, ScalingMatrix]] = {}
+    out: Refresh = {}
     for layer_idx in net.conv_indices:
         layer = net.layers[layer_idx]
         assert isinstance(layer, ConvLayer)
@@ -226,17 +232,14 @@ def inspect_scalings(net: Network, dataset: LabeledDataset, sgs: SgsSettings,
 
 
 def refresh_scalings(net: Network, dataset: LabeledDataset, sgs: SgsSettings,
-                     rng: np.random.Generator, batch_size: int) -> dict[int, ScalingMatrix]:
-    """Recompute one ScalingMatrix per conv layer.
+                     rng: np.random.Generator, batch_size: int) -> Refresh:
+    """The trainer's refresh: ``inspect_scalings``, returned unchanged.
 
-    Estimator-backed measures sample ``refresh_batches`` random batches and
-    forward them in evaluation mode, recording each conv layer's input feature
-    map. A per-layer estimator failure (degenerate or non-finite maps,
-    undersized spatial extent, mismatched analytic kernel) degrades that layer
-    to the uniform scaling with a warning; a refresh never aborts the run.
+    It adds nothing to ``inspect_scalings``. It stays a separate name only
+    because the benchmark's tracer (``bench/tracing.py``) wraps it to count
+    and time the refreshes ``train`` makes.
     """
-    return {idx: pair[1]
-            for idx, pair in inspect_scalings(net, dataset, sgs, rng, batch_size).items()}
+    return inspect_scalings(net, dataset, sgs, rng, batch_size)
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -282,20 +285,18 @@ def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
 
     # (conv layer index, "W") -> the layer's scaling, keyed like ``opt_states``.
     scaling_values: dict[tuple[int, str], np.ndarray] = {}
-    history: list[dict] = []
+    refreshes: list[tuple[int, Refresh]] = []
     metrics: list[EpochMetrics] = []
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         if sgs.enabled and epoch >= sgs.warmup_epochs \
                 and (epoch - sgs.warmup_epochs) % sgs.refresh_every == 0:
-            scalings = refresh_scalings(net, train_ds, sgs, refresh_rng, cfg.batch_size)
+            refresh = refresh_scalings(net, train_ds, sgs, refresh_rng, cfg.batch_size)
             scaling_values = {
-                (idx, "W"): np.asarray(m.values, dtype=dtype) for idx, m in scalings.items()
+                (idx, "W"): np.asarray(m.values, dtype=dtype) for idx, (_, m) in refresh.items()
             }
-            history.extend(
-                m.to_record(layer=f"conv{idx}", epoch=epoch) for idx, m in sorted(scalings.items())
-            )
+            refreshes.append((epoch, refresh))
 
         lr = cfg.lr_at(epoch)
         loss_sum = 0.0
@@ -337,5 +338,5 @@ def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
             eval_acc=eval_hit / len(eval_ds),
             wall_seconds=time.perf_counter() - t0,
         ))
-    return TrainResult(metrics=metrics, network=net, scaling_history=history)
+    return TrainResult(metrics=metrics, network=net, refreshes=refreshes)
 

@@ -11,8 +11,10 @@ import pytest
 from spatialgrad import cli
 from spatialgrad.cli import main
 from spatialgrad.data import synth_digits
+from spatialgrad.dependence import SpatialDependenceMatrix
 from spatialgrad.optim import KINDS
 from spatialgrad.reparam import MASK_FAMILIES, equivalence_run
+from spatialgrad.scaling import ScalingMatrix
 
 from idxfiles import write_idx
 
@@ -94,11 +96,28 @@ class TestTrainCommand:
         assert main(["inspect-scaling", "--config", cfg, "--out", str(inspected)]) == 0
         trained = [json.loads(line)
                    for line in (run / "scalings.jsonl").read_text().splitlines()]
-        inspected = [r for r in json.loads((inspected / "scalings.json").read_text())
-                     if r["kind"] == "scaling"]
-        assert len(trained) == 2
-        assert all(r["kind"] == "scaling" for r in trained)
-        assert [list(r) for r in trained] == [list(r) for r in inspected]
+        inspected = json.loads((inspected / "scalings.json").read_text())
+        assert [r["kind"] for r in trained] == ["dependence", "scaling"] * 2
+        assert trained == inspected
+
+    def test_every_record_layer_is_a_weights_key(self, tmp_path):
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block(epochs=1),
+                           "\n[sgs]\nwarmup_epochs = 0\nrefresh_every = 1\n")
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+        assert main(["inspect-scaling", "--config", cfg, "--out", str(tmp_path / "i")]) == 0
+        assert main(["magnitude", "--weights", str(run / "weights.npz"),
+                     "--out", str(tmp_path / "m")]) == 0
+        artifacts = {
+            "scalings.jsonl": [json.loads(line) for line
+                               in (run / "scalings.jsonl").read_text().splitlines()],
+            "scalings.json": json.loads((tmp_path / "i" / "scalings.json").read_text()),
+            "magnitude.json": json.loads((tmp_path / "m" / "magnitude.json").read_text()),
+        }
+        with np.load(run / "weights.npz") as saved:
+            keys = set(saved.files)
+        for name, records in artifacts.items():
+            assert records and {r["layer"] for r in records} <= keys, name
 
     def test_identity_scaling_matches_disabled_bitwise(self, tmp_path):
         cfg_off = write_config(tmp_path / "off.ini", synth_data_block(), train_block(),
@@ -434,6 +453,20 @@ layers =
 
 
 class TestGridSearch:
+    def test_datasets_are_built_once(self, tmp_path, monkeypatch):
+        real_build, calls = cli.build_datasets, []
+
+        def counting_build(data):
+            calls.append(data)
+            return real_build(data)
+
+        monkeypatch.setattr(cli, "build_datasets", counting_build)
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(train_size=64),
+                           train_block(epochs=1), "\n[sgs]\nenabled = false\n")
+        assert main(["grid-search", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--ks", "2,3,5", "--jobs", "1"]) == 0
+        assert len(calls) == 1
+
     def test_k_grid(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(train_size=96),
                            train_block(epochs=1),
@@ -548,6 +581,19 @@ class TestMagnitude:
         records = json.loads((out / "magnitude.json").read_text())
         assert len(records) == 1  # dense weights are not kernel-shaped
         np.testing.assert_array_equal(np.array(records[0]["values"]), np.ones(9))
+        assert list(records[0].items())[:3] == [("kind", "magnitude"), ("layer", "conv0.W"),
+                                                ("epoch", None)]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weight_exits_2_and_writes_nothing(self, tmp_path, capsys, bad):
+        w = np.ones((4, 2, 3, 3))
+        w[1, 0, 2, 2] = bad
+        np.savez(tmp_path / "w.npz", **{"conv0.W": w})
+        out = tmp_path / "o"
+        assert main(["magnitude", "--weights", str(tmp_path / "w.npz"),
+                     "--out", str(out)]) == 2
+        assert "error: conv weight tensor holds non-finite values" in capsys.readouterr().err
+        assert not (out / "magnitude.json").exists()
 
     def test_trained_weights_export(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block(epochs=1),
@@ -595,6 +641,24 @@ class TestMagnitude:
         assert main(["magnitude", "--weights", str(tmp_path / "none.npz"),
                      "--out", str(tmp_path / "o")]) == 1
         assert "no such weights file" in capsys.readouterr().err
+
+
+class TestRecord:
+    def test_json_record_roundtrip(self):
+        m = ScalingMatrix(np.array([[0.5, 1.5], [1.5, 0.5]]))
+        record = json.loads(json.dumps(cli._record(m.kind, "conv0", 3, m.values)))
+        assert record["kind"] == "scaling"
+        assert record["layer"] == "conv0"
+        assert record["epoch"] == 3
+        assert record["kernel"] == [2, 2]
+        restored = np.array(record["values"]).reshape(2, 2)
+        np.testing.assert_array_equal(restored, m.values)
+
+    def test_record_tagged_dependence(self):
+        s = SpatialDependenceMatrix(np.array([[0.5, 1.0]]))
+        record = cli._record(s.kind, "conv2", 5, s.values)
+        assert record["kind"] == "dependence"
+        assert record["kernel"] == [1, 2]
 
 
 class TestExitCodes:
@@ -768,8 +832,8 @@ class TestConfigSchema:
 
 
 class TestArtifactWriters:
-    # Writing calls that would render an artifact outside the CLI.
-    WRITES = re.compile(r"""csv\.writer|json\.dump\(|write_text|write_bytes|np\.save"""
+    # Calls that would render or write an artifact outside the CLI.
+    WRITES = re.compile(r"""csv\.writer|json\.dumps?\(|write_text|write_bytes|np\.save"""
                         r"""|open\([^)]*["'][rab+]*w""")
 
     def test_only_the_cli_writes_files(self):
@@ -781,7 +845,7 @@ class TestArtifactWriters:
         assert found == []
 
     def test_the_scan_sees_each_writing_call(self):
-        for line in ['writer = csv.writer(f)', 'json.dump(records, f)',
+        for line in ['writer = csv.writer(f)', 'json.dump(records, f)', 'json.dumps(record)',
                      '(out / "a").write_text(text)', 'np.savez(path, **arrays)',
                      'with open(path, "w", newline="") as f:', "open(p, 'wb')"]:
             assert self.WRITES.search(line), line

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import spatialgrad
+from spatialgrad import data as data_mod
 from spatialgrad.data import (
     DataFormatError,
     LabeledDataset,
@@ -187,8 +188,10 @@ class TestSynthDigits:
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_distinct_classes_have_distinct_glyphs(self):
-        ds = synth_digits(200, seed=1, noise=0.0, jitter=0)
+    def test_distinct_classes_have_distinct_glyphs(self, monkeypatch):
+        monkeypatch.setattr(data_mod, "DIGIT_NOISE", 0.0)
+        monkeypatch.setattr(data_mod, "DIGIT_JITTER", 0)
+        ds = synth_digits(200, seed=1)
         by_class = {}
         for img, label in zip(ds.images, ds.labels):
             by_class.setdefault(int(label), img)
@@ -207,6 +210,13 @@ class TestLabeledDataset:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 1, 2, 2)), np.array([0]), 3)
+
+    def test_astype_shares_images_when_the_dtype_matches(self):
+        ds = LabeledDataset(np.zeros((2, 1, 2, 2)), np.array([0, 1]), 2)
+        assert np.shares_memory(ds.astype(np.float64).images, ds.images)
+        cast = ds.astype(np.float32)
+        assert cast.images.dtype == np.float32
+        assert not np.shares_memory(cast.images, ds.images)
 
 
 def test_package_import_loads_no_scipy():

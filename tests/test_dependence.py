@@ -326,9 +326,3 @@ class TestSpatialDependenceMatrix:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
             SpatialDependenceMatrix(np.array([[0.5, 1.2]]))
-
-    def test_record_tagged_dependence(self):
-        s = SpatialDependenceMatrix(np.array([[0.5, 1.0]]))
-        record = s.to_record(layer="conv2", epoch=5)
-        assert record["kind"] == "dependence"
-        assert record["kernel"] == [1, 2]

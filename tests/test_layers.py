@@ -61,6 +61,17 @@ class TestReLU:
             ReLULayer().backward(np.ones_like(x))
 
 
+@pytest.mark.parametrize("make", [ReLULayer, MaxPoolLayer, lambda: BatchNormLayer(3)],
+                         ids=["relu", "maxpool", "batchnorm"])
+def test_backward_after_eval_forward_raises(make):
+    x = np.random.default_rng(9).normal(size=(2, 3, 4, 4))
+    layer = make()
+    out = layer.forward(x, train=True)
+    layer.forward(x, train=False)
+    with pytest.raises(RuntimeError, match="train-mode forward"):
+        layer.backward(np.ones_like(out))
+
+
 class TestMaxPool:
     def test_forward_blocks(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)

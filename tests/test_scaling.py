@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,16 +24,6 @@ class TestScalingMatrix:
         m = ScalingMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             m.values[0, 0] = 2.0
-
-    def test_json_record_roundtrip(self):
-        m = ScalingMatrix(np.array([[0.5, 1.5], [1.5, 0.5]]))
-        record = json.loads(json.dumps(m.to_record(layer="conv0", epoch=3)))
-        assert record["kind"] == "scaling"
-        assert record["layer"] == "conv0"
-        assert record["epoch"] == 3
-        assert record["kernel"] == [2, 2]
-        restored = np.array(record["values"]).reshape(2, 2)
-        np.testing.assert_array_equal(restored, m.values)
 
 
 class TestFromMasks:

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from spatialgrad import data as data_mod
 from spatialgrad.data import LabeledDataset, synth_digits
 from spatialgrad.layers import ConvLayer, DenseLayer
 from spatialgrad.network import (
@@ -230,7 +231,8 @@ class TestTrainLoop:
                                                 refresh_every=1, scaling_position=position))
         a = train(model, train_ds, test_ds, base_cfg)
         b = train(model, train_ds, test_ds, ones_cfg)
-        assert {tuple(r["kernel"]) for r in b.scaling_history} == {(1, 1), (3, 3)}
+        assert {scaling.kernel for _, refresh in b.refreshes
+                for _, scaling in refresh.values()} == {(1, 1), (3, 3)}
         assert [m.train_loss for m in a.metrics] == [m.train_loss for m in b.metrics]
         wa, wb = a.final_weights(), b.final_weights()
         assert all(np.array_equal(wa[k], wb[k]) for k in wa)
@@ -242,12 +244,12 @@ class TestTrainLoop:
                                                      warmup_epochs=1, refresh_every=2))
         result = train(two_conv_model(), train_ds, test_ds, cfg)
         # refreshes at epochs 1 and 3, two conv layers each
-        epochs = [r["epoch"] for r in result.scaling_history]
+        epochs = [epoch for epoch, refresh in result.refreshes for _ in refresh]
         assert epochs == [1, 1, 3, 3]
-        for record in result.scaling_history:
-            values = np.array(record["values"])
-            assert values.min() > 0
-            assert abs(values.mean() - 1.0) <= 1e-9
+        for _, refresh in result.refreshes:
+            for _, scaling in refresh.values():
+                assert scaling.values.min() > 0
+                assert abs(scaling.values.mean() - 1.0) <= 1e-9
 
     def test_warmup_delays_first_refresh(self):
         train_ds = synth_digits(96, seed=8)
@@ -255,7 +257,7 @@ class TestTrainLoop:
         cfg = momentum_cfg(epochs=2, sgs=SgsSettings(enabled=True, measure="mi",
                                                      warmup_epochs=5, refresh_every=1))
         result = train(two_conv_model(), train_ds, test_ds, cfg)
-        assert result.scaling_history == []
+        assert result.refreshes == []
 
     def test_float32_precision_runs(self):
         train_ds = synth_digits(96, seed=10)
@@ -325,7 +327,7 @@ class TestRefreshScalings:
         ds = synth_digits(64, seed=0)
         sgs = SgsSettings(enabled=True, measure="fixed")
         out = refresh_scalings(net, ds, sgs, np.random.default_rng(0), 32)
-        for matrix in out.values():
+        for _, matrix in out.values():
             np.testing.assert_array_equal(matrix.values, np.ones((3, 3)))
 
     def test_mi_on_noise_images_center_spike(self):
@@ -337,7 +339,7 @@ class TestRefreshScalings:
         net = self.build_net(two_conv_model())
         sgs = SgsSettings(enabled=True, measure="mi", k=5.0, refresh_batches=4)
         out = refresh_scalings(net, noise, sgs, np.random.default_rng(2), 64)
-        first = out[0].values  # first conv sees the raw noise
+        first = out[0][1].values  # first conv sees the raw noise
         assert first[1, 1] == first.max()
         off = np.delete(first.ravel(), 4)
         assert np.all(first[1, 1] > 3 * off)
@@ -347,7 +349,7 @@ class TestRefreshScalings:
         ds = synth_digits(64, seed=3)
         sgs = SgsSettings(enabled=True, measure="alpha_beta", alpha=2.0, beta=4.0)
         out = refresh_scalings(net, ds, sgs, np.random.default_rng(0), 32)
-        for matrix in out.values():
+        for _, matrix in out.values():
             assert matrix.values[1, 1] == pytest.approx(2.25, rel=1e-12)
 
     def test_masks_measure(self):
@@ -356,7 +358,7 @@ class TestRefreshScalings:
         sgs = SgsSettings(enabled=True, measure="masks", mask_family="acb")
         out = refresh_scalings(net, ds, sgs, np.random.default_rng(0), 32)
         raw = np.array([[1, 2, 1], [2, 3, 2], [1, 2, 1]], dtype=float)
-        for matrix in out.values():
+        for _, matrix in out.values():
             np.testing.assert_allclose(matrix.values, raw / raw.mean(), rtol=1e-12)
 
     def test_degenerate_layer_degrades_to_uniform_with_warning(self, caplog):
@@ -371,7 +373,7 @@ class TestRefreshScalings:
         with caplog.at_level(logging.WARNING):
             out = refresh_scalings(net, constant, sgs, np.random.default_rng(0), 32)
         assert any("uniform" in rec.message for rec in caplog.records)
-        np.testing.assert_array_equal(out[0].values, np.ones((3, 3)))
+        np.testing.assert_array_equal(out[0][1].values, np.ones((3, 3)))
 
     def test_non_finite_maps_degrade_to_uniform_with_warning(self, caplog):
         ds = synth_digits(64, seed=6)
@@ -417,7 +419,7 @@ class TestRefreshScalings:
             for got, want in zip(maps, expected[idx]):
                 np.testing.assert_array_equal(got, want)
 
-    def test_one_by_one_kernels_stay_uniform(self):
+    def test_one_by_one_kernels_stay_uniform(self, monkeypatch):
         model = [
             ConvLayerSpec(out_channels=4, kernel=(1, 1)),
             ConvLayerSpec(out_channels=4, kernel=(3, 3), padding=1),
@@ -426,12 +428,14 @@ class TestRefreshScalings:
             SoftmaxXentSpec(),
         ]
         net = build_network(model, (1, 8, 8), 10, np.random.default_rng(5))
-        ds = synth_digits(64, seed=5, image_size=8, jitter=0)
+        monkeypatch.setattr(data_mod, "DIGIT_SIZE", 8)
+        monkeypatch.setattr(data_mod, "DIGIT_JITTER", 0)
+        ds = synth_digits(64, seed=5)
         sgs = SgsSettings(enabled=True, measure="mi")
         out = refresh_scalings(net, ds, sgs, np.random.default_rng(0), 32)
         first_conv, second_conv = net.conv_indices
-        np.testing.assert_array_equal(out[first_conv].values, np.ones((1, 1)))
-        assert out[second_conv].kernel == (3, 3)
+        np.testing.assert_array_equal(out[first_conv][1].values, np.ones((1, 1)))
+        assert out[second_conv][1].kernel == (3, 3)
 
 
 class TestKernelMagnitude:
@@ -450,6 +454,13 @@ class TestKernelMagnitude:
         np.testing.assert_allclose(matrix, expected, rtol=1e-12)
         assert matrix[:, 1].min() > matrix[:, 0].max()
         assert matrix.mean() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weights_rejected(self, bad):
+        w = np.ones((2, 2, 3, 3))
+        w[0, 1, 1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel_magnitude_matrix(w)
 
     def test_zero_weights_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):
