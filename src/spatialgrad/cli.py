@@ -187,10 +187,21 @@ def _cell_settings(sgs: SgsSettings, cell: dict) -> SgsSettings:
         raise ConfigError(f"grid cell {cell}: {exc}") from exc
 
 
-def _grid_cell(model: list, fit: LabeledDataset, val: LabeledDataset,
-               run: TrainingConfig) -> tuple[float, float]:
-    """(validation accuracy, final training loss) of one grid cell; runs in a
-    worker process when ``--jobs`` is above 1."""
+# (model, fit, val) shared by every grid cell of this process. ``_grid_init``
+# sets it once per worker process when ``--jobs`` is above 1, so a cell's task
+# carries only its TrainingConfig.
+_grid_data: tuple | None = None
+
+
+def _grid_init(model: list, fit: LabeledDataset, val: LabeledDataset) -> None:
+    global _grid_data
+    _grid_data = (model, fit, val)
+
+
+def _grid_cell(run: TrainingConfig) -> tuple[float, float]:
+    """(validation accuracy, final training loss) of one grid cell on the data
+    ``_grid_init`` set; runs in a worker process when ``--jobs`` is above 1."""
+    model, fit, val = _grid_data
     last = train(model, fit, val, run).metrics[-1]
     return last.eval_acc, last.train_loss
 
@@ -228,12 +239,17 @@ def cmd_grid_search(args) -> int:
     out = _out_dir(args.out)
     _echo_config(cfg, out)
 
-    work = [(cfg.model, fit, val, run) for run in runs]
+    shared = (cfg.model, fit, val)
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_grid_cell, *zip(*work)))
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_grid_init,
+                                 initargs=shared) as pool:
+            results = list(pool.map(_grid_cell, runs))
     else:
-        results = [_grid_cell(*w) for w in work]
+        _grid_init(*shared)
+        try:
+            results = [_grid_cell(run) for run in runs]
+        finally:
+            _grid_init(None, None, None)  # the datasets do not outlive the command
 
     path = out / "grid.csv"
     _write_csv(path, [*cells[0], "val_acc", "final_train_loss"],

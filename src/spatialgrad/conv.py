@@ -29,23 +29,25 @@ The input gradient is the adjoint of the forward map,
     dXp[n, ci, h*s + kh, w*s + kw] += W[co, ci, kh, kw] * dY[n, co, h, w],
 
 cropped by the padding, and it makes one GEMM per call by one of two
-duals. The choice depends only on the channel counts; when H'*W' = H*W
-(stride 1, "same" padding) it picks the smaller of the two intermediates:
+duals. The choice depends on the channel counts and the stride; at stride 1
+with "same" padding (H'*W' = H*W) it picks the smaller of the two
+intermediates:
 
-- Gather (``Co <= Ci``), the transposed-convolution identity (Dumoulin and
-  Visin, arXiv 1603.07285). Dilate dY by the stride, pad it by k - 1 on
-  each side, and run a stride-1 valid conv over it with the kernel rotated
-  180 degrees and its in/out channels swapped:
-  ``dX = conv(dilate(dY), W[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))``.
+- Gather (stride 1 and ``Co <= Ci``), the transposed-convolution identity
+  (Dumoulin and Visin, arXiv 1603.07285). Pad dY by k - 1 on each side and
+  run a stride-1 valid conv over it with the kernel rotated 180 degrees and
+  its in/out channels swapped:
+  ``dX = conv(pad(dY), W[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))``.
   Only the windows that land inside the unpadded input are built, so the
-  ``_im2col`` matrix has N*Co*kx*ky*H*W entries. Each dX entry is one dot
-  product over (co, kh, kw) inside BLAS; the dilation zeros add exact
-  zeros, and at stride 2 they are three quarters of the matrix.
-- Scatter (``Co > Ci``). One GEMM ``W.reshape(Co, -1).T @ dY`` gives every
-  offset's contribution, [N, Ci*kx*ky, H'*W'] (N*Ci*kx*ky*H'*W' entries);
-  col2im then adds each offset's slice into the padded grid. Each
-  contribution is a dot over co, and the kx*ky offsets are added in
-  row-major order.
+  ``_im2col`` matrix has N*Co*kx*ky*H*W entries, and each dX entry is one
+  dot product over (co, kh, kw) inside BLAS. At stride 2 the identity would
+  first dilate dY by the stride, and three quarters of that matrix would be
+  dilation zeros, so stride 2 always scatters.
+- Scatter (stride 2, or ``Co > Ci``). One GEMM ``W.reshape(Co, -1).T @ dY``
+  gives every offset's contribution, [N, Ci*kx*ky, H'*W']
+  (N*Ci*kx*ky*H'*W' entries); col2im then adds each offset's slice into the
+  padded grid. Each contribution is a dot over co, and the kx*ky offsets
+  are added in row-major order.
 
 The two paths sum in different orders, so for one input they agree to
 rounding, not bitwise; which one runs is fixed by the spec, and every path
@@ -165,8 +167,9 @@ def conv_backward_input(dy: np.ndarray, w: np.ndarray, spec: ConvSpec,
                         input_hw: tuple[int, int]) -> np.ndarray:
     """Loss gradient w.r.t. the input, for an input of spatial size ``input_hw``.
 
-    One GEMM per call: a forward conv of the dilated dY when ``Co <= Ci``,
-    ``W.reshape(Co, -1).T @ dY`` plus col2im otherwise (module docstring).
+    One GEMM per call: a forward conv of the padded dY at stride 1 when
+    ``Co <= Ci``, ``W.reshape(Co, -1).T @ dY`` plus col2im otherwise (module
+    docstring).
     """
     w = _check_weights(w, spec)
     dy = require_rank4(dy, "output gradient")
@@ -180,12 +183,12 @@ def conv_backward_input(dy: np.ndarray, w: np.ndarray, spec: ConvSpec,
     kx, ky = spec.kernel
     n, ci, co = dy.shape[0], spec.in_channels, spec.out_channels
     hp, wp = height + 2 * pad, width + 2 * pad
-    if co <= ci:
-        # Gather: a stride-1 valid conv of dY, dilated by the stride and padded
-        # by k - 1, with the kernel rotated 180 degrees and in/out swapped. The
-        # conv reads only the window rows and columns of the unpadded input.
+    if s == 1 and co <= ci:
+        # Gather: a stride-1 valid conv of dY padded by k - 1, with the kernel
+        # rotated 180 degrees and in/out swapped. The conv reads only the
+        # window rows and columns of the unpadded input.
         dyp = np.zeros((n, co, hp + kx - 1, wp + ky - 1), dtype=dy.dtype)
-        dyp[:, :, kx - 1 : kx + s * (oh - 1) : s, ky - 1 : ky + s * (ow - 1) : s] = dy
+        dyp[:, :, kx - 1 : kx - 1 + oh, ky - 1 : ky - 1 + ow] = dy
         dyp = dyp[:, :, pad : pad + height + kx - 1, pad : pad + width + ky - 1]
         w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
         cols = _im2col(dyp, ConvSpec(co, ci, spec.kernel))

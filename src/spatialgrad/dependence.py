@@ -187,6 +187,11 @@ def _displacements(kernel_shape: tuple[int, int]):
             yield a, b, a - kx // 2, b - ky // 2
 
 
+# Values per block of the unfiltered MI count: 2**16 keeps a block's int64
+# index and row-code arrays (1 MB together) inside a 2 MB L2 cache.
+_BLOCK_VALUES = 1 << 16
+
+
 def spatial_dependence_mi(feature_maps: Sequence[np.ndarray], kernel_shape: tuple[int, int],
                           cfg: BinningConfig) -> SpatialDependenceMatrix:
     """Normalized-MI dependence matrix over the kernel's receptive field.
@@ -196,15 +201,23 @@ def spatial_dependence_mi(feature_maps: Sequence[np.ndarray], kernel_shape: tupl
     (0, 0): those pairs are self-pairs and would all be dropped, while their
     dependence is what anchors the center of the matrix.
 
-    With the filter off, each map is digitized once and its row codes
-    ``index_map * bins`` are formed once, so a displacement's joint costs one
-    add of shifted row codes and column indices and one bincount per map.
+    Unfiltered joints are counted in one blocked loop. Maps are the outer
+    loop; each map is cut into blocks of whole (sample, channel) planes of
+    at most ``_BLOCK_VALUES`` values (one plane if a plane is larger). A
+    block is digitized once and its row codes ``index * bins`` are formed
+    once; then every displacement adds shifted row codes and column indices
+    and bincounts them into its row of one [displacements, bins**2]
+    accumulator. Beyond the maps, the working memory is therefore the arrays
+    of one block (under 2 MB at 2**16 values), not of every map, whatever the
+    number or size of the maps. Every extent is checked before any counting.
+
     The pairs at displacement -d are the pairs at d swapped, so when both lie
     in the kernel (every displacement of an odd kernel does) the joint at -d
     is the transpose of the joint at d. It is reused instead of recounted,
     filter on or off, which halves the ``collect_pairs`` calls of the
-    filtered path. Counts are integers, so every joint, and hence every
-    score, is identical to a per-displacement ``collect_pairs`` call.
+    filtered path. Pairs never cross a plane and counts are integers, so
+    every joint, and hence every score, is identical to a per-displacement
+    ``collect_pairs`` call, for any block size.
     """
     maps = _check_maps(feature_maps)
     if cfg.value_range is None:
@@ -212,28 +225,38 @@ def spatial_dependence_mi(feature_maps: Sequence[np.ndarray], kernel_shape: tupl
     lo, hi = cfg.value_range
     bins = cfg.bins
     delta = _resolve_delta(cfg, lo, hi)
-    index_maps = [_bin_indices(fm, lo, hi, bins) for fm in maps]
-    row_codes = [im * bins for im in index_maps]
     displacements = list(_displacements(kernel_shape))
+    for _, _, i, j in displacements:
+        for fm in maps:
+            _pair_slices(fm.shape, i, j)
     offsets = {(i, j) for _, _, i, j in displacements}
+    # Each unordered {d, -d} is counted once; the filter counts only (0, 0) here.
+    blocked: dict[tuple[int, int], int] = {}
+    for _, _, i, j in displacements:
+        if (-i, -j) not in blocked and (delta is None or (i, j) == (0, 0)):
+            blocked[(i, j)] = len(blocked)
+    counts = np.zeros((len(blocked), bins * bins), dtype=np.int64)
+    for fm in maps:
+        planes = fm.reshape(-1, 1, *fm.shape[2:])
+        step = max(1, _BLOCK_VALUES // (fm.shape[2] * fm.shape[3]))
+        for start in range(0, planes.shape[0], step):
+            index = _bin_indices(planes[start : start + step], lo, hi, bins)
+            rows = index * bins
+            for (i, j), row in blocked.items():
+                p, q = _pair_slices(index.shape, i, j)
+                counts[row] += np.bincount((rows[p] + index[q]).ravel(), minlength=bins * bins)
     mirrored: dict[tuple[int, int], np.ndarray] = {}
     values = np.zeros(kernel_shape, dtype=np.float64)
     for a, b, i, j in displacements:
         joint = mirrored.pop((i, j), None)
         if joint is None:
-            if delta is not None and (i, j) != (0, 0):
-                joint = collect_pairs(maps, (i, j), cfg)
-            else:
-                counts = np.zeros(bins * bins, dtype=np.int64)
-                got = 0
-                for im, rows in zip(index_maps, row_codes):
-                    p, q = _pair_slices(im.shape, i, j)
-                    codes = rows[p] + im[q]
-                    counts += np.bincount(codes.ravel(), minlength=bins * bins)
-                    got += codes.size
-                if got == 0:
+            if (i, j) in blocked:
+                joint = counts[blocked[(i, j)]]
+                if not joint.any():
                     raise EstimatorError(f"no pairs collected for displacement ({i}, {j})")
-                joint = counts.reshape(bins, bins).astype(np.float64)
+                joint = joint.reshape(bins, bins).astype(np.float64)
+            else:
+                joint = collect_pairs(maps, (i, j), cfg)
             if (-i, -j) in offsets and (-i, -j) != (i, j):
                 mirrored[(-i, -j)] = np.ascontiguousarray(joint.T)
         values[a, b] = normalized_mi(joint)

@@ -507,6 +507,52 @@ class TestGridSearch:
             assert "seed = 5" in (out / "resolved.ini").read_text()
         assert grids[0] == grids[1]
 
+    def test_workers_get_the_data_once(self, tmp_path, monkeypatch):
+        from spatialgrad.data import LabeledDataset
+        from spatialgrad.training import TrainingConfig
+
+        seen = {}
+
+        class InlinePool:
+            """Runs the pool's initializer and tasks in this process, recording them."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                seen["initargs"] = initargs
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                seen["tasks"] = list(tasks)
+                return map(fn, seen["tasks"])
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_grid_data", None)
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(train_size=64),
+                           train_block(epochs=1), "\n[sgs]\nenabled = false\n")
+        assert main(["grid-search", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--ks", "2,5", "--jobs", "2"]) == 0
+        model, fit, val = seen["initargs"]
+        assert isinstance(fit, LabeledDataset) and isinstance(val, LabeledDataset)
+        assert len(fit) + len(val) == 64
+        assert [type(task) for task in seen["tasks"]] == [TrainingConfig, TrainingConfig]
+
+    def test_jobs_do_not_change_the_grid(self, tmp_path):
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(train_size=64),
+                           train_block(epochs=1),
+                           "\n[sgs]\nwarmup_epochs = 0\nrefresh_every = 1\n")
+        grids = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"o-{jobs}"
+            assert main(["grid-search", "--config", cfg, "--out", str(out),
+                         "--ks", "2,5", "--jobs", jobs]) == 0
+            grids.append((out / "grid.csv").read_bytes())
+        assert grids[0] == grids[1]
+
     def test_requires_a_grid(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block())
         assert main(["grid-search", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

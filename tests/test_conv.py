@@ -272,7 +272,7 @@ class TestConvBackwardInput:
     @pytest.mark.parametrize("kernel", [(3, 3), (2, 3), (3, 1)])
     @pytest.mark.parametrize("padding", [0, 1, 2, 3])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("ci,co", [(1, 4), (3, 3), (4, 1)])  # both sides of co <= ci
+    @pytest.mark.parametrize("ci,co", [(1, 4), (3, 3), (4, 1), (4, 4), (3, 2)])  # both sides of co <= ci
     def test_matches_loop_oracle(self, ci, co, stride, padding, kernel, dtype, tol):
         rng = np.random.default_rng(12)
         spec = ConvSpec(ci, co, kernel, stride=stride, padding=padding)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spatialgrad import dependence
 from spatialgrad.dependence import (
     BinningConfig,
     EstimatorError,
@@ -222,6 +224,85 @@ class TestEstimatorEqualsCollectPairs:
         for i, j in [(0, 1), (1, 0), (1, 2), (-2, 1), (3, -3)]:
             joint = collect_pairs(maps, (i, j), cfg)
             assert np.array_equal(joint, collect_pairs(maps, (-i, -j), cfg).T)
+
+
+def mixed_maps(seed):
+    """Tied batches of 6, 10 and 4 planes on 9x8, 7x10 and 6x6 grids."""
+    rng = np.random.default_rng(seed)
+    return [np.round(np.maximum(rng.normal(size=shape), 0.0), 1)
+            for shape in ((3, 2, 9, 8), (5, 2, 7, 10), (2, 2, 6, 6))]
+
+
+class TestBlockBoundaries:
+    """Where the block loop cuts a map never changes a count."""
+
+    # 1 value: one plane per block. 288 values: 4 of the 72- and 70-value
+    # planes, so neither the 6- nor the 10-plane map divides into blocks.
+    # 10**6 values: every map in one block.
+    @pytest.mark.parametrize("block_values", [1, 288, 10**6])
+    @pytest.mark.parametrize("kernel", [(3, 3), (7, 7), (5, 3), (2, 1)])
+    @pytest.mark.parametrize("redundancy_filter", [None, "auto", 0.3])
+    def test_matches_rebuild(self, monkeypatch, block_values, kernel, redundancy_filter):
+        monkeypatch.setattr(dependence, "_BLOCK_VALUES", block_values)
+        maps = mixed_maps(sum(kernel))
+        cfg = BinningConfig(bins=8, redundancy_filter=redundancy_filter)
+        fast = spatial_dependence_mi(maps, kernel, cfg).values
+        assert np.array_equal(fast, collect_pairs_rebuild(maps, kernel, cfg))
+
+    @given(block_values=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+           batches=st.lists(st.tuples(st.integers(1, 4), st.integers(4, 9), st.integers(4, 9)),
+                            min_size=1, max_size=3),
+           kernel=st.tuples(st.integers(1, 7), st.integers(1, 7)))
+    @settings(max_examples=60, deadline=None)
+    def test_any_block_size_matches_rebuild(self, block_values, seed, batches, kernel):
+        rng = np.random.default_rng(seed)
+        maps = [np.round(rng.uniform(size=(n, 2, h, w)), 1) for n, h, w in batches]
+        cfg = BinningConfig(bins=6)
+        original = dependence._BLOCK_VALUES
+        dependence._BLOCK_VALUES = block_values
+        try:
+            fast = spatial_dependence_mi(maps, kernel, cfg).values
+        finally:
+            dependence._BLOCK_VALUES = original
+        assert np.array_equal(fast, collect_pairs_rebuild(maps, kernel, cfg))
+
+
+class TestEstimatorErrors:
+    def test_extent_checked_before_any_counting(self, monkeypatch):
+        def no_binning(*args):
+            raise AssertionError("a map was binned before every extent was checked")
+
+        monkeypatch.setattr(dependence, "_bin_indices", no_binning)
+        maps = [np.ones((2, 2, 9, 8)), np.ones((2, 2, 3, 5)), np.ones((1, 2, 2, 2))]
+        with pytest.raises(EstimatorError, match=r"displacement \(-3, -3\) exceeds "
+                                                 r"spatial extent 3x5"):
+            spatial_dependence_mi(maps, (7, 7), BinningConfig())
+
+    @pytest.mark.parametrize("redundancy_filter,suffix", [(None, "$"),
+                                                          ("auto", " after redundancy")])
+    def test_empty_maps_name_the_first_displacement(self, redundancy_filter, suffix):
+        maps = [np.zeros((0, 2, 6, 6))]
+        cfg = BinningConfig(value_range=(0.0, 1.0), redundancy_filter=redundancy_filter)
+        with pytest.raises(EstimatorError,
+                           match=r"no pairs collected for displacement \(-1, -1\)" + suffix):
+            spatial_dependence_mi(maps, (3, 3), cfg)
+
+
+class TestEstimatorMemory:
+    def test_peak_allocation_is_a_block_not_the_maps(self):
+        # Two 4 MiB float64 maps. Binning whole maps into int64 indices and
+        # row codes would allocate twice their bytes; one block's arrays take
+        # about 1.5 MiB however large the maps are.
+        rng = np.random.default_rng(8)
+        maps = [np.maximum(rng.normal(size=(32, 16, 32, 32)), 0.0) for _ in range(2)]
+        map_bytes = sum(fm.nbytes for fm in maps)
+        tracemalloc.start()
+        try:
+            spatial_dependence_mi(maps, (3, 3), BinningConfig(bins=32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < map_bytes / 2
 
 
 def synth_field(target_pairs, seed):
