@@ -6,7 +6,9 @@ pairs are pooled over samples, channels, and positions from one or more
 feature-map batches, then scored either by normalized mutual information over
 a discrete joint histogram (primary) or by absolute Pearson autocorrelation
 (ablation). Scores land in a kernel-shaped matrix with entries in [0, 1],
-entry (a, b) holding the displacement (a - kx//2, b - ky//2).
+entry (a, b) holding the displacement (a - kx//2, b - ky//2). Every joint
+histogram, filtered or not, is counted by one loop over cache-sized blocks
+of whole planes, so its memory beyond the maps is one block's arrays.
 """
 
 from __future__ import annotations
@@ -59,11 +61,15 @@ class SpatialDependenceMatrix(KernelMatrix):
             raise ValueError("dependence values must lie in [0, 1]")
 
 
-def _check_maps(feature_maps: Sequence[np.ndarray]) -> list[np.ndarray]:
+def _check_maps(feature_maps: Sequence[np.ndarray]) -> tuple[list, tuple[float, float]]:
+    """The maps, checked map by map, and their pooled (min, max).
+
+    Finiteness is read from each map's min and max, which a NaN also reaches."""
     if len(feature_maps) == 0:
         raise EstimatorError("no feature maps supplied")
     maps = []
     channels = None
+    lo, hi = np.inf, -np.inf
     for idx, fm in enumerate(feature_maps):
         fm = np.asarray(fm)
         if fm.ndim != 4:
@@ -72,16 +78,13 @@ def _check_maps(feature_maps: Sequence[np.ndarray]) -> list[np.ndarray]:
             channels = fm.shape[1]
         elif fm.shape[1] != channels:
             raise ValueError("feature maps must share a channel count")
-        if not np.isfinite(fm).all():
-            raise EstimatorError(f"feature map {idx} holds non-finite values")
+        if fm.size:
+            fm_lo, fm_hi = float(fm.min()), float(fm.max())
+            if not (np.isfinite(fm_lo) and np.isfinite(fm_hi)):
+                raise EstimatorError(f"feature map {idx} holds non-finite values")
+            lo, hi = min(lo, fm_lo), max(hi, fm_hi)
         maps.append(fm)
-    return maps
-
-
-def _pooled_range(maps: Sequence[np.ndarray]) -> tuple[float, float]:
-    lo = min(float(fm.min()) for fm in maps)
-    hi = max(float(fm.max()) for fm in maps)
-    return lo, hi
+    return maps, (lo, hi)
 
 
 def _pair_slices(shape: tuple[int, ...], i: int, j: int) -> tuple[tuple, tuple]:
@@ -94,12 +97,6 @@ def _pair_slices(shape: tuple[int, ...], i: int, j: int) -> tuple[tuple, tuple]:
     hs, he = max(0, -i), h - max(0, i)
     ws, we = max(0, -j), w - max(0, j)
     return np.s_[:, :, hs:he, ws:we], np.s_[:, :, hs + i : he + i, ws + j : we + j]
-
-
-def _displaced_pairs(fm: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """All in-bounds (pixel, neighbour) value pairs for displacement (i, j)."""
-    p, q = _pair_slices(fm.shape, i, j)
-    return fm[p].ravel(), fm[q].ravel()
 
 
 def _bin_indices(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
@@ -119,33 +116,61 @@ def _resolve_delta(cfg: BinningConfig, lo: float, hi: float) -> float | None:
     return cfg.redundancy_filter
 
 
+# Values per block of the joint count: 2**16 keeps a block's int64 index and
+# row-code arrays (1 MB together) inside a 2 MB L2 cache.
+_BLOCK_VALUES = 1 << 16
+
+
+def _count_joints(maps: Sequence[np.ndarray], displacements: Sequence[tuple[int, int]],
+                  lo: float, hi: float, bins: int, delta: float | None) -> np.ndarray:
+    """Int64 joint counts [len(displacements), bins**2] over all maps.
+
+    Every extent is checked first. Each map is cut into blocks of whole
+    (sample, channel) planes of at most ``_BLOCK_VALUES`` values, or one
+    plane; a block is binned once, and each displacement bincounts its
+    shifted row codes ``index * bins`` plus column indices, keeping only the
+    pairs with |p - q| >= delta when ``delta`` is set. Pairs never cross a
+    plane, and binning and the filter are elementwise in the map's dtype, so
+    no count depends on the block size.
+    """
+    for i, j in displacements:
+        for fm in maps:
+            _pair_slices(fm.shape, i, j)
+    counts = np.zeros((len(displacements), bins * bins), dtype=np.int64)
+    for fm in maps:
+        planes = fm.reshape(-1, 1, *fm.shape[2:])
+        step = max(1, _BLOCK_VALUES // (fm.shape[2] * fm.shape[3]))
+        for start in range(0, planes.shape[0], step):
+            block = planes[start : start + step]
+            index = _bin_indices(block, lo, hi, bins)
+            rows = index * bins
+            for row, (i, j) in enumerate(displacements):
+                p, q = _pair_slices(index.shape, i, j)
+                codes = rows[p] + index[q]
+                if delta is not None:
+                    codes = codes[np.abs(block[p] - block[q]) >= delta]
+                counts[row] += np.bincount(codes.ravel(), minlength=bins * bins)
+                del codes  # alive while the next codes are formed, it cost 5 %
+    return counts
+
+
 def collect_pairs(feature_maps: Sequence[np.ndarray], displacement: tuple[int, int],
                   cfg: BinningConfig) -> np.ndarray:
     """Joint (bins x bins) histogram of pixel/neighbour pairs over all maps.
 
-    Pairs are accumulated map by map in input order. With the redundancy
-    filter on, pairs with |p - q| below the threshold are dropped before
-    binning; an empty surviving pair set is an error.
+    Counted by the estimator's blocked loop, after every map is validated and
+    every extent checked. With the redundancy filter on, pairs with |p - q|
+    below the threshold are dropped before the count; an empty surviving pair
+    set is an error.
     """
-    maps = _check_maps(feature_maps)
+    maps, pooled = _check_maps(feature_maps)
     i, j = displacement
-    lo, hi = cfg.value_range if cfg.value_range is not None else _pooled_range(maps)
+    lo, hi = cfg.value_range if cfg.value_range is not None else pooled
     delta = _resolve_delta(cfg, lo, hi)
-    counts = np.zeros(cfg.bins * cfg.bins, dtype=np.int64)
-    for fm in maps:
-        p, q = _displaced_pairs(fm, i, j)
-        if delta is not None:
-            keep = np.abs(p - q) >= delta
-            p, q = p[keep], q[keep]
-        if p.size == 0:
-            continue
-        joint = _bin_indices(p, lo, hi, cfg.bins) * cfg.bins + _bin_indices(q, lo, hi, cfg.bins)
-        counts += np.bincount(joint, minlength=cfg.bins * cfg.bins)
-    if counts.sum() == 0:
-        raise EstimatorError(
-            f"no pairs collected for displacement ({i}, {j})"
-            + (" after redundancy filtering" if delta is not None else "")
-        )
+    counts = _count_joints(maps, [(i, j)], lo, hi, cfg.bins, delta)[0]
+    if not counts.any():
+        raise EstimatorError(f"no pairs collected for displacement ({i}, {j})"
+                             + (" after redundancy filtering" if delta is not None else ""))
     return counts.reshape(cfg.bins, cfg.bins).astype(np.float64)
 
 
@@ -187,11 +212,6 @@ def _displacements(kernel_shape: tuple[int, int]):
             yield a, b, a - kx // 2, b - ky // 2
 
 
-# Values per block of the unfiltered MI count: 2**16 keeps a block's int64
-# index and row-code arrays (1 MB together) inside a 2 MB L2 cache.
-_BLOCK_VALUES = 1 << 16
-
-
 def spatial_dependence_mi(feature_maps: Sequence[np.ndarray], kernel_shape: tuple[int, int],
                           cfg: BinningConfig) -> SpatialDependenceMatrix:
     """Normalized-MI dependence matrix over the kernel's receptive field.
@@ -199,29 +219,22 @@ def spatial_dependence_mi(feature_maps: Sequence[np.ndarray], kernel_shape: tupl
     The bin range is fixed once from the pooled activations and reused for
     every displacement. The redundancy filter is skipped at displacement
     (0, 0): those pairs are self-pairs and would all be dropped, while their
-    dependence is what anchors the center of the matrix.
-
-    Unfiltered joints are counted in one blocked loop. Maps are the outer
-    loop; each map is cut into blocks of whole (sample, channel) planes of
-    at most ``_BLOCK_VALUES`` values (one plane if a plane is larger). A
-    block is digitized once and its row codes ``index * bins`` are formed
-    once; then every displacement adds shifted row codes and column indices
-    and bincounts them into its row of one [displacements, bins**2]
-    accumulator. Beyond the maps, the working memory is therefore the arrays
-    of one block (under 2 MB at 2**16 values), not of every map, whatever the
-    number or size of the maps. Every extent is checked before any counting.
+    dependence is what anchors the center of the matrix. Every extent is
+    checked before any counting.
 
     The pairs at displacement -d are the pairs at d swapped, so when both lie
     in the kernel (every displacement of an odd kernel does) the joint at -d
-    is the transpose of the joint at d. It is reused instead of recounted,
-    filter on or off, which halves the ``collect_pairs`` calls of the
-    filtered path. Pairs never cross a plane and counts are integers, so
-    every joint, and hence every score, is identical to a per-displacement
-    ``collect_pairs`` call, for any block size.
+    is the transpose of the joint at d, reused instead of recounted. The
+    unfiltered joints are counted in one ``_count_joints`` call. With the
+    filter on, each unordered off-centre displacement (24 of a 7x7 kernel)
+    is one ``collect_pairs`` call through the same loop; the calls stay
+    separate only because the benchmark traces them (ROADMAP direction 1
+    folds them into one). Every joint is therefore identical to a
+    per-displacement ``collect_pairs`` call, for any block size.
     """
-    maps = _check_maps(feature_maps)
+    maps, pooled = _check_maps(feature_maps)
     if cfg.value_range is None:
-        cfg = replace(cfg, value_range=_pooled_range(maps))
+        cfg = replace(cfg, value_range=pooled)
     lo, hi = cfg.value_range
     bins = cfg.bins
     delta = _resolve_delta(cfg, lo, hi)
@@ -235,26 +248,16 @@ def spatial_dependence_mi(feature_maps: Sequence[np.ndarray], kernel_shape: tupl
     for _, _, i, j in displacements:
         if (-i, -j) not in blocked and (delta is None or (i, j) == (0, 0)):
             blocked[(i, j)] = len(blocked)
-    counts = np.zeros((len(blocked), bins * bins), dtype=np.int64)
-    for fm in maps:
-        planes = fm.reshape(-1, 1, *fm.shape[2:])
-        step = max(1, _BLOCK_VALUES // (fm.shape[2] * fm.shape[3]))
-        for start in range(0, planes.shape[0], step):
-            index = _bin_indices(planes[start : start + step], lo, hi, bins)
-            rows = index * bins
-            for (i, j), row in blocked.items():
-                p, q = _pair_slices(index.shape, i, j)
-                counts[row] += np.bincount((rows[p] + index[q]).ravel(), minlength=bins * bins)
+    counts = _count_joints(maps, list(blocked), lo, hi, bins, None)
     mirrored: dict[tuple[int, int], np.ndarray] = {}
     values = np.zeros(kernel_shape, dtype=np.float64)
     for a, b, i, j in displacements:
         joint = mirrored.pop((i, j), None)
         if joint is None:
             if (i, j) in blocked:
-                joint = counts[blocked[(i, j)]]
+                joint = counts[blocked[(i, j)]].reshape(bins, bins).astype(np.float64)
                 if not joint.any():
                     raise EstimatorError(f"no pairs collected for displacement ({i}, {j})")
-                joint = joint.reshape(bins, bins).astype(np.float64)
             else:
                 joint = collect_pairs(maps, (i, j), cfg)
             if (-i, -j) in offsets and (-i, -j) != (i, j):
@@ -271,16 +274,12 @@ def spatial_dependence_autocorr(feature_maps: Sequence[np.ndarray],
     a scaling source (raw correlation may be negative); a zero-variance
     marginal yields 0 by convention.
     """
-    maps = _check_maps(feature_maps)
+    maps, _ = _check_maps(feature_maps)
     values = np.zeros(kernel_shape, dtype=np.float64)
     for a, b, i, j in _displacements(kernel_shape):
-        ps, qs = [], []
-        for fm in maps:
-            p, q = _displaced_pairs(fm, i, j)
-            ps.append(p)
-            qs.append(q)
-        p = np.concatenate(ps)
-        q = np.concatenate(qs)
+        slices = [(fm, *_pair_slices(fm.shape, i, j)) for fm in maps]
+        p = np.concatenate([fm[s].ravel() for fm, s, _ in slices])
+        q = np.concatenate([fm[s].ravel() for fm, _, s in slices])
         if p.size == 0:
             raise EstimatorError(f"no pairs collected for displacement ({i}, {j})")
         var_p = p.var()

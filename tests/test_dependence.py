@@ -267,6 +267,58 @@ class TestBlockBoundaries:
         assert np.array_equal(fast, collect_pairs_rebuild(maps, kernel, cfg))
 
 
+def naive_joint(maps, displacement, cfg):
+    """collect_pairs from whole-map pair copies, each copy filtered and binned on its own.
+
+    Shares no code with the estimator: the pooled range, the pair slices, the
+    filter threshold and the binning are written out here.
+    """
+    i, j = displacement
+    lo, hi = cfg.value_range or (min(float(fm.min()) for fm in maps),
+                                 max(float(fm.max()) for fm in maps))
+    delta = (hi - lo) / cfg.bins if cfg.redundancy_filter == "auto" else cfg.redundancy_filter
+
+    def bin_index(values):
+        if hi <= lo:
+            return np.zeros(values.shape, dtype=np.int64)
+        return np.clip(((values - lo) * (cfg.bins / (hi - lo))).astype(np.int64), 0, cfg.bins - 1)
+
+    counts = np.zeros(cfg.bins * cfg.bins, dtype=np.int64)
+    for fm in maps:
+        h, w = fm.shape[2:]
+        p = fm[:, :, max(0, -i) : h - max(0, i), max(0, -j) : w - max(0, j)].ravel()
+        q = fm[:, :, max(0, i) : h + min(0, i), max(0, j) : w + min(0, j)].ravel()
+        if delta is not None:
+            keep = np.abs(p - q) >= delta
+            p, q = p[keep], q[keep]
+        counts += np.bincount(bin_index(p) * cfg.bins + bin_index(q), minlength=cfg.bins ** 2)
+    return counts.reshape(cfg.bins, cfg.bins).astype(np.float64)
+
+
+class TestCollectPairsEqualsNaiveJoint:
+    """collect_pairs counts through the block loop; every joint is bitwise the naive one."""
+
+    # The smallest mixed map is 6x6, so |i| and |j| reach h - 1 = 5.
+    DISPLACEMENTS = [(0, 1), (1, 0), (-2, 3), (3, -4), (5, -5), (-5, 5)]
+
+    @pytest.mark.parametrize("block_values", [1, 288, 10**6])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("redundancy_filter", [None, "auto", 0.3])
+    @pytest.mark.parametrize("value_range", [None, (0.2, 1.5)])
+    def test_matches_naive_joint(self, monkeypatch, block_values, dtype, redundancy_filter,
+                                 value_range):
+        monkeypatch.setattr(dependence, "_BLOCK_VALUES", block_values)
+        maps = [fm.astype(dtype) for fm in mixed_maps(3)]
+        # The narrow range is clipped at both ends; the pooled one puts the
+        # data maximum exactly on its upper edge, in the last bin.
+        assert min(fm.min() for fm in maps) < 0.2 and max(fm.max() for fm in maps) > 1.5
+        cfg = BinningConfig(bins=8, value_range=value_range,
+                            redundancy_filter=redundancy_filter)
+        displacements = self.DISPLACEMENTS + ([(0, 0)] if redundancy_filter is None else [])
+        for d in displacements:
+            assert np.array_equal(collect_pairs(maps, d, cfg), naive_joint(maps, d, cfg)), d
+
+
 class TestEstimatorErrors:
     def test_extent_checked_before_any_counting(self, monkeypatch):
         def no_binning(*args):
@@ -278,6 +330,19 @@ class TestEstimatorErrors:
                                                  r"spatial extent 3x5"):
             spatial_dependence_mi(maps, (7, 7), BinningConfig())
 
+    @pytest.mark.parametrize("maps,error", [
+        ([np.ones((2, 2, 9, 8)), np.ones((2, 2, 3, 5))],
+         r"displacement \(3, 0\) exceeds spatial extent 3x5"),
+        ([np.ones((2, 2, 2, 2)), np.full((2, 2, 9, 8), np.nan)], "feature map 1 holds non-finite"),
+    ])
+    def test_collect_pairs_checks_every_map_before_binning(self, monkeypatch, maps, error):
+        def no_binning(*args):
+            raise AssertionError("a map was binned before every map and extent was checked")
+
+        monkeypatch.setattr(dependence, "_bin_indices", no_binning)
+        with pytest.raises(EstimatorError, match=error):
+            collect_pairs(maps, (3, 0), BinningConfig(redundancy_filter="auto"))
+
     @pytest.mark.parametrize("redundancy_filter,suffix", [(None, "$"),
                                                           ("auto", " after redundancy")])
     def test_empty_maps_name_the_first_displacement(self, redundancy_filter, suffix):
@@ -287,22 +352,50 @@ class TestEstimatorErrors:
                            match=r"no pairs collected for displacement \(-1, -1\)" + suffix):
             spatial_dependence_mi(maps, (3, 3), cfg)
 
+    def test_zero_size_maps_add_nothing_to_the_pooled_range(self):
+        with pytest.raises(EstimatorError, match="no pairs collected"):
+            spatial_dependence_mi([np.zeros((0, 2, 6, 6))], (3, 3), BinningConfig())
+        fm = np.random.default_rng(0).uniform(size=(2, 2, 6, 6))
+        cfg = BinningConfig(redundancy_filter="auto")
+        with_empty = spatial_dependence_mi([np.zeros((0, 2, 6, 6)), fm], (3, 3), cfg)
+        assert np.array_equal(with_empty.values, spatial_dependence_mi([fm], (3, 3), cfg).values)
+
+
+def traced_peak(call, *args):
+    """Peak bytes tracemalloc sees allocated during call(*args)."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestEstimatorMemory:
-    def test_peak_allocation_is_a_block_not_the_maps(self):
-        # Two 4 MiB float64 maps. Binning whole maps into int64 indices and
-        # row codes would allocate twice their bytes; one block's arrays take
-        # about 1.5 MiB however large the maps are.
+    @staticmethod
+    def four_mib_maps():
         rng = np.random.default_rng(8)
-        maps = [np.maximum(rng.normal(size=(32, 16, 32, 32)), 0.0) for _ in range(2)]
-        map_bytes = sum(fm.nbytes for fm in maps)
-        tracemalloc.start()
-        try:
-            spatial_dependence_mi(maps, (3, 3), BinningConfig(bins=32))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < map_bytes / 2
+        return [np.maximum(rng.normal(size=(32, 16, 32, 32)), 0.0) for _ in range(2)]
+
+    def test_peak_allocation_is_a_block_not_the_maps(self):
+        # Binning whole maps into int64 indices and row codes would allocate
+        # twice their bytes; one block's arrays take about 1.5 MiB however
+        # large the maps are.
+        maps = self.four_mib_maps()
+        peak = traced_peak(spatial_dependence_mi, maps, (3, 3), BinningConfig(bins=32))
+        assert peak < sum(fm.nbytes for fm in maps) / 2
+
+    def test_filtered_collect_pairs_peak_is_a_block_not_the_maps(self):
+        # Copying each map's pixel and neighbour values whole, then filtering
+        # and binning the copies, allocated about 2.3 times the maps' bytes.
+        maps = self.four_mib_maps()
+        cfg = BinningConfig(bins=32, redundancy_filter="auto")
+        assert traced_peak(collect_pairs, maps, (1, 1), cfg) < sum(fm.nbytes for fm in maps) / 2
+
+    def test_map_check_allocates_no_map_sized_mask(self):
+        # A bool finiteness mask of this float32 map would take 1 MiB.
+        fm = np.random.default_rng(8).normal(size=(64, 16, 32, 32)).astype(np.float32)
+        assert traced_peak(dependence._check_maps, [fm]) < fm.nbytes / 16
 
 
 def synth_field(target_pairs, seed):
