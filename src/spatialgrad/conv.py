@@ -24,6 +24,12 @@ differs from a contraction over all of (n, h, w) at once (such as
 ``einsum`` over the window view), so the two agree to rounding, not
 bitwise.
 
+Each of the two builds the matrix per call and keeps nothing, unless it is
+passed one as ``cols=im2col(x, spec)``. A caller that runs both on one
+input, as a train-mode ``ConvLayer`` does, builds it once and passes it to
+both; ``reparam``'s oracle makes the plain calls. The matrix is the same
+either way, so the results are bitwise equal.
+
 The input gradient is the adjoint of the forward map,
 
     dXp[n, ci, h*s + kh, w*s + kw] += W[co, ci, kh, kw] * dY[n, co, h, w],
@@ -140,25 +146,61 @@ def _im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return view.transpose(0, 1, 4, 5, 2, 3).reshape(n, ci * kx * ky, oh * ow)
 
 
-def conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Convolve x [N, Ci, H, W] with w [Co, Ci, kx, ky] -> [N, Co, H', W']."""
+def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """The window matrix [N, Ci*kx*ky, H'*W'] of x, as ``conv_forward`` builds it.
+
+    Pass it as ``cols`` to ``conv_forward`` and ``conv_backward_weights`` to
+    build it once for both.
+    """
+    return _im2col(_check_input(x, spec), spec)
+
+
+def _check_cols(cols: np.ndarray, spec: ConvSpec, n: int, cells: int) -> None:
+    kx, ky = spec.kernel
+    expected = (n, spec.in_channels * kx * ky, cells)
+    if np.shape(cols) != expected:
+        raise ShapeError(f"window matrix shape {np.shape(cols)}, expected {expected}")
+
+
+def conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, *,
+                 cols: np.ndarray | None = None) -> np.ndarray:
+    """Convolve x [N, Ci, H, W] with w [Co, Ci, kx, ky] -> [N, Co, H', W'].
+
+    ``cols``, if given, is ``im2col(x, spec)`` and is used in place of a new
+    window matrix.
+    """
     x = _check_input(x, spec)
     w = _check_weights(w, spec)
     oh, ow = spec.out_size(x.shape[2], x.shape[3])
-    y = w.reshape(spec.out_channels, -1) @ _im2col(x, spec)
+    if cols is None:
+        cols = _im2col(x, spec)
+    else:
+        _check_cols(cols, spec, x.shape[0], oh * ow)
+    y = w.reshape(spec.out_channels, -1) @ cols
     return y.reshape(x.shape[0], spec.out_channels, oh, ow)
 
 
-def conv_backward_weights(dy: np.ndarray, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Loss gradient w.r.t. the weights; depends on dY and X only, never on W."""
-    x = _check_input(x, spec)
+def conv_backward_weights(dy: np.ndarray, x: np.ndarray | None, spec: ConvSpec, *,
+                          cols: np.ndarray | None = None) -> np.ndarray:
+    """Loss gradient w.r.t. the weights; depends on dY and X only, never on W.
+
+    With ``cols``, the window matrix ``im2col(x, spec)`` of the forward pass,
+    x is not read and may be ``None``; dY is then checked against ``cols``.
+    """
     dy = require_rank4(dy, "output gradient")
-    oh, ow = spec.out_size(x.shape[2], x.shape[3])
-    expected = (x.shape[0], spec.out_channels, oh, ow)
-    if dy.shape != expected:
-        raise ShapeError(f"output gradient shape {dy.shape}, expected {expected}")
-    cols = _im2col(x, spec)
-    per_sample = np.matmul(dy.reshape(x.shape[0], spec.out_channels, -1),
+    if cols is None:
+        x = _check_input(x, spec)
+        oh, ow = spec.out_size(x.shape[2], x.shape[3])
+        expected = (x.shape[0], spec.out_channels, oh, ow)
+        if dy.shape != expected:
+            raise ShapeError(f"output gradient shape {dy.shape}, expected {expected}")
+        cols = _im2col(x, spec)
+    else:
+        if dy.shape[1] != spec.out_channels:
+            raise ShapeError(f"output gradient has {dy.shape[1]} channels, "
+                             f"spec expects {spec.out_channels}")
+        _check_cols(cols, spec, dy.shape[0], dy.shape[2] * dy.shape[3])
+    per_sample = np.matmul(dy.reshape(dy.shape[0], spec.out_channels, -1),
                            cols.transpose(0, 2, 1))
     return per_sample.sum(axis=0).reshape(spec.weight_shape)
 

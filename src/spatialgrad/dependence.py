@@ -284,7 +284,9 @@ def spatial_dependence_autocorr(feature_maps: Sequence[np.ndarray],
             raise EstimatorError(f"no pairs collected for displacement ({i}, {j})")
         var_p = p.var()
         var_q = q.var()
-        if var_p <= 0 or var_q <= 0:
+        # A constant such as 0.1 can leave a var() of order 1e-34, not 0, so
+        # a constant side is found from its extremes.
+        if p.min() == p.max() or q.min() == q.max() or var_p == 0 or var_q == 0:
             values[a, b] = 0.0
             continue
         cov = ((p - p.mean()) * (q - q.mean())).mean()

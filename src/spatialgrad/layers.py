@@ -1,6 +1,11 @@
 """Network layer primitives: forward and backward.
 
-Each layer caches what its backward pass needs during forward. A layer holds
+Each layer caches what its backward pass needs during forward and holds it
+until its next forward. Conv, ReLU, max-pool and batch norm cache it only in
+a train-mode forward; after an eval-mode forward (``train=False``) their
+backward raises ``RuntimeError``. The largest cache is the conv layer's
+window matrix, ``kx*ky`` times the size of its input, which its backward
+frees once the weight gradient is formed. A layer holds
 its parameters in ``params`` and their gradients in ``grads``, two dicts keyed
 by parameter name (``W``, ``b``, ``gamma``, ``beta``; empty for layers without
 parameters). Each backward refills ``grads``; the trainer owns the optimizer
@@ -12,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import ConvSpec, conv_backward_input, conv_backward_weights, conv_forward
+from .conv import ConvSpec, conv_backward_input, conv_backward_weights, conv_forward, im2col
 from .tensor import ShapeError
 
 
@@ -29,21 +34,48 @@ class Layer:
 
 
 class ConvLayer(Layer):
+    """Convolution with weights ``params["W"]``; no bias.
+
+    A train-mode forward builds the input's window matrix (``im2col``) once,
+    uses it for the forward GEMM and keeps it; ``backward`` computes
+    ``grads["W"]`` from it and frees it. So a step copies each input's
+    windows once and holds the copy, ``kx*ky`` times the input's size, only
+    from forward to backward. An eval-mode forward (``train=False``), such
+    as the scaling refresh's capture forward, keeps no matrix, and
+    ``backward`` without a train-mode forward since the last backward raises
+    ``RuntimeError``. Every forward records the input's spatial size, which
+    the input gradient needs.
+    """
+
+    _cols: np.ndarray | None = None
+    _in_hw: tuple[int, int] | None = None
+
     def __init__(self, spec: ConvSpec, weights: np.ndarray):
         if weights.shape != spec.weight_shape:
             raise ShapeError(f"weights shape {weights.shape}, spec wants {spec.weight_shape}")
         super().__init__()
         self.spec = spec
         self.params["W"] = weights
-        self._x: np.ndarray | None = None
 
     def forward(self, x, train):
-        self._x = x
-        return conv_forward(x, self.params["W"], self.spec)
+        self._cols = None  # drop a matrix no backward consumed before building the next
+        self._in_hw = x.shape[2:]
+        if not train:
+            return conv_forward(x, self.params["W"], self.spec)
+        cols = im2col(x, self.spec)
+        y = conv_forward(x, self.params["W"], self.spec, cols=cols)
+        self._cols = cols
+        return y
 
     def backward(self, dy):
-        self.grads["W"] = conv_backward_weights(dy, self._x, self.spec)
-        return conv_backward_input(dy, self.params["W"], self.spec, self._x.shape[2:])
+        if self._cols is None:
+            raise RuntimeError("ConvLayer.backward needs a train-mode forward first; "
+                               "an eval-mode forward keeps no window matrix, and a "
+                               "backward frees the one it used")
+        cols, self._cols = self._cols, None
+        self.grads["W"] = conv_backward_weights(dy, None, self.spec, cols=cols)
+        del cols  # free it before the input gradient's own temporaries
+        return conv_backward_input(dy, self.params["W"], self.spec, self._in_hw)
 
 
 class ReLULayer(Layer):
@@ -186,13 +218,16 @@ class BatchNormLayer(Layer):
     def forward(self, x, train):
         if train:
             mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            centered = x - mean[None, :, None, None]
+            # np.var's own steps (sum of squares, then divide), on the one centred copy
+            var = (centered * centered).mean(axis=(0, 2, 3))
             self.running_mean = (1 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * mean
             self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * var
         else:
-            mean, var = self.running_mean, self.running_var
+            var = self.running_var
+            centered = x - self.running_mean[None, :, None, None]
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        x_hat = centered * inv_std[None, :, None, None]
         self._x_hat, self._inv_std = (x_hat, inv_std) if train else (None, None)
         return (self.params["gamma"][None, :, None, None] * x_hat
                 + self.params["beta"][None, :, None, None])
@@ -201,11 +236,14 @@ class BatchNormLayer(Layer):
         if self._x_hat is None:
             raise RuntimeError("BatchNormLayer.backward needs a train-mode forward first; "
                                "an eval-mode forward keeps no normalized input")
-        self.grads.update(gamma=(dy * self._x_hat).sum(axis=(0, 2, 3)),
-                          beta=dy.sum(axis=(0, 2, 3)))
+        dgamma = (dy * self._x_hat).sum(axis=(0, 2, 3))
+        dbeta = dy.sum(axis=(0, 2, 3))
+        self.grads.update(gamma=dgamma, beta=dbeta)
+        # numpy's mean is the sum divided by the count, so these means are exact reuses
+        m = dy.size // dy.shape[1]
         g_inv = (self.params["gamma"] * self._inv_std)[None, :, None, None]
-        mean_dy = dy.mean(axis=(0, 2, 3))[None, :, None, None]
-        mean_dy_xhat = (dy * self._x_hat).mean(axis=(0, 2, 3))[None, :, None, None]
+        mean_dy = (dbeta / m)[None, :, None, None]
+        mean_dy_xhat = (dgamma / m)[None, :, None, None]
         return g_inv * (dy - mean_dy - self._x_hat * mean_dy_xhat)
 
 

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spatialgrad.conv import ConvSpec, conv_backward_input, conv_backward_weights, conv_forward
+from spatialgrad.conv import (
+    ConvSpec,
+    conv_backward_input,
+    conv_backward_weights,
+    conv_forward,
+    im2col,
+)
 from spatialgrad.tensor import ShapeError
 
 
@@ -243,6 +249,28 @@ class TestConvBackwardWeights:
         spec = ConvSpec(1, 1, (2, 2))
         with pytest.raises(ShapeError):
             conv_backward_weights(np.ones((1, 1, 3, 3)), np.ones((1, 1, 3, 3)), spec)
+
+
+class TestWindowMatrix:
+    """``cols=im2col(x, spec)`` stands in for the matrix each call would build."""
+
+    def test_wrong_shape_raises(self):
+        spec = ConvSpec(2, 3, (3, 2), stride=2, padding=1)
+        x = np.ones((2, 2, 6, 5))
+        w = np.ones(spec.weight_shape)
+        cols = im2col(x, spec)
+        dy = np.ones(conv_forward(x, w, spec).shape)
+        for bad in (cols[:1], cols[:, :-1], cols[:, :, :-1], cols.reshape(-1)):
+            with pytest.raises(ShapeError, match="window matrix"):
+                conv_forward(x, w, spec, cols=bad)
+            with pytest.raises(ShapeError, match="window matrix"):
+                conv_backward_weights(dy, None, spec, cols=bad)
+        with pytest.raises(ShapeError, match="window matrix"):
+            conv_backward_weights(dy[:, :, :-1], None, spec, cols=cols)
+        with pytest.raises(ShapeError, match="channels"):
+            conv_backward_weights(dy[:, :2], None, spec, cols=cols)
+        with pytest.raises(ShapeError, match="channels"):
+            im2col(np.ones((2, 3, 6, 5)), spec)
 
 
 class TestConvBackwardInput:

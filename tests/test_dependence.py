@@ -430,8 +430,12 @@ class TestSpatialDependenceAutocorr:
         assert s.values[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert s.values[0, 2] == pytest.approx(1.0, abs=1e-10)
 
-    def test_zero_variance_convention(self):
-        s = spatial_dependence_autocorr([np.full((1, 1, 5, 5), 2.0)], (3, 3))
+    # 0.1, 1/3 and 0.7 are not reproduced exactly by the mean, so var()
+    # leaves a residue of order 1e-34 on these constant maps.
+    @pytest.mark.parametrize("shape", [(1, 1, 5, 5), (3, 2, 9, 7)])
+    @pytest.mark.parametrize("value", [2.0, 0.1, 1 / 3, 0.7])
+    def test_zero_variance_convention(self, value, shape):
+        s = spatial_dependence_autocorr([np.full(shape, value)], (3, 3))
         np.testing.assert_array_equal(s.values, np.zeros((3, 3)))
 
 

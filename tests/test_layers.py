@@ -61,8 +61,10 @@ class TestReLU:
             ReLULayer().backward(np.ones_like(x))
 
 
-@pytest.mark.parametrize("make", [ReLULayer, MaxPoolLayer, lambda: BatchNormLayer(3)],
-                         ids=["relu", "maxpool", "batchnorm"])
+@pytest.mark.parametrize("make", [ReLULayer, MaxPoolLayer, lambda: BatchNormLayer(3),
+                                  lambda: ConvLayer(ConvSpec(3, 2, (3, 3), padding=1),
+                                                    np.ones((2, 3, 3, 3)))],
+                         ids=["relu", "maxpool", "batchnorm", "conv"])
 def test_backward_after_eval_forward_raises(make):
     x = np.random.default_rng(9).normal(size=(2, 3, 4, 4))
     layer = make()
@@ -70,6 +72,50 @@ def test_backward_after_eval_forward_raises(make):
     layer.forward(x, train=False)
     with pytest.raises(RuntimeError, match="train-mode forward"):
         layer.backward(np.ones_like(out))
+
+
+class TestConvLayer:
+    """A train-mode forward keeps the window matrix that the weight gradient reuses."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [(3, 3), (2, 3), (3, 1)])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_train_mode_equals_the_stateless_functions(self, stride, padding, kernel, dtype):
+        rng = np.random.default_rng(14)
+        spec = ConvSpec(2, 3, kernel, stride=stride, padding=padding)
+        w = rng.normal(size=spec.weight_shape).astype(dtype)
+        x = rng.normal(size=(2, 2, 7, 6)).astype(dtype)
+        layer = ConvLayer(spec, w)
+        y = layer.forward(x, train=True)
+        assert np.array_equal(y, conv_forward(x, w, spec))
+        dy = rng.normal(size=y.shape).astype(dtype)
+        dx = layer.backward(dy)
+        assert layer.grads["W"].dtype == dtype
+        assert np.array_equal(layer.grads["W"], conv_backward_weights(dy, x, spec))
+        assert np.array_equal(dx, conv_backward_input(dy, w, spec, x.shape[2:]))
+
+    def test_eval_forward_keeps_no_window_matrix(self):
+        rng = np.random.default_rng(15)
+        spec = ConvSpec(2, 3, (3, 3), padding=1)
+        w = rng.normal(size=spec.weight_shape)
+        x = rng.normal(size=(2, 2, 5, 5))
+        layer = ConvLayer(spec, w)
+        layer.forward(x, train=True)
+        assert layer._cols is not None
+        np.testing.assert_array_equal(layer.forward(x, train=False), conv_forward(x, w, spec))
+        assert layer._cols is None
+
+    def test_backward_frees_the_window_matrix(self):
+        rng = np.random.default_rng(16)
+        spec = ConvSpec(2, 3, (3, 3), padding=1)
+        layer = ConvLayer(spec, rng.normal(size=spec.weight_shape))
+        y = layer.forward(rng.normal(size=(2, 2, 5, 5)), train=True)
+        dy = rng.normal(size=y.shape)
+        layer.backward(dy)
+        assert layer._cols is None
+        with pytest.raises(RuntimeError, match="train-mode forward"):
+            layer.backward(dy)
 
 
 class TestMaxPool:
@@ -328,6 +374,57 @@ class TestBatchNorm:
         num = layer_findiff(bn, x, dy, h=1e-6)
         np.testing.assert_allclose(dx, num, rtol=1e-4, atol=1e-7)
         np.testing.assert_allclose(layer.grads["beta"], dy.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+
+def reference_batch_norm(x, gamma, beta, running_mean, running_var, dy):
+    """Batch norm's train step by its textbook formulas: np.var, and every mean
+    taken afresh. Returns the output, the running statistics, dx, dgamma, dbeta."""
+    axes, c = (0, 2, 3), (None, slice(None), None, None)
+    mean, var = x.mean(axis=axes), x.var(axis=axes)
+    m, eps = BatchNormLayer.MOMENTUM, BatchNormLayer.EPS
+    running = ((1 - m) * running_mean + m * mean, (1 - m) * running_var + m * var)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x - mean[c]) * inv_std[c]
+    out = gamma[c] * x_hat + beta[c]
+    dgamma, dbeta = (dy * x_hat).sum(axis=axes), dy.sum(axis=axes)
+    mean_dy, mean_dy_xhat = dy.mean(axis=axes)[c], (dy * x_hat).mean(axis=axes)[c]
+    dx = (gamma * inv_std)[c] * (dy - mean_dy - x_hat * mean_dy_xhat)
+    return out, running, dx, dgamma, dbeta
+
+
+class TestBatchNormBitwise:
+    """The layer reuses its centred input and its sums, and still gives exactly
+    what ``reference_batch_norm`` gives."""
+
+    @pytest.mark.parametrize("shape", [(8, 4, 6, 6), (5, 3, 7, 9), (16, 8, 4, 4)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_step_equals_reference(self, dtype, shape):
+        rng = np.random.default_rng(13)
+        c = shape[1]
+        x = rng.normal(1.5, 3.0, size=shape).astype(dtype)
+        dy = rng.normal(size=shape).astype(dtype)
+        layer = BatchNormLayer(c, dtype=dtype)
+        layer.params.update(gamma=rng.uniform(0.5, 1.5, size=c).astype(dtype),
+                            beta=rng.normal(size=c).astype(dtype))
+        layer.running_mean = rng.normal(size=c).astype(dtype)
+        layer.running_var = rng.uniform(0.5, 2.0, size=c).astype(dtype)
+        out, running, dx, dgamma, dbeta = reference_batch_norm(
+            x, layer.params["gamma"], layer.params["beta"], layer.running_mean,
+            layer.running_var, dy)
+        got = layer.forward(x, train=True)
+        assert got.dtype == dtype
+        assert np.array_equal(got, out)
+        assert np.array_equal(layer.running_mean, running[0])
+        assert np.array_equal(layer.running_var, running[1])
+        assert np.array_equal(layer.backward(dy), dx)
+        assert np.array_equal(layer.grads["gamma"], dgamma)
+        assert np.array_equal(layer.grads["beta"], dbeta)
+
+        ch = (None, slice(None), None, None)
+        inv_std = 1.0 / np.sqrt(layer.running_var + layer.EPS)
+        x_hat = (x - layer.running_mean[ch]) * inv_std[ch]
+        eval_out = layer.params["gamma"][ch] * x_hat + layer.params["beta"][ch]
+        assert np.array_equal(layer.forward(x, train=False), eval_out)
 
 
 class TestParamsDicts:

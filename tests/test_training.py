@@ -1,10 +1,13 @@
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spatialgrad import data as data_mod
+from spatialgrad.conv import conv_backward_input, conv_backward_weights, conv_forward
 from spatialgrad.data import LabeledDataset, synth_digits
+from spatialgrad.expconfig import build_datasets, load_config
 from spatialgrad.layers import ConvLayer, DenseLayer
 from spatialgrad.network import (
     ConvLayerSpec,
@@ -293,6 +296,28 @@ class TestTrainLoop:
                                  r"sample offset 0$"):
             train(two_conv_model(), train_ds, test_ds, cfg)
 
+    def test_kept_window_matrix_equals_rebuilding_it_in_the_trainer(self, monkeypatch):
+        # digits_smoke's model and data for one epoch, with its MI refresh
+        # moved to epoch 0 so the scaled step runs too
+        cfg = load_config(Path(__file__).parent.parent / "configs" / "digits_smoke.ini",
+                          {"train": {"epochs": "1"}, "sgs": {"warmup_epochs": "0"}})
+        train_ds, test_ds = build_datasets(cfg.data)
+        kept = train(cfg.model, train_ds, test_ds, cfg.train).final_weights()
+
+        def forward(self, x, train):
+            self._x = x
+            return conv_forward(x, self.params["W"], self.spec)
+
+        def backward(self, dy):
+            self.grads["W"] = conv_backward_weights(dy, self._x, self.spec)
+            return conv_backward_input(dy, self.params["W"], self.spec, self._x.shape[2:])
+
+        monkeypatch.setattr(ConvLayer, "forward", forward)
+        monkeypatch.setattr(ConvLayer, "backward", backward)
+        rebuilt = train(cfg.model, train_ds, test_ds, cfg.train).final_weights()
+        assert kept.keys() == rebuilt.keys()
+        assert all(np.array_equal(kept[k], rebuilt[k]) for k in kept)
+
     def test_empty_eval_set_rejected_before_training(self, monkeypatch):
         import spatialgrad.training as training_mod
 
@@ -402,7 +427,7 @@ class TestRefreshScalings:
             patched.setattr(DenseLayer, "forward", no_dense)
             captured = _capture_feature_maps(net, ds, sgs, np.random.default_rng(3), 32)
         last_conv = net.layers[net.conv_indices[-1]]
-        assert last_conv._x is None  # its forward never ran
+        assert last_conv._in_hw is None  # its forward never ran
 
         order = np.random.default_rng(3).choice(len(ds), size=64, replace=False)
         expected = {idx: [] for idx in net.conv_indices}
@@ -418,6 +443,20 @@ class TestRefreshScalings:
             assert len(maps) == len(expected[idx]) == 2
             for got, want in zip(maps, expected[idx]):
                 np.testing.assert_array_equal(got, want)
+
+    def test_capture_forward_keeps_no_window_matrix(self):
+        net = self.build_net(two_conv_model())
+        ds = synth_digits(64, seed=8)
+        sgs = SgsSettings(enabled=True, measure="mi", refresh_batches=2)
+        first, last = (net.layers[idx] for idx in net.conv_indices)
+        net.forward(ds.images[:32], train=True)
+        kept = last._cols
+        assert first._cols is not None and kept is not None
+        _capture_feature_maps(net, ds, sgs, np.random.default_rng(3), 32)
+        assert first._cols is None
+        assert last._cols is kept  # the capture stops before the last conv's forward
+        net.forward(ds.images[:32], train=False)
+        assert first._cols is None and last._cols is None
 
     def test_one_by_one_kernels_stay_uniform(self, monkeypatch):
         model = [
