@@ -23,6 +23,6 @@ from .reparam import (
 )
 from .scaling import ScalingMatrix, finalize, from_masks, k_transform
 from .tensor import ShapeError
-from .training import SgsSettings, TrainingConfig, TrainResult, refresh_scalings, train
+from .training import Run, SgsSettings, TrainingConfig, refresh_scalings, train
 
 __version__ = "0.1.0"

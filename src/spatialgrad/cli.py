@@ -30,6 +30,7 @@ from .reparam import MASK_FAMILIES, equivalence_run, standard_mask_sets
 from .training import (
     EpochMetrics,
     Refresh,
+    Run,
     SgsSettings,
     TrainingConfig,
     TrainingDivergedError,
@@ -64,7 +65,7 @@ def _load(args) -> tuple:
     return cfg, train_ds, eval_ds
 
 
-def _build_run(cfg, ds: LabeledDataset, class_count: int) -> tuple:
+def _build_run(cfg, ds: LabeledDataset, class_count: int) -> Run:
     """``build_run`` on ``ds``; called before anything is written, so that a model
     whose shapes do not chain on the data is a config error."""
     try:
@@ -105,14 +106,14 @@ def cmd_train(args) -> int:
     _build_run(cfg, train_ds, train_ds.class_count)
     out = _out_dir(args.out)
     _echo_config(cfg, out)
-    result = train(cfg.model, train_ds, eval_ds, cfg.train)
+    run = train(cfg.model, train_ds, eval_ds, cfg.train)
     _write_csv(out / "metrics.csv", [f.name for f in fields(EpochMetrics)],
-               [astuple(m) for m in result.metrics])
+               [astuple(m) for m in run.metrics])
     (out / "scalings.jsonl").write_text("".join(
-        json.dumps(record) + "\n" for epoch, refresh in result.refreshes
-        for record in _refresh_records(result.network, refresh, epoch)))
-    np.savez(out / "weights.npz", **result.final_weights())
-    last = result.metrics[-1]
+        json.dumps(record) + "\n" for epoch, refresh in run.refreshes
+        for record in _refresh_records(run.network, refresh, epoch)))
+    np.savez(out / "weights.npz", **run.final_weights())
+    last = run.metrics[-1]
     print(f"trained {cfg.train.epochs} epochs: "
           f"train_loss={last.train_loss:.4f} eval_acc={last.eval_acc:.4f}")
     print(f"wrote {out / 'metrics.csv'}, {out / 'scalings.jsonl'}, {out / 'weights.npz'}")
@@ -166,11 +167,11 @@ def cmd_inspect_scaling(args) -> int:
     # unlabeled synthetic datasets work.
     dense_widths = [s.out_features for s in cfg.model if isinstance(s, DenseSpec)]
     class_count = dense_widths[-1] if dense_widths else ds.class_count
-    net, _, refresh_rng = _build_run(cfg, ds, class_count)
+    run = _build_run(cfg, ds, class_count)
     out = _out_dir(args.out)
     _echo_config(cfg, out)
-    records = _refresh_records(
-        net, inspect_scalings(net, ds, cfg.train.sgs, refresh_rng, cfg.train.batch_size), 0)
+    records = _refresh_records(run.network, inspect_scalings(
+        run.network, ds, cfg.train.sgs, run.refresh_rng, cfg.train.batch_size), 0)
     path = out / "scalings.json"
     path.write_text(json.dumps(records, indent=2))
     print(f"wrote {path} ({len(records)} records)")
@@ -188,8 +189,8 @@ def _cell_settings(sgs: SgsSettings, cell: dict) -> SgsSettings:
 
 
 # (model, fit, val) shared by every grid cell of this process. ``_grid_init``
-# sets it once per worker process when ``--jobs`` is above 1, so a cell's task
-# carries only its TrainingConfig.
+# sets it once per worker process when the cells run in a pool, so a cell's
+# task carries only its TrainingConfig.
 _grid_data: tuple | None = None
 
 
@@ -200,7 +201,7 @@ def _grid_init(model: list, fit: LabeledDataset, val: LabeledDataset) -> None:
 
 def _grid_cell(run: TrainingConfig) -> tuple[float, float]:
     """(validation accuracy, final training loss) of one grid cell on the data
-    ``_grid_init`` set; runs in a worker process when ``--jobs`` is above 1."""
+    ``_grid_init`` set; runs in a worker process when the cells run in a pool."""
     model, fit, val = _grid_data
     last = train(model, fit, val, run).metrics[-1]
     return last.eval_acc, last.train_loss
@@ -226,6 +227,8 @@ def cmd_grid_search(args) -> int:
         raise ConfigError("grid-search needs either --ks or both --alphas and --betas")
     # Every cell is validated and the split is made before any worker trains.
     runs = [replace(cfg.train, sgs=_cell_settings(cfg.train.sgs, cell)) for cell in cells]
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     fraction, n = args.validation_fraction, len(train_ds)
     if not 0 < fraction < 1:
         raise ConfigError(f"--validation-fraction must lie in (0, 1), got {fraction}")
@@ -240,8 +243,9 @@ def cmd_grid_search(args) -> int:
     _echo_config(cfg, out)
 
     shared = (cfg.model, fit, val)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_grid_init,
+    workers = min(args.jobs, len(cells))  # a pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_grid_init,
                                  initargs=shared) as pool:
             results = list(pool.map(_grid_cell, runs))
     else:
@@ -324,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--alphas", default=None, help="comma list of alpha values")
     p_grid.add_argument("--betas", default=None, help="comma list of beta values")
     p_grid.add_argument("--validation-fraction", type=float, default=0.2)
-    p_grid.add_argument("--jobs", type=int, default=1)
+    p_grid.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (>= 1), at most one per cell")
     p_grid.set_defaults(func=cmd_grid_search)
 
     p_mag = sub.add_parser("magnitude", help="kernel magnitude matrices of saved weights")

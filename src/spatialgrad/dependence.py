@@ -13,6 +13,7 @@ of whole planes, so its memory beyond the maps is one block's arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import ClassVar, Sequence
 
@@ -46,8 +47,8 @@ class BinningConfig:
         rf = self.redundancy_filter
         if isinstance(rf, str) and rf != "auto":
             raise ValueError(f"redundancy_filter must be None, 'auto', or a float, got {rf!r}")
-        if isinstance(rf, (int, float)) and not isinstance(rf, bool) and rf <= 0:
-            raise ValueError("redundancy_filter threshold must be positive")
+        if isinstance(rf, (int, float)) and not isinstance(rf, bool) and not 0 < rf < math.inf:
+            raise ValueError(f"redundancy_filter threshold must be positive and finite, got {rf}")
 
 
 @dataclass(frozen=True)

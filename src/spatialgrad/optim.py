@@ -19,6 +19,7 @@ The ``position`` argument controls where a scaling matrix multiplies in:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +54,9 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}, expected one of {KINDS}")
-        if (self.momentum or 0.0) < 0 or self.weight_decay < 0:
-            raise ValueError("momentum and weight_decay must be non-negative")
+        if not (0 <= (self.momentum or 0.0) < math.inf and 0 <= self.weight_decay < math.inf):
+            raise ValueError(f"momentum and weight_decay must be non-negative and finite, "
+                             f"got {self.momentum} and {self.weight_decay}")
         if self.kind != "sgd_momentum":
             if self.momentum:
                 logger.warning("momentum %s is ignored: optimizer %r has no momentum",

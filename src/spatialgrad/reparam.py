@@ -244,8 +244,8 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not lr > 0:
-        raise ValueError(f"lr must be positive, got {lr}")
+    if not 0 < lr < np.inf:
+        raise ValueError(f"lr must be positive and finite, got {lr}")
     _, coverage = from_masks(masks)
     mask_arrays = [np.array(m, dtype=np.float64) for m in masks]
     kx, ky = kernel

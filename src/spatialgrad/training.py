@@ -1,5 +1,8 @@
 """The training loop: warm-up, periodic scaling refresh, scaled updates, metrics.
 
+A run is one ``Run`` value: ``build_run`` makes it, ``train_step`` steps it on
+one batch, ``run_epoch`` runs its next epoch, and ``train`` returns it.
+
 Per epoch: if spatial scaling is enabled and the epoch is past warm-up on the
 refresh cadence, sample a few batches, capture each convolution's input
 feature map in evaluation mode, and rebuild the per-layer scaling matrices.
@@ -28,7 +31,7 @@ from .data import LabeledDataset
 from .dependence import BinningConfig, EstimatorError
 from .layers import ConvLayer
 from .network import Network, build_network, parameter_name
-from .optim import OptimizerConfig, make_state, step
+from .optim import OptimizerConfig, OptimizerState, make_state, step
 from .reparam import MASK_FAMILIES, standard_mask_sets
 from .scaling import DEFAULT_EPSILON_FLOOR, ScalingMatrix, finalize, from_masks, k_transform
 
@@ -64,8 +67,8 @@ class SgsSettings:
     def __post_init__(self) -> None:
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}, expected one of {MEASURES}")
-        if self.k <= 0:
-            raise ValueError("k must be positive")
+        if not 0 < self.k < math.inf:
+            raise ValueError(f"k must be positive and finite, got {self.k}")
         if self.refresh_every < 1 or self.refresh_batches < 1:
             raise ValueError("refresh_every and refresh_batches must be >= 1")
         if self.warmup_epochs < 0:
@@ -73,10 +76,10 @@ class SgsSettings:
         if self.scaling_position not in ("pre", "post"):
             raise ValueError("scaling_position must be 'pre' or 'post'")
         BinningConfig(bins=self.bins, redundancy_filter=self.redundancy_filter)
-        if not self.epsilon_floor >= 0:
-            raise ValueError(f"epsilon_floor must be >= 0, got {self.epsilon_floor}")
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError(f"alpha and beta must be positive, "
+        if not 0 <= self.epsilon_floor < math.inf:
+            raise ValueError(f"epsilon_floor must be >= 0 and finite, got {self.epsilon_floor}")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError(f"alpha and beta must be positive and finite, "
                              f"got alpha={self.alpha}, beta={self.beta}")
         if self.fixed_values is not None:
             ScalingMatrix(self.fixed_values)
@@ -103,8 +106,8 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.schedule not in ("constant", "cosine"):
             raise ValueError("schedule must be 'constant' or 'cosine'")
         if self.precision not in (32, 64):
@@ -133,10 +136,21 @@ class EpochMetrics:
 
 
 @dataclass
-class TrainResult:
-    metrics: list[EpochMetrics]
+class Run:
+    """One training run's whole state, from ``build_run`` through its epochs."""
+
+    cfg: TrainingConfig
     network: Network
-    refreshes: list[tuple[int, Refresh]]  # (epoch, that epoch's refresh), in order
+    opt_states: dict[tuple[int, str], OptimizerState]  # keyed (layer index, parameter name)
+    shuffle_rng: np.random.Generator
+    refresh_rng: np.random.Generator
+    scalings: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)  # (conv, "W")
+    metrics: list[EpochMetrics] = field(default_factory=list)
+    refreshes: list[tuple[int, Refresh]] = field(default_factory=list)  # (epoch, refresh)
+
+    @property
+    def epoch(self) -> int:  # the next epoch to run
+        return len(self.metrics)
 
     def final_weights(self) -> dict[str, np.ndarray]:
         return self.network.named_weights()
@@ -249,8 +263,8 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def build_run(model_spec: list, input_shape: tuple[int, ...], class_count: int,
-              cfg: TrainingConfig) -> tuple[Network, np.random.Generator, np.random.Generator]:
-    """A run's network and its shuffle and refresh generators.
+              cfg: TrainingConfig) -> Run:
+    """A fresh run: its network, optimizer states, and shuffle and refresh generators.
 
     The run seed spawns three child streams, in the order weight init, batch
     shuffling, refresh sampling; the first one is spent on the network.
@@ -258,85 +272,81 @@ def build_run(model_spec: list, input_shape: tuple[int, ...], class_count: int,
     init_seed, shuffle_seed, refresh_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     net = build_network(model_spec, input_shape, class_count,
                         np.random.default_rng(init_seed), cfg.dtype)
-    return net, np.random.default_rng(shuffle_seed), np.random.default_rng(refresh_seed)
+    return Run(cfg, net, {(idx, name): make_state(cfg.optimizer, value)
+                          for idx, _, name, value in net.parameters()},
+               np.random.default_rng(shuffle_seed), np.random.default_rng(refresh_seed))
+
+
+def train_step(run: Run, x: np.ndarray, labels: np.ndarray, offset: int) -> tuple[float, int]:
+    """One batch of the current epoch: forward, backward, every parameter's scaled
+    step; returns (loss, hits). ``offset`` is the batch's first sample in the epoch."""
+    net, epoch = run.network, run.epoch
+    value, probs = net.loss(x, labels, train=True)
+    if not np.isfinite(value):
+        raise TrainingDivergedError(f"non-finite loss {value} at epoch {epoch}, "
+                                    f"sample offset {offset}")
+    net.backward(net.head.grad())
+    params = list(net.parameters())
+    for idx, layer, name, _ in params:
+        if not np.isfinite(layer.grads[name]).all():
+            raise TrainingDivergedError(
+                f"non-finite gradient of {parameter_name(idx, layer, name)} "
+                f"with finite loss {value} at epoch {epoch}, sample offset {offset}"
+            )
+    lr = run.cfg.lr_at(epoch)
+    for idx, layer, name, value_arr in params:
+        layer.params[name] = step(run.opt_states[(idx, name)], value_arr, layer.grads[name],
+                                  lr=lr, scaling=run.scalings.get((idx, name)),
+                                  position=run.cfg.sgs.scaling_position)
+    return value, int((probs.argmax(axis=1) == labels).sum())
+
+
+def run_epoch(run: Run, train_ds: LabeledDataset, eval_ds: LabeledDataset) -> EpochMetrics:
+    """The run's next epoch: the due refresh, a ``train_step`` per shuffled batch, then
+    the eval; appends its metrics to the run. Images must be of the run's dtype."""
+    cfg, sgs, epoch = run.cfg, run.cfg.sgs, run.epoch
+    t0 = time.perf_counter()
+    if sgs.enabled and epoch >= sgs.warmup_epochs \
+            and (epoch - sgs.warmup_epochs) % sgs.refresh_every == 0:
+        refresh = refresh_scalings(run.network, train_ds, sgs, run.refresh_rng, cfg.batch_size)
+        run.scalings = {(idx, "W"): np.asarray(m.values, dtype=cfg.dtype)
+                        for idx, (_, m) in refresh.items()}
+        run.refreshes.append((epoch, refresh))
+
+    loss_sum, hit, seen = 0.0, 0, 0
+    for batch_idx in _batches(len(train_ds), cfg.batch_size, run.shuffle_rng):
+        value, hits = train_step(run, train_ds.images[batch_idx], train_ds.labels[batch_idx],
+                                 seen)
+        loss_sum += value * len(batch_idx)
+        hit += hits
+        seen += len(batch_idx)
+
+    eval_hit = 0
+    for start in range(0, len(eval_ds), cfg.batch_size):
+        x = eval_ds.images[start : start + cfg.batch_size]
+        labels = eval_ds.labels[start : start + cfg.batch_size]
+        eval_hit += int((run.network.predict(x) == labels).sum())
+    run.metrics.append(EpochMetrics(
+        epoch=epoch,
+        train_loss=loss_sum / seen,
+        train_acc=hit / seen,
+        eval_acc=eval_hit / len(eval_ds),
+        wall_seconds=time.perf_counter() - t0,
+    ))
+    return run.metrics[-1]
 
 
 def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
-          cfg: TrainingConfig) -> TrainResult:
-    """Run the full training loop; see the module docstring for the shape of it."""
-    dtype = cfg.dtype
-    train_ds = train_ds.astype(dtype)
-    eval_ds = eval_ds.astype(dtype)
+          cfg: TrainingConfig) -> Run:
+    """Build a run and train it for ``cfg.epochs``; see the module docstring."""
+    train_ds, eval_ds = train_ds.astype(cfg.dtype), eval_ds.astype(cfg.dtype)
     if train_ds.class_count < 2:
         raise ValueError("training needs a dataset with at least 2 classes")
     if len(train_ds) == 0:
         raise ValueError("the training set is empty; the epoch loss would divide by zero")
     if len(eval_ds) == 0:
         raise ValueError("the eval set is empty; eval accuracy would divide by zero")
-
-    net, shuffle_rng, refresh_rng = build_run(model_spec, train_ds.images.shape[1:],
-                                              train_ds.class_count, cfg)
-
-    opt_states = {
-        (idx, name): make_state(cfg.optimizer, value)
-        for idx, _, name, value in net.parameters()
-    }
-    sgs = cfg.sgs
-
-    # (conv layer index, "W") -> the layer's scaling, keyed like ``opt_states``.
-    scaling_values: dict[tuple[int, str], np.ndarray] = {}
-    refreshes: list[tuple[int, Refresh]] = []
-    metrics: list[EpochMetrics] = []
-
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        if sgs.enabled and epoch >= sgs.warmup_epochs \
-                and (epoch - sgs.warmup_epochs) % sgs.refresh_every == 0:
-            refresh = refresh_scalings(net, train_ds, sgs, refresh_rng, cfg.batch_size)
-            scaling_values = {
-                (idx, "W"): np.asarray(m.values, dtype=dtype) for idx, (_, m) in refresh.items()
-            }
-            refreshes.append((epoch, refresh))
-
-        lr = cfg.lr_at(epoch)
-        loss_sum = 0.0
-        hit = 0
-        seen = 0
-        for batch_idx in _batches(len(train_ds), cfg.batch_size, shuffle_rng):
-            x = train_ds.images[batch_idx]
-            labels = train_ds.labels[batch_idx]
-            value, probs = net.loss(x, labels, train=True)
-            if not np.isfinite(value):
-                raise TrainingDivergedError(
-                    f"non-finite loss {value} at epoch {epoch}, sample offset {seen}"
-                )
-            net.backward(net.head.grad())
-            params = list(net.parameters())
-            for idx, layer, name, _ in params:
-                if not np.isfinite(layer.grads[name]).all():
-                    raise TrainingDivergedError(
-                        f"non-finite gradient of {parameter_name(idx, layer, name)} "
-                        f"with finite loss {value} at epoch {epoch}, sample offset {seen}"
-                    )
-            loss_sum += value * len(batch_idx)
-            hit += int((probs.argmax(axis=1) == labels).sum())
-            seen += len(batch_idx)
-            for idx, layer, name, value_arr in params:
-                layer.params[name] = step(opt_states[(idx, name)], value_arr, layer.grads[name],
-                                          lr=lr, scaling=scaling_values.get((idx, name)),
-                                          position=sgs.scaling_position)
-
-        eval_hit = 0
-        for start in range(0, len(eval_ds), cfg.batch_size):
-            x = eval_ds.images[start : start + cfg.batch_size]
-            labels = eval_ds.labels[start : start + cfg.batch_size]
-            eval_hit += int((net.predict(x) == labels).sum())
-        metrics.append(EpochMetrics(
-            epoch=epoch,
-            train_loss=loss_sum / seen,
-            train_acc=hit / seen,
-            eval_acc=eval_hit / len(eval_ds),
-            wall_seconds=time.perf_counter() - t0,
-        ))
-    return TrainResult(metrics=metrics, network=net, refreshes=refreshes)
-
+    run = build_run(model_spec, train_ds.images.shape[1:], train_ds.class_count, cfg)
+    while run.epoch < cfg.epochs:
+        run_epoch(run, train_ds, eval_ds)
+    return run

@@ -367,7 +367,8 @@ class TestVerifyEquivalence:
 
     @pytest.mark.parametrize("flags", [["--kernel", "0"], ["--steps", "0"],
                                        ["--momentum", "-1"], ["--lr", "0"],
-                                       ["--lr", "-0.05"]])
+                                       ["--lr", "-0.05"], ["--lr", "inf"],
+                                       ["--momentum", "nan"], ["--weight-decay", "inf"]])
     def test_bad_flag_value_is_a_config_error(self, tmp_path, capsys, flags):
         code = main(["verify-equivalence", "--optimizer", "sgd_momentum", *flags,
                      "--out", str(tmp_path)])
@@ -507,17 +508,15 @@ class TestGridSearch:
             assert "seed = 5" in (out / "resolved.ini").read_text()
         assert grids[0] == grids[1]
 
-    def test_workers_get_the_data_once(self, tmp_path, monkeypatch):
-        from spatialgrad.data import LabeledDataset
-        from spatialgrad.training import TrainingConfig
-
+    @pytest.fixture
+    def inline_pool(self, monkeypatch):
+        """Puts a pool in place of ``ProcessPoolExecutor`` that runs its initializer
+        and tasks in this process; returns the dict it records them in."""
         seen = {}
 
         class InlinePool:
-            """Runs the pool's initializer and tasks in this process, recording them."""
-
             def __init__(self, max_workers, initializer, initargs):
-                seen["initargs"] = initargs
+                seen["max_workers"], seen["initargs"] = max_workers, initargs
                 initializer(*initargs)
 
             def __enter__(self):
@@ -532,14 +531,39 @@ class TestGridSearch:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(cli, "_grid_data", None)
+        return seen
+
+    def test_workers_get_the_data_once(self, tmp_path, inline_pool):
+        from spatialgrad.data import LabeledDataset
+        from spatialgrad.training import TrainingConfig
+
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(train_size=64),
                            train_block(epochs=1), "\n[sgs]\nenabled = false\n")
         assert main(["grid-search", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--ks", "2,5", "--jobs", "2"]) == 0
-        model, fit, val = seen["initargs"]
+        model, fit, val = inline_pool["initargs"]
         assert isinstance(fit, LabeledDataset) and isinstance(val, LabeledDataset)
         assert len(fit) + len(val) == 64
-        assert [type(task) for task in seen["tasks"]] == [TrainingConfig, TrainingConfig]
+        assert [type(task) for task in inline_pool["tasks"]] == [TrainingConfig, TrainingConfig]
+
+    @pytest.mark.parametrize("jobs,ks,workers", [("8", "2,5", 2), ("2", "2,3,5", 2)])
+    def test_pool_starts_at_most_one_worker_per_cell(self, tmp_path, inline_pool, jobs, ks,
+                                                     workers):
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(train_size=64),
+                           train_block(epochs=1), "\n[sgs]\nenabled = false\n")
+        assert main(["grid-search", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--ks", ks, "--jobs", jobs]) == 0
+        assert inline_pool["max_workers"] == workers
+        assert len(inline_pool["tasks"]) == len(ks.split(","))
+
+    def test_one_cell_trains_without_a_pool(self, tmp_path, inline_pool):
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(train_size=64),
+                           train_block(epochs=1), "\n[sgs]\nenabled = false\n")
+        out = tmp_path / "o"
+        assert main(["grid-search", "--config", cfg, "--out", str(out),
+                     "--ks", "5", "--jobs", "4"]) == 0
+        assert inline_pool == {}
+        assert (out / "grid.csv").exists()
 
     def test_jobs_do_not_change_the_grid(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(train_size=64),
@@ -560,6 +584,9 @@ class TestGridSearch:
     @pytest.mark.parametrize("grid", [["--ks", "0,5"], ["--ks", "5,-1"], ["--ks", "2,x"],
                                       ["--alphas", "0,1", "--betas", "1"],
                                       ["--alphas", "1", "--betas", "-2"],
+                                      ["--ks", "nan"], ["--alphas", "inf", "--betas", "1"],
+                                      ["--ks", "2,5", "--jobs", "0"],
+                                      ["--ks", "2,5", "--jobs", "-3"],
                                       ["--ks", "2,5", "--validation-fraction", "1.0"],
                                       ["--ks", "2,5", "--validation-fraction", "1.5"],
                                       ["--ks", "2,5", "--validation-fraction", "-0.2"],
@@ -852,12 +879,19 @@ class TestConfigSchema:
     @pytest.mark.parametrize("section,line", [("train", "optimizer = rmsprop"),
                                               ("train", "momentum = -1"),
                                               ("train", "seed = -1"),
+                                              ("train", "lr = nan"), ("train", "lr = inf"),
+                                              ("train", "weight_decay = inf"),
+                                              ("train", "weight_decay = nan"),
+                                              ("train", "momentum = nan"),
                                               ("sgs", "measure = entropy"),
-                                              ("sgs", "k = 0"),
+                                              ("sgs", "k = 0"), ("sgs", "k = nan"),
+                                              ("sgs", "k = inf"),
                                               ("sgs", "bins = 1"),
                                               ("sgs", "epsilon_floor = -1"),
+                                              ("sgs", "epsilon_floor = inf"),
                                               ("sgs", "redundancy_filter = -0.5"),
-                                              ("sgs", "alpha = 0"),
+                                              ("sgs", "redundancy_filter = nan"),
+                                              ("sgs", "alpha = 0"), ("sgs", "alpha = inf"),
                                               ("sgs", "beta = -1"),
                                               ("sgs", "measure = masks\nmask_family = nope"),
                                               ("sgs", "measure = fixed\nfixed_values = 1,1,1\n"
@@ -875,6 +909,7 @@ class TestConfigSchema:
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(), block, sgs)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert f"config error: [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestArtifactWriters:

@@ -83,6 +83,12 @@ class TestCollectPairs:
         assert joint.sum() == 1
 
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_filter_threshold_is_rejected(self, threshold):
+        with pytest.raises(ValueError, match="finite"):
+            BinningConfig(redundancy_filter=threshold)
+
+
 class TestNormalizedMI:
     def test_perfect_dependence_frozen(self):
         joint = np.array([[0.5, 0.0], [0.0, 0.5]])

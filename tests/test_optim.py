@@ -204,3 +204,10 @@ class TestOptimizerConfigMomentum:
     def test_negative_momentum_is_rejected(self, kind):
         with pytest.raises(ValueError, match="non-negative"):
             OptimizerConfig(kind=kind, momentum=-0.1)
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "sgd"])
+    @pytest.mark.parametrize("key", ["momentum", "weight_decay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_momentum_or_weight_decay_is_rejected(self, kind, key, value):
+        with pytest.raises(ValueError, match="finite"):
+            OptimizerConfig(kind=kind, **{key: value})

@@ -1,3 +1,4 @@
+import copy
 import logging
 from pathlib import Path
 
@@ -22,14 +23,18 @@ from spatialgrad.network import (
 )
 from spatialgrad.optim import OptimizerConfig
 from spatialgrad.training import (
+    Run,
     SgsSettings,
     TrainingConfig,
     TrainingDivergedError,
+    _batches,
     _capture_feature_maps,
     build_run,
     inspect_scalings,
     refresh_scalings,
+    run_epoch,
     train,
+    train_step,
 )
 
 
@@ -82,6 +87,20 @@ class TestSchedule:
         with pytest.raises(ValueError):
             TrainingConfig(epochs=1, batch_size=1, lr=0.1,
                            optimizer=OptimizerConfig(kind="rmsprop"))
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lr_is_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            TrainingConfig(epochs=1, batch_size=1, lr=lr)
+
+    @pytest.mark.parametrize("key", ["k", "epsilon_floor", "alpha", "beta",
+                                     "redundancy_filter"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scaling_setting_is_rejected(self, key, value):
+        with pytest.raises(ValueError, match="finite"):
+            SgsSettings(**{key: value})
 
 
 class TestNetworkSpecValidation:
@@ -175,14 +194,63 @@ class TestEndToEndGradients:
 class TestBuildRun:
     def test_streams_are_init_shuffle_refresh_children_of_the_seed(self):
         cfg = momentum_cfg(seed=7)
-        net, shuffle_rng, refresh_rng = build_run(tiny_model(), (1, 8, 8), 3, cfg)
+        run = build_run(tiny_model(), (1, 8, 8), 3, cfg)
         init, shuffle, refresh = np.random.SeedSequence(7).spawn(3)
         by_hand = build_network(tiny_model(), (1, 8, 8), 3, np.random.default_rng(init),
                                 cfg.dtype)
         for name, w in by_hand.named_weights().items():
-            assert np.array_equal(net.named_weights()[name], w)
-        assert shuffle_rng.random() == np.random.default_rng(shuffle).random()
-        assert refresh_rng.random() == np.random.default_rng(refresh).random()
+            assert np.array_equal(run.network.named_weights()[name], w)
+        assert run.shuffle_rng.random() == np.random.default_rng(shuffle).random()
+        assert run.refresh_rng.random() == np.random.default_rng(refresh).random()
+
+
+def assert_same_weights(a: Run, b: Run):
+    wa, wb = a.final_weights(), b.final_weights()
+    assert wa.keys() == wb.keys()
+    assert all(np.array_equal(wa[k], wb[k]) for k in wa)
+
+
+class TestRunSplit:
+    def test_run_epoch_n_times_equals_train(self):
+        train_ds = synth_digits(128, seed=20)
+        test_ds = synth_digits(64, seed=21)
+        cfg = momentum_cfg(epochs=3, sgs=SgsSettings(enabled=True, measure="mi",
+                                                     warmup_epochs=1, refresh_every=1))
+        whole = train(two_conv_model(), train_ds, test_ds, cfg)
+        run = build_run(two_conv_model(), train_ds.images.shape[1:], train_ds.class_count, cfg)
+        assert run.epoch == 0
+        for _ in range(cfg.epochs):
+            run_epoch(run, train_ds, test_ds)
+        assert isinstance(whole, Run) and run.epoch == whole.epoch == cfg.epochs
+        assert_same_weights(run, whole)
+        assert [(m.epoch, m.train_loss, m.train_acc, m.eval_acc) for m in run.metrics] \
+            == [(m.epoch, m.train_loss, m.train_acc, m.eval_acc) for m in whole.metrics]
+        assert [epoch for epoch, _ in run.refreshes] == [epoch for epoch, _ in whole.refreshes] \
+            == [1, 2]
+        for (_, mine), (_, theirs) in zip(run.refreshes, whole.refreshes):
+            assert mine.keys() == theirs.keys()
+            for idx in mine:
+                for m, t in zip(mine[idx], theirs[idx]):
+                    assert np.array_equal(m.values, t.values)
+
+    def test_hand_loop_of_train_step_equals_run_epoch(self):
+        train_ds = synth_digits(128, seed=22)
+        test_ds = synth_digits(64, seed=23)
+        cfg = momentum_cfg(epochs=2, sgs=SgsSettings(enabled=True, measure="mi",
+                                                     warmup_epochs=0, refresh_every=2))
+        run = build_run(two_conv_model(), train_ds.images.shape[1:], train_ds.class_count, cfg)
+        run_epoch(run, train_ds, test_ds)  # epoch 0 refreshes; epoch 1 steps scaled, no refresh
+        by_hand = copy.deepcopy(run)
+        metrics = run_epoch(run, train_ds, test_ds)
+        assert [epoch for epoch, _ in run.refreshes] == [0] and by_hand.scalings
+        loss_sum, seen = 0.0, 0
+        for batch_idx in _batches(len(train_ds), cfg.batch_size, by_hand.shuffle_rng):
+            loss, _ = train_step(by_hand, train_ds.images[batch_idx], train_ds.labels[batch_idx],
+                                 seen)
+            loss_sum += loss * len(batch_idx)
+            seen += len(batch_idx)
+        assert loss_sum / seen == metrics.train_loss
+        assert_same_weights(by_hand, run)
 
 
 class TestTrainLoop:
