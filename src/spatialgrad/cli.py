@@ -217,6 +217,8 @@ def _float_list(raw: str, flag: str) -> list[float]:
 def cmd_grid_search(args) -> int:
     cfg, train_ds, _ = _load(args)  # fail fast on config errors before spawning workers
     _build_run(cfg, train_ds, train_ds.class_count)
+    if args.ks and (args.alphas or args.betas):
+        raise ConfigError("grid-search takes --ks or --alphas and --betas, not both")
     if args.ks:
         cells = [{"k": k} for k in _float_list(args.ks, "--ks")]
     elif args.alphas and args.betas:

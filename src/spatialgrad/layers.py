@@ -1,16 +1,18 @@
 """Network layer primitives: forward and backward.
 
-Each layer caches what its backward pass needs during forward and holds it
-until its next forward. Conv, ReLU, max-pool and batch norm cache it only in
-a train-mode forward; after an eval-mode forward (``train=False``) their
-backward raises ``RuntimeError``. The largest cache is the conv layer's
-window matrix, ``kx*ky`` times the size of its input, which its backward
-frees once the weight gradient is formed. A layer holds
-its parameters in ``params`` and their gradients in ``grads``, two dicts keyed
-by parameter name (``W``, ``b``, ``gamma``, ``beta``; empty for layers without
-parameters). Each backward refills ``grads``; the trainer owns the optimizer
-state and writes each updated array into ``params``, which the next forward
-reads. Batch norm's running statistics are plain attributes, not parameters.
+One rule holds the state between them for every layer: a train-mode forward
+saves what its backward needs in ``Layer._saved``, the backward takes it and
+releases it, and an eval-mode forward (``train=False``) saves nothing. So a
+backward with nothing saved, after an eval-mode forward or a second backward,
+raises ``RuntimeError``. The largest saved value is the conv layer's window
+matrix, ``kx*ky`` times the size of its input.
+
+A layer holds its parameters in ``params`` and their gradients in ``grads``,
+two dicts keyed by parameter name (``W``, ``b``, ``gamma``, ``beta``; empty
+for layers without parameters). Each backward refills ``grads``; the trainer
+owns the optimizer state and writes each updated array into ``params``, which
+the next forward reads. Batch norm's running statistics are plain attributes,
+not parameters.
 """
 
 from __future__ import annotations
@@ -22,9 +24,19 @@ from .tensor import ShapeError
 
 
 class Layer:
+    _saved: tuple | None = None
+
     def __init__(self) -> None:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+
+    def _take(self) -> tuple:
+        """What the last train-mode forward saved, released as it is returned."""
+        saved, self._saved = self._saved, None
+        if saved is None:
+            raise RuntimeError(f"{type(self).__name__}.backward needs a train-mode forward "
+                               "since the last backward; an eval-mode forward saves nothing")
+        return saved
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         raise NotImplementedError
@@ -36,19 +48,12 @@ class Layer:
 class ConvLayer(Layer):
     """Convolution with weights ``params["W"]``; no bias.
 
-    A train-mode forward builds the input's window matrix (``im2col``) once,
-    uses it for the forward GEMM and keeps it; ``backward`` computes
-    ``grads["W"]`` from it and frees it. So a step copies each input's
-    windows once and holds the copy, ``kx*ky`` times the input's size, only
-    from forward to backward. An eval-mode forward (``train=False``), such
-    as the scaling refresh's capture forward, keeps no matrix, and
-    ``backward`` without a train-mode forward since the last backward raises
-    ``RuntimeError``. Every forward records the input's spatial size, which
-    the input gradient needs.
+    Every forward builds the input's window matrix (``im2col``) once for the
+    forward GEMM; a train-mode forward saves it, and ``backward`` computes
+    ``grads["W"]`` from it. So a step copies each input's windows once and
+    holds the copy, ``kx*ky`` times the input's size, only from forward to
+    backward.
     """
-
-    _cols: np.ndarray | None = None
-    _in_hw: tuple[int, int] | None = None
 
     def __init__(self, spec: ConvSpec, weights: np.ndarray):
         if weights.shape != spec.weight_shape:
@@ -58,45 +63,30 @@ class ConvLayer(Layer):
         self.params["W"] = weights
 
     def forward(self, x, train):
-        self._cols = None  # drop a matrix no backward consumed before building the next
-        self._in_hw = x.shape[2:]
-        if not train:
-            return conv_forward(x, self.params["W"], self.spec)
+        self._saved = None  # drop a matrix no backward took before building the next
         cols = im2col(x, self.spec)
         y = conv_forward(x, self.params["W"], self.spec, cols=cols)
-        self._cols = cols
+        if train:
+            self._saved = (cols, x.shape[2:])
         return y
 
     def backward(self, dy):
-        if self._cols is None:
-            raise RuntimeError("ConvLayer.backward needs a train-mode forward first; "
-                               "an eval-mode forward keeps no window matrix, and a "
-                               "backward frees the one it used")
-        cols, self._cols = self._cols, None
+        cols, in_hw = self._take()
         self.grads["W"] = conv_backward_weights(dy, None, self.spec, cols=cols)
         del cols  # free it before the input gradient's own temporaries
-        return conv_backward_input(dy, self.params["W"], self.spec, self._in_hw)
+        return conv_backward_input(dy, self.params["W"], self.spec, in_hw)
 
 
 class ReLULayer(Layer):
-    """Elementwise max(x, 0); backward multiplies dy by the mask ``x > 0``.
-
-    An eval-mode forward (``train=False``) keeps no mask, since no backward
-    follows it; ``backward`` after it raises ``RuntimeError``, as
-    ``MaxPoolLayer.backward`` does.
-    """
-
-    _mask: np.ndarray | None = None
+    """Elementwise max(x, 0); backward multiplies dy by the mask ``x > 0``."""
 
     def forward(self, x, train):
-        self._mask = x > 0 if train else None
+        self._saved = (x > 0,) if train else None
         return np.maximum(x, 0.0)
 
     def backward(self, dy):
-        if self._mask is None:
-            raise RuntimeError("ReLULayer.backward needs a train-mode forward first; "
-                               "an eval-mode forward keeps no mask")
-        return dy * self._mask
+        (mask,) = self._take()
+        return dy * mask
 
 
 class MaxPoolLayer(Layer):
@@ -116,15 +106,10 @@ class MaxPoolLayer(Layer):
     ``np.array_equal``; only the sign of a zero may differ (a negative ``dy``
     times a false mask gives -0.0). A non-finite ``dy`` reaches its whole
     2x2 block, since inf * 0 and NaN * 0 are NaN, as ReLU backward already
-    does with its mask.
-
-    An eval-mode forward (``train=False``) computes the max alone and keeps
-    no route, since no backward follows it; ``backward`` after it raises
-    ``RuntimeError``.
+    does with its mask. An eval-mode forward computes the max alone.
     """
 
     _QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
-    _route: np.ndarray | None = None
 
     def forward(self, x, train):
         n, c, h, w = x.shape
@@ -134,7 +119,7 @@ class MaxPoolLayer(Layer):
         q00, q01, q10, q11 = (x[:, :, r : 2 * oh : 2, s : 2 * ow : 2] for r, s in self._QUADRANTS)
         out = np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
         if not train:
-            self._route = None
+            self._saved = None
             return out
         # route = number of leading quadrants that miss the max
         miss = q00 != out
@@ -143,40 +128,39 @@ class MaxPoolLayer(Layer):
         route += miss
         miss &= q10 != out
         route += miss
-        self._route = route
-        self._in_shape = x.shape
+        self._saved = (route, x.shape)
         return out
 
     def backward(self, dy):
-        if self._route is None:
-            raise RuntimeError("MaxPoolLayer.backward needs a train-mode forward first; "
-                               "an eval-mode forward keeps no route")
+        route, in_shape = self._take()
         oh, ow = dy.shape[2], dy.shape[3]
-        dx = np.empty(self._in_shape, dtype=dy.dtype)
+        dx = np.empty(in_shape, dtype=dy.dtype)
         dx[:, :, 2 * oh :] = 0
         dx[:, :, :, 2 * ow :] = 0
         for k, (r, s) in enumerate(self._QUADRANTS):
-            np.multiply(dy, self._route == k, out=dx[:, :, r : 2 * oh : 2, s : 2 * ow : 2])
+            np.multiply(dy, route == k, out=dx[:, :, r : 2 * oh : 2, s : 2 * ow : 2])
         return dx
 
 
 class GlobalAvgPoolLayer(Layer):
     def forward(self, x, train):
-        self._in_shape = x.shape
+        self._saved = (x.shape,) if train else None
         return x.mean(axis=(2, 3), keepdims=True)
 
     def backward(self, dy):
-        n, c, h, w = self._in_shape
-        return np.broadcast_to(dy / (h * w), self._in_shape).copy()
+        (in_shape,) = self._take()
+        n, c, h, w = in_shape
+        return np.broadcast_to(dy / (h * w), in_shape).copy()
 
 
 class FlattenLayer(Layer):
     def forward(self, x, train):
-        self._in_shape = x.shape
+        self._saved = (x.shape,) if train else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy):
-        return dy.reshape(self._in_shape)
+        (in_shape,) = self._take()
+        return dy.reshape(in_shape)
 
 
 class DenseLayer(Layer):
@@ -188,25 +172,20 @@ class DenseLayer(Layer):
         w = self.params["W"]
         if x.ndim != 2 or x.shape[1] != w.shape[0]:
             raise ShapeError(f"dense input shape {x.shape}, weights {w.shape}")
-        self._x = x
+        self._saved = (x,) if train else None
         return x @ w + self.params["b"]
 
     def backward(self, dy):
-        self.grads.update(W=self._x.T @ dy, b=dy.sum(axis=0))
+        (x,) = self._take()
+        self.grads.update(W=x.T @ dy, b=dy.sum(axis=0))
         return dy @ self.params["W"].T
 
 
 class BatchNormLayer(Layer):
-    """Per-channel batch norm; batch statistics in training, running in eval.
-
-    An eval-mode forward (``train=False``) keeps no normalized input, since
-    no backward follows it; ``backward`` after it raises ``RuntimeError``, as
-    ``ReLULayer.backward`` and ``MaxPoolLayer.backward`` do.
-    """
+    """Per-channel batch norm; batch statistics in training, running in eval."""
 
     MOMENTUM = 0.1  # torch defaults
     EPS = 1e-5
-    _x_hat: np.ndarray | None = None
 
     def __init__(self, channels: int, dtype=np.float64):
         super().__init__()
@@ -228,23 +207,21 @@ class BatchNormLayer(Layer):
             centered = x - self.running_mean[None, :, None, None]
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         x_hat = centered * inv_std[None, :, None, None]
-        self._x_hat, self._inv_std = (x_hat, inv_std) if train else (None, None)
+        self._saved = (x_hat, inv_std) if train else None
         return (self.params["gamma"][None, :, None, None] * x_hat
                 + self.params["beta"][None, :, None, None])
 
     def backward(self, dy):
-        if self._x_hat is None:
-            raise RuntimeError("BatchNormLayer.backward needs a train-mode forward first; "
-                               "an eval-mode forward keeps no normalized input")
-        dgamma = (dy * self._x_hat).sum(axis=(0, 2, 3))
+        x_hat, inv_std = self._take()
+        dgamma = (dy * x_hat).sum(axis=(0, 2, 3))
         dbeta = dy.sum(axis=(0, 2, 3))
         self.grads.update(gamma=dgamma, beta=dbeta)
         # numpy's mean is the sum divided by the count, so these means are exact reuses
         m = dy.size // dy.shape[1]
-        g_inv = (self.params["gamma"] * self._inv_std)[None, :, None, None]
+        g_inv = (self.params["gamma"] * inv_std)[None, :, None, None]
         mean_dy = (dbeta / m)[None, :, None, None]
         mean_dy_xhat = (dgamma / m)[None, :, None, None]
-        return g_inv * (dy - mean_dy - self._x_hat * mean_dy_xhat)
+        return g_inv * (dy - mean_dy - x_hat * mean_dy_xhat)
 
 
 class SoftmaxCrossEntropy:

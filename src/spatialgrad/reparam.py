@@ -246,10 +246,12 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
         raise ValueError("steps must be >= 1")
     if not 0 < lr < np.inf:
         raise ValueError(f"lr must be positive and finite, got {lr}")
+    kx, ky = kernel
+    if kx != ky or kx < 1 or kx % 2 == 0:
+        raise ValueError(f"kernel must be square with a positive odd side, got {kernel}")
     _, coverage = from_masks(masks)
     mask_arrays = [np.array(m, dtype=np.float64) for m in masks]
-    kx, ky = kernel
-    pad = (max(kx, ky)) // 2
+    pad = kx // 2
     spec1 = ConvSpec(_IN_CHANNELS, _HIDDEN_CHANNELS, kernel, stride=1, padding=pad)
     spec2 = ConvSpec(_HIDDEN_CHANNELS, _OUT_CHANNELS, kernel, stride=1, padding=pad)
 

@@ -368,12 +368,18 @@ class TestVerifyEquivalence:
     @pytest.mark.parametrize("flags", [["--kernel", "0"], ["--steps", "0"],
                                        ["--momentum", "-1"], ["--lr", "0"],
                                        ["--lr", "-0.05"], ["--lr", "inf"],
-                                       ["--momentum", "nan"], ["--weight-decay", "inf"]])
+                                       ["--momentum", "nan"], ["--weight-decay", "inf"],
+                                       ["--kernel", "4"],
+                                       ["--kernel", "4", "--mask-family", "random"],
+                                       ["--kernel", "4", "--mask-family", "full_plus_center"]])
     def test_bad_flag_value_is_a_config_error(self, tmp_path, capsys, flags):
         code = main(["verify-equivalence", "--optimizer", "sgd_momentum", *flags,
                      "--out", str(tmp_path)])
         assert code == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if flags[:2] == ["--kernel", "4"]:
+            assert "kernel" in err and "(4, 4)" in err
         assert not (tmp_path / "divergence.csv").exists()
 
     def test_overflowing_lr_gives_no_verdict(self, tmp_path, capsys):
@@ -585,6 +591,7 @@ class TestGridSearch:
                                       ["--alphas", "0,1", "--betas", "1"],
                                       ["--alphas", "1", "--betas", "-2"],
                                       ["--ks", "nan"], ["--alphas", "inf", "--betas", "1"],
+                                      ["--ks", "5", "--alphas", "1", "--betas", "1"],
                                       ["--ks", "2,5", "--jobs", "0"],
                                       ["--ks", "2,5", "--jobs", "-3"],
                                       ["--ks", "2,5", "--validation-fraction", "1.0"],

@@ -8,6 +8,7 @@ from spatialgrad.layers import (
     DenseLayer,
     FlattenLayer,
     GlobalAvgPoolLayer,
+    Layer,
     MaxPoolLayer,
     ReLULayer,
     SoftmaxCrossEntropy,
@@ -49,7 +50,7 @@ class TestReLU:
         layer = ReLULayer()
         layer.forward(x, train=True)
         np.testing.assert_array_equal(layer.forward(x, train=False), np.maximum(x, 0.0))
-        assert layer._mask is None
+        assert layer._saved is None
 
     def test_backward_after_eval_forward_raises(self):
         x = np.random.default_rng(7).normal(size=(2, 3))
@@ -61,17 +62,45 @@ class TestReLU:
             ReLULayer().backward(np.ones_like(x))
 
 
-@pytest.mark.parametrize("make", [ReLULayer, MaxPoolLayer, lambda: BatchNormLayer(3),
-                                  lambda: ConvLayer(ConvSpec(3, 2, (3, 3), padding=1),
-                                                    np.ones((2, 3, 3, 3)))],
-                         ids=["relu", "maxpool", "batchnorm", "conv"])
-def test_backward_after_eval_forward_raises(make):
-    x = np.random.default_rng(9).normal(size=(2, 3, 4, 4))
+# id -> (layer factory, input shape): one of every Layer subclass
+LAYER_KINDS = {
+    "conv": (lambda: ConvLayer(ConvSpec(3, 2, (3, 3), padding=1), np.ones((2, 3, 3, 3))),
+             (2, 3, 4, 4)),
+    "relu": (ReLULayer, (2, 3, 4, 4)),
+    "maxpool": (MaxPoolLayer, (2, 3, 4, 4)),
+    "gap": (GlobalAvgPoolLayer, (2, 3, 4, 4)),
+    "flatten": (FlattenLayer, (2, 3, 4, 4)),
+    "dense": (lambda: DenseLayer(np.ones((3, 2)), np.zeros(2)), (2, 3)),
+    "batchnorm": (lambda: BatchNormLayer(3), (2, 3, 4, 4)),
+}
+
+
+def test_layer_kinds_cover_every_layer_subclass():
+    assert {type(make()) for make, _ in LAYER_KINDS.values()} == set(Layer.__subclasses__())
+
+
+@pytest.mark.parametrize("kind", LAYER_KINDS)
+def test_backward_after_eval_forward_raises(kind):
+    make, shape = LAYER_KINDS[kind]
+    x = np.random.default_rng(9).normal(size=shape)
     layer = make()
     out = layer.forward(x, train=True)
     layer.forward(x, train=False)
     with pytest.raises(RuntimeError, match="train-mode forward"):
         layer.backward(np.ones_like(out))
+
+
+@pytest.mark.parametrize("kind", LAYER_KINDS)
+def test_second_backward_after_one_train_forward_raises(kind):
+    make, shape = LAYER_KINDS[kind]
+    x = np.random.default_rng(10).normal(size=shape)
+    layer = make()
+    dy = np.ones_like(layer.forward(x, train=True))
+    assert layer.backward(dy).shape == shape
+    assert layer._saved is None
+    with pytest.raises(RuntimeError, match=f"{type(layer).__name__}.backward needs a "
+                                           "train-mode forward"):
+        layer.backward(dy)
 
 
 class TestConvLayer:
@@ -102,9 +131,9 @@ class TestConvLayer:
         x = rng.normal(size=(2, 2, 5, 5))
         layer = ConvLayer(spec, w)
         layer.forward(x, train=True)
-        assert layer._cols is not None
+        assert layer._saved is not None
         np.testing.assert_array_equal(layer.forward(x, train=False), conv_forward(x, w, spec))
-        assert layer._cols is None
+        assert layer._saved is None
 
     def test_backward_frees_the_window_matrix(self):
         rng = np.random.default_rng(16)
@@ -113,7 +142,7 @@ class TestConvLayer:
         y = layer.forward(rng.normal(size=(2, 2, 5, 5)), train=True)
         dy = rng.normal(size=y.shape)
         layer.backward(dy)
-        assert layer._cols is None
+        assert layer._saved is None
         with pytest.raises(RuntimeError, match="train-mode forward"):
             layer.backward(dy)
 
@@ -228,7 +257,7 @@ class TestMaxPoolEvalMode:
         layer.forward(x, train=True)
         out = layer.forward(x, train=False)
         np.testing.assert_array_equal(out, loop_maxpool(x, np.zeros(out.shape))[0])
-        assert layer._route is None
+        assert layer._saved is None
         with pytest.raises(RuntimeError, match="train-mode forward"):
             layer.backward(np.ones(out.shape))
 
@@ -255,7 +284,8 @@ class TestMaxPoolBackward:
         out = layer.forward(x, train=True)
         if dy is None:
             dy = np.random.default_rng(5).normal(size=out.shape).astype(x.dtype)
-        return layer.backward(dy), where_maxpool_backward(layer._route, dy, x.shape)
+        route, _ = layer._saved  # read before backward takes it
+        return layer.backward(dy), where_maxpool_backward(route, dy, x.shape)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("tied", [False, True])
@@ -274,16 +304,17 @@ class TestMaxPoolBackward:
         out = layer.forward(x, train=True)
         dy = np.ones_like(out)
         dy[0, 0, 0, 0], dy[0, 0, 0, 1], dy[0, 0, 1, 2] = np.inf, np.nan, -np.inf
+        route, _ = layer._saved  # read before backward takes it
         with np.errstate(invalid="ignore"):
             dx = layer.backward(dy)
         for (i, j), value in (((0, 0), np.inf), ((0, 1), np.nan), ((1, 2), -np.inf)):
             block = dx[0, 0, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].ravel()
-            k = layer._route[0, 0, i, j]
+            k = route[0, 0, i, j]
             np.testing.assert_array_equal(block[k], value)
             assert np.isnan(np.delete(block, k)).all()
         # finite blocks route as before
         finite = np.isfinite(np.repeat(np.repeat(dy, 2, axis=2), 2, axis=3))
-        ref = where_maxpool_backward(layer._route, np.where(np.isfinite(dy), dy, 0), x.shape)
+        ref = where_maxpool_backward(route, np.where(np.isfinite(dy), dy, 0), x.shape)
         np.testing.assert_array_equal(dx[finite], ref[finite])
 
 

@@ -238,7 +238,9 @@ class TestEquivalenceRun:
         assert not report.linear_guarantee
         assert report.optimizer_kind == "adam"
 
-    @pytest.mark.parametrize("kwargs", [{"steps": 0}, {"lr": 0.0}, {"lr": -0.05}])
+    @pytest.mark.parametrize("kwargs", [{"steps": 0}, {"lr": 0.0}, {"lr": -0.05},
+                                        {"kernel": (4, 4)}, {"kernel": (3, 5)},
+                                        {"kernel": (-1, -1)}])
     def test_rejects_bad_run_arguments(self, kwargs):
         args = {"steps": 5, "seed": 0, **kwargs}
         with pytest.raises(ValueError, match="must be"):

@@ -491,11 +491,13 @@ class TestRefreshScalings:
         def no_dense(self, x, train):
             raise AssertionError("the capture forward ran past the last conv")
 
+        def no_last_conv(x, train):
+            raise AssertionError("the capture forward ran the last conv")
+
         with monkeypatch.context() as patched:
             patched.setattr(DenseLayer, "forward", no_dense)
+            patched.setattr(net.layers[net.conv_indices[-1]], "forward", no_last_conv)
             captured = _capture_feature_maps(net, ds, sgs, np.random.default_rng(3), 32)
-        last_conv = net.layers[net.conv_indices[-1]]
-        assert last_conv._in_hw is None  # its forward never ran
 
         order = np.random.default_rng(3).choice(len(ds), size=64, replace=False)
         expected = {idx: [] for idx in net.conv_indices}
@@ -518,13 +520,13 @@ class TestRefreshScalings:
         sgs = SgsSettings(enabled=True, measure="mi", refresh_batches=2)
         first, last = (net.layers[idx] for idx in net.conv_indices)
         net.forward(ds.images[:32], train=True)
-        kept = last._cols
-        assert first._cols is not None and kept is not None
+        kept = last._saved
+        assert first._saved is not None and kept is not None
         _capture_feature_maps(net, ds, sgs, np.random.default_rng(3), 32)
-        assert first._cols is None
-        assert last._cols is kept  # the capture stops before the last conv's forward
+        assert first._saved is None
+        assert last._saved is kept  # the capture stops before the last conv's forward
         net.forward(ds.images[:32], train=False)
-        assert first._cols is None and last._cols is None
+        assert first._saved is None and last._saved is None
 
     def test_one_by_one_kernels_stay_uniform(self, monkeypatch):
         model = [
