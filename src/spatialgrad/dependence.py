@@ -6,9 +6,15 @@ pairs are pooled over samples, channels, and positions from one or more
 feature-map batches, then scored either by normalized mutual information over
 a discrete joint histogram (primary) or by absolute Pearson autocorrelation
 (ablation). Scores land in a kernel-shaped matrix with entries in [0, 1],
-entry (a, b) holding the displacement (a - kx//2, b - ky//2). Every joint
-histogram, filtered or not, is counted by one loop over cache-sized blocks
-of whole planes, so its memory beyond the maps is one block's arrays.
+entry (a, b) holding the displacement (a - kx//2, b - ky//2).
+
+Both scores walk the maps the same way: ``_plane_blocks`` copies cache-sized
+blocks of whole (sample, channel) planes plane-last, as [H, W, planes], so a
+displacement's pixels and neighbours are runs of whole rows of planes and the
+memory beyond the maps is one block's arrays. Every joint histogram, filtered
+or not, is counted over that walk; the redundancy filter gives a dropped pair
+a sentinel code past ``bins**2`` instead of compacting the kept pairs. The
+autocorrelation accumulates its float64 moments over the same walk.
 """
 
 from __future__ import annotations
@@ -88,27 +94,28 @@ def _check_maps(feature_maps: Sequence[np.ndarray]) -> tuple[list, tuple[float, 
     return maps, (lo, hi)
 
 
-def _pair_slices(shape: tuple[int, ...], i: int, j: int) -> tuple[tuple, tuple]:
-    """Index tuples selecting the pixels and their (i, j) neighbours of a rank-4 map."""
-    h, w = shape[2], shape[3]
+def _pair_slices(extent: tuple[int, ...], i: int, j: int) -> tuple[tuple, tuple]:
+    """Index tuples selecting the pixels and their (i, j) neighbours on an (H, W, ...) grid."""
+    h, w = extent[:2]
     if abs(i) >= h or abs(j) >= w:
         raise EstimatorError(
             f"displacement ({i}, {j}) exceeds spatial extent {h}x{w}"
         )
     hs, he = max(0, -i), h - max(0, i)
     ws, we = max(0, -j), w - max(0, j)
-    return np.s_[:, :, hs:he, ws:we], np.s_[:, :, hs + i : he + i, ws + j : we + j]
+    return np.s_[hs:he, ws:we], np.s_[hs + i : he + i, ws + j : we + j]
 
 
 def _bin_indices(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
     """Uniform bin index per value over [lo, hi]; hi lands in the last bin.
 
-    A degenerate range (hi <= lo) maps everything to bin 0.
+    A degenerate range (hi <= lo) maps everything to bin 0. The scaled value
+    is clipped before the integer cast, so a value far outside a fixed range
+    lands in an edge bin instead of overflowing the cast.
     """
     if hi <= lo:
         return np.zeros(values.shape, dtype=np.int64)
-    idx = ((values - lo) * (bins / (hi - lo))).astype(np.int64)
-    return np.clip(idx, 0, bins - 1)
+    return np.clip((values - lo) * (bins / (hi - lo)), 0, bins - 1).astype(np.int64)
 
 
 def _resolve_delta(cfg: BinningConfig, lo: float, hi: float) -> float | None:
@@ -117,41 +124,57 @@ def _resolve_delta(cfg: BinningConfig, lo: float, hi: float) -> float | None:
     return cfg.redundancy_filter
 
 
-# Values per block of the joint count: 2**16 keeps a block's int64 index and
+def _check_extents(maps: Sequence[np.ndarray], displacements) -> None:
+    """Raise for the first displacement that some map's planes cannot hold."""
+    for i, j in displacements:
+        for fm in maps:
+            _pair_slices(fm.shape[2:], i, j)
+
+
+# Values per block of the plane walk: 2**16 keeps a block's int64 index and
 # row-code arrays (1 MB together) inside a 2 MB L2 cache.
 _BLOCK_VALUES = 1 << 16
+
+
+def _plane_blocks(maps: Sequence[np.ndarray]):
+    """Each map's (sample, channel) planes in blocks, each copied plane-last.
+
+    A block holds at most ``_BLOCK_VALUES`` values, or one plane, as a
+    contiguous [H, W, planes] array: a displacement's pixels and neighbours
+    are then runs of whole rows of planes, not rows of single planes.
+    """
+    for fm in maps:
+        planes = fm.reshape(-1, *fm.shape[2:])
+        step = max(1, _BLOCK_VALUES // (fm.shape[2] * fm.shape[3]))
+        for start in range(0, planes.shape[0], step):
+            yield np.ascontiguousarray(planes[start : start + step].transpose(1, 2, 0))
 
 
 def _count_joints(maps: Sequence[np.ndarray], displacements: Sequence[tuple[int, int]],
                   lo: float, hi: float, bins: int, delta: float | None) -> np.ndarray:
     """Int64 joint counts [len(displacements), bins**2] over all maps.
 
-    Every extent is checked first. Each map is cut into blocks of whole
-    (sample, channel) planes of at most ``_BLOCK_VALUES`` values, or one
-    plane; a block is binned once, and each displacement bincounts its
-    shifted row codes ``index * bins`` plus column indices, keeping only the
-    pairs with |p - q| >= delta when ``delta`` is set. Pairs never cross a
-    plane, and binning and the filter are elementwise in the map's dtype, so
-    no count depends on the block size.
+    Every extent is checked first. Each plane-last block of ``_plane_blocks``
+    is binned once, and each displacement bincounts its shifted row codes
+    ``index * bins`` plus column indices. When ``delta`` is set, a pair with
+    |p - q| < delta gets the code past ``bins**2`` instead of being removed:
+    the bincount spans ``2 * bins**2`` cells and only the first ``bins**2``
+    are kept. Pairs never cross a plane, and binning and the filter are
+    elementwise in the map's dtype, so no count depends on the block size.
     """
-    for i, j in displacements:
-        for fm in maps:
-            _pair_slices(fm.shape, i, j)
-    counts = np.zeros((len(displacements), bins * bins), dtype=np.int64)
-    for fm in maps:
-        planes = fm.reshape(-1, 1, *fm.shape[2:])
-        step = max(1, _BLOCK_VALUES // (fm.shape[2] * fm.shape[3]))
-        for start in range(0, planes.shape[0], step):
-            block = planes[start : start + step]
-            index = _bin_indices(block, lo, hi, bins)
-            rows = index * bins
-            for row, (i, j) in enumerate(displacements):
-                p, q = _pair_slices(index.shape, i, j)
-                codes = rows[p] + index[q]
-                if delta is not None:
-                    codes = codes[np.abs(block[p] - block[q]) >= delta]
-                counts[row] += np.bincount(codes.ravel(), minlength=bins * bins)
-                del codes  # alive while the next codes are formed, it cost 5 %
+    _check_extents(maps, displacements)
+    cells = bins * bins
+    counts = np.zeros((len(displacements), cells), dtype=np.int64)
+    for block in _plane_blocks(maps):
+        index = _bin_indices(block, lo, hi, bins)
+        rows = index * bins
+        for row, (i, j) in enumerate(displacements):
+            p, q = _pair_slices(block.shape, i, j)
+            codes = rows[p] + index[q]
+            if delta is not None:
+                codes += (np.abs(block[p] - block[q]) < delta) * cells
+            counts[row] += np.bincount(codes.ravel(), minlength=2 * cells)[:cells]
+            del codes  # alive while the next codes are formed, it cost 5 %
     return counts
 
 
@@ -161,7 +184,7 @@ def collect_pairs(feature_maps: Sequence[np.ndarray], displacement: tuple[int, i
 
     Counted by the estimator's blocked loop, after every map is validated and
     every extent checked. With the redundancy filter on, pairs with |p - q|
-    below the threshold are dropped before the count; an empty surviving pair
+    below the threshold are left out of the count; an empty surviving pair
     set is an error.
     """
     maps, pooled = _check_maps(feature_maps)
@@ -240,9 +263,7 @@ def spatial_dependence_mi(feature_maps: Sequence[np.ndarray], kernel_shape: tupl
     bins = cfg.bins
     delta = _resolve_delta(cfg, lo, hi)
     displacements = list(_displacements(kernel_shape))
-    for _, _, i, j in displacements:
-        for fm in maps:
-            _pair_slices(fm.shape, i, j)
+    _check_extents(maps, [(i, j) for _, _, i, j in displacements])
     offsets = {(i, j) for _, _, i, j in displacements}
     # Each unordered {d, -d} is counted once; the filter counts only (0, 0) here.
     blocked: dict[tuple[int, int], int] = {}
@@ -274,24 +295,41 @@ def spatial_dependence_autocorr(feature_maps: Sequence[np.ndarray],
     Pairs are pooled unfiltered. The absolute value keeps the score usable as
     a scaling source (raw correlation may be negative); a zero-variance
     marginal yields 0 by convention.
+
+    The moments n, sum p, sum q, sum p**2, sum q**2 and sum pq of each
+    displacement are accumulated in float64 over the plane blocks of
+    ``_plane_blocks``, after shifting every value by the pooled mean, so
+    float32 maps also get float64 moments and the memory beyond the maps is
+    one block's arrays. A constant side is found from its exact extremes:
+    a constant such as 0.1 can leave a variance of order 1e-34, not 0.
     """
     maps, _ = _check_maps(feature_maps)
+    displacements = list(_displacements(kernel_shape))
+    _check_extents(maps, [(i, j) for _, _, i, j in displacements])
+    size = sum(fm.size for fm in maps)
+    shift = sum(float(fm.sum(dtype=np.float64)) for fm in maps) / max(size, 1)
+    moments = np.zeros((len(displacements), 6))
+    lows = np.full((len(displacements), 2), np.inf)
+    highs = np.full((len(displacements), 2), -np.inf)
+    for block in _plane_blocks(maps):
+        x = block.astype(np.float64)
+        x -= shift
+        for row, (_, _, i, j) in enumerate(displacements):
+            ps, qs = _pair_slices(block.shape, i, j)
+            p, q = x[ps], x[qs]
+            moments[row] += (p.size, p.sum(), q.sum(), (p * p).sum(), (q * q).sum(),
+                             (p * q).sum())
+            lows[row] = np.minimum(lows[row], (block[ps].min(), block[qs].min()))
+            highs[row] = np.maximum(highs[row], (block[ps].max(), block[qs].max()))
     values = np.zeros(kernel_shape, dtype=np.float64)
-    for a, b, i, j in _displacements(kernel_shape):
-        slices = [(fm, *_pair_slices(fm.shape, i, j)) for fm in maps]
-        p = np.concatenate([fm[s].ravel() for fm, s, _ in slices])
-        q = np.concatenate([fm[s].ravel() for fm, _, s in slices])
-        if p.size == 0:
+    for row, (a, b, i, j) in enumerate(displacements):
+        if moments[row, 0] == 0:
             raise EstimatorError(f"no pairs collected for displacement ({i}, {j})")
-        var_p = p.var()
-        var_q = q.var()
-        # A constant such as 0.1 can leave a var() of order 1e-34, not 0, so
-        # a constant side is found from its extremes.
-        if p.min() == p.max() or q.min() == q.max() or var_p == 0 or var_q == 0:
-            values[a, b] = 0.0
+        mp, mq, mpp, mqq, mpq = moments[row, 1:] / moments[row, 0]
+        var_p, var_q = mpp - mp * mp, mqq - mq * mq
+        if (lows[row] == highs[row]).any() or var_p <= 0 or var_q <= 0:
             continue
-        cov = ((p - p.mean()) * (q - q.mean())).mean()
-        values[a, b] = min(abs(cov / np.sqrt(var_p * var_q)), 1.0)
+        values[a, b] = min(abs((mpq - mp * mq) / math.sqrt(var_p * var_q)), 1.0)
     return SpatialDependenceMatrix(values)
 
 

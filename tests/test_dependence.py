@@ -82,11 +82,50 @@ class TestCollectPairs:
         joint = collect_pairs([fm], (0, 1), cfg)
         assert joint.sum() == 1
 
+    def test_pixel_far_above_a_fixed_range_lands_in_the_last_bin(self):
+        # 1e18 * 16 overflows an int64 cast: the scaled value is clipped first.
+        fm = np.array([[0.0, 0.5, 1e18]]).reshape(1, 1, 1, 3)
+        joint = collect_pairs([fm], (0, 1), BinningConfig(bins=16, value_range=(0.0, 1.0)))
+        expected = np.zeros((16, 16))
+        expected[0, 8] = 1  # (0, 0.5)
+        expected[8, 15] = 1  # (0.5, 1e18)
+        np.testing.assert_array_equal(joint, expected)
+
+    def test_kept_pairs_fill_the_last_cell(self):
+        # Pairs: (0.76, 0.99) kept in cell (3, 3), the last of bins**2;
+        # (0.99, 0.95) dropped from that same cell; (0.95, 0.0) kept in (3, 0);
+        # (0.0, 0.05) dropped from cell (0, 0). A dropped pair's code lies at
+        # or past bins**2, so an off-by-one there or in the kept cells moves or
+        # loses a count of the last cell.
+        fm = np.array([[0.76, 0.99, 0.95, 0.0, 0.05]]).reshape(1, 1, 1, 5)
+        cfg = BinningConfig(bins=4, value_range=(0.0, 1.0), redundancy_filter=0.1)
+        expected = np.zeros((4, 4))
+        expected[3, 3] = expected[3, 0] = 1
+        joint = collect_pairs([fm], (0, 1), cfg)
+        np.testing.assert_array_equal(joint, expected)
+        np.testing.assert_array_equal(joint, naive_joint([fm], (0, 1), cfg))
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
     def test_non_finite_filter_threshold_is_rejected(self, threshold):
         with pytest.raises(ValueError, match="finite"):
             BinningConfig(redundancy_filter=threshold)
+
+
+class TestBinIndices:
+    def test_values_far_outside_a_fixed_range_land_in_the_edge_bins(self):
+        idx = dependence._bin_indices(np.array([1e18, 1e300, -1e18, -1e300]), 0.0, 1.0, 32)
+        np.testing.assert_array_equal(idx, [31, 31, 0, 0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_indices_that_fit_an_int64_are_cast_then_clipped(self, dtype):
+        # Clipping the scaled value before the cast moves no index whose
+        # scaled value fits an int64.
+        rng = np.random.default_rng(4)
+        values = np.concatenate([rng.uniform(-3.0, 4.0, size=500), [0.2, 1.5, 1e15, -1e15],
+                                 np.linspace(0.2, 1.5, 81)]).astype(dtype)
+        scaled = (values - 0.2) * (8 / (1.5 - 0.2))
+        np.testing.assert_array_equal(dependence._bin_indices(values, 0.2, 1.5, 8),
+                                      np.clip(scaled.astype(np.int64), 0, 7))
 
 
 class TestNormalizedMI:
@@ -324,6 +363,30 @@ class TestCollectPairsEqualsNaiveJoint:
         for d in displacements:
             assert np.array_equal(collect_pairs(maps, d, cfg), naive_joint(maps, d, cfg)), d
 
+    # 1-row planes (1x9, 1x5), 1-column planes (9x1, 4x1) and non-square
+    # ones (3x11, 5x2), each with a kernel whose displacements fit them all.
+    LAYOUTS = {"one_row": ([(3, 2, 1, 9), (2, 2, 1, 5)], (1, 9)),
+               "one_column": ([(3, 2, 9, 1), (1, 2, 4, 1)], (7, 1)),
+               "non_square": ([(2, 2, 3, 11), (3, 2, 5, 2)], (5, 3))}
+
+    @pytest.mark.parametrize("block_values", [1, 7, 10**6])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("redundancy_filter", [None, "auto", 0.3])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_thin_and_non_square_planes_match_naive_joint(self, monkeypatch, block_values,
+                                                          dtype, redundancy_filter, layout):
+        monkeypatch.setattr(dependence, "_BLOCK_VALUES", block_values)
+        shapes, (kx, ky) = self.LAYOUTS[layout]
+        rng = np.random.default_rng(5)
+        maps = [np.round(np.maximum(rng.normal(size=shape), 0.0), 1).astype(dtype)
+                for shape in shapes]
+        cfg = BinningConfig(bins=8, redundancy_filter=redundancy_filter)
+        for _, _, i, j in dependence._displacements((kx, ky)):
+            if redundancy_filter is not None and (i, j) == (0, 0):
+                continue
+            assert np.array_equal(collect_pairs(maps, (i, j), cfg),
+                                  naive_joint(maps, (i, j), cfg)), (i, j)
+
 
 class TestEstimatorErrors:
     def test_extent_checked_before_any_counting(self, monkeypatch):
@@ -398,6 +461,13 @@ class TestEstimatorMemory:
         cfg = BinningConfig(bins=32, redundancy_filter="auto")
         assert traced_peak(collect_pairs, maps, (1, 1), cfg) < sum(fm.nbytes for fm in maps) / 2
 
+    def test_autocorr_peak_is_a_block_not_the_maps(self):
+        # Concatenating a displacement's pixels and neighbours from every map
+        # allocated about twice the maps' bytes.
+        maps = self.four_mib_maps()
+        peak = traced_peak(spatial_dependence_autocorr, maps, (3, 3))
+        assert peak < sum(fm.nbytes for fm in maps) / 2
+
     def test_map_check_allocates_no_map_sized_mask(self):
         # A bool finiteness mask of this float32 map would take 1 MiB.
         fm = np.random.default_rng(8).normal(size=(64, 16, 32, 32)).astype(np.float32)
@@ -443,6 +513,58 @@ class TestSpatialDependenceAutocorr:
     def test_zero_variance_convention(self, value, shape):
         s = spatial_dependence_autocorr([np.full(shape, value)], (3, 3))
         np.testing.assert_array_equal(s.values, np.zeros((3, 3)))
+
+
+def concatenated_autocorr(maps, kernel):
+    """The autocorr matrix from whole-map pair copies, concatenated and taken in float64."""
+    kx, ky = kernel
+    values = np.zeros(kernel)
+    for a in range(kx):
+        for b in range(ky):
+            i, j = a - kx // 2, b - ky // 2
+            p = np.concatenate([fm[:, :, max(0, -i) : h - max(0, i), max(0, -j) : w - max(0, j)]
+                                .ravel() for fm in maps for h, w in [fm.shape[2:]]])
+            q = np.concatenate([fm[:, :, max(0, i) : h + min(0, i), max(0, j) : w + min(0, j)]
+                                .ravel() for fm in maps for h, w in [fm.shape[2:]]])
+            p, q = p.astype(np.float64), q.astype(np.float64)
+            if p.min() == p.max() or q.min() == q.max():
+                continue
+            cov = ((p - p.mean()) * (q - q.mean())).mean()
+            values[a, b] = min(abs(cov / np.sqrt(p.var() * q.var())), 1.0)
+    return values
+
+
+class TestAutocorrEqualsConcatenatedForm:
+    """The blocked float64 moments agree with the concatenated float64 form to 1e-12."""
+
+    @staticmethod
+    def offset_maps(seed):
+        # Correlated fields far from zero, so the moments need the mean shift.
+        rng = np.random.default_rng(seed)
+        maps = []
+        for shape in ((3, 2, 9, 8), (5, 2, 7, 10), (2, 2, 6, 6)):
+            fm = rng.normal(size=shape)
+            maps.append(100.0 + fm + np.roll(fm, 1, axis=2) + 0.5 * np.roll(fm, -1, axis=3))
+        return maps
+
+    @staticmethod
+    def constant_planes(seed):
+        # Every plane is constant: each block's sides are constant at one
+        # plane per block, the pooled sides are not.
+        levels = np.random.default_rng(seed).uniform(size=(4, 3, 1, 1))
+        return [np.broadcast_to(levels, (4, 3, 5, 6)).copy()]
+
+    @pytest.mark.parametrize("block_values", [1, 288, 10**6])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel", [(3, 3), (5, 3), (2, 1)])
+    @pytest.mark.parametrize("maps_of", ["mixed_maps", "offset_maps", "constant_planes"])
+    def test_matches_concatenated_float64(self, monkeypatch, block_values, dtype, kernel,
+                                          maps_of):
+        monkeypatch.setattr(dependence, "_BLOCK_VALUES", block_values)
+        make = mixed_maps if maps_of == "mixed_maps" else getattr(self, maps_of)
+        maps = [fm.astype(dtype) for fm in make(sum(kernel))]
+        fast = spatial_dependence_autocorr(maps, kernel).values
+        np.testing.assert_allclose(fast, concatenated_autocorr(maps, kernel), rtol=0, atol=1e-12)
 
 
 class TestNonFiniteMaps:
