@@ -146,8 +146,8 @@ def cmd_verify_equivalence(args) -> int:
               f"lower --lr (heavy mask families multiply the effective rate by "
               f"their coverage)", file=sys.stderr)
         return EXIT_RUNTIME
-    if not report.linear_guarantee:
-        print(f"WARNING: optimizer '{report.optimizer_kind}' is outside the linear family; "
+    if not optimizer.is_linear:
+        print(f"WARNING: optimizer '{optimizer.kind}' is outside the linear family; "
               "no equivalence guarantee (report is informational)")
         print(f"max divergence over {args.steps} steps: {report.max_divergence:.3e}")
         return EXIT_OK

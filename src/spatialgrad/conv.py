@@ -84,8 +84,9 @@ class ConvSpec:
 
     def __post_init__(self) -> None:
         kx, ky = self.kernel
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ValueError(f"channel counts must be positive, got {self}")
+        for name in ("in_channels", "out_channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if kx < 1 or ky < 1:
             raise ValueError(f"kernel dims must be >= 1, got {self.kernel}")
         if self.stride not in (1, 2):

@@ -20,7 +20,7 @@ autocorrelation accumulates its float64 moments over the same walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -36,15 +36,14 @@ class EstimatorError(RuntimeError):
 class BinningConfig:
     """Histogram settings for the mutual-information estimator.
 
-    ``value_range`` fixes the bin edges; when ``None`` it is taken from the
-    pooled min/max of the sampled activations (recomputed per layer per
-    refresh, since activations drift during training). ``redundancy_filter``
-    drops pairs whose values are closer than a threshold: ``None`` is off,
-    ``"auto"`` uses one bin width, a float is an explicit threshold.
+    The ``bins`` uniform bins span the pooled min/max of the maps being
+    scored, so they follow the activations as they drift between refreshes.
+    ``redundancy_filter`` drops pairs whose values are closer than a
+    threshold: ``None`` is off, ``"auto"`` uses one bin width, a float is an
+    explicit threshold.
     """
 
     bins: int = 32
-    value_range: tuple[float, float] | None = None
     redundancy_filter: float | str | None = None
 
     def __post_init__(self) -> None:
@@ -110,8 +109,8 @@ def _bin_indices(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndar
     """Uniform bin index per value over [lo, hi]; hi lands in the last bin.
 
     A degenerate range (hi <= lo) maps everything to bin 0. The scaled value
-    is clipped before the integer cast, so a value far outside a fixed range
-    lands in an edge bin instead of overflowing the cast.
+    is clipped before the integer cast, so a value outside [lo, hi], however
+    far, lands in an edge bin instead of overflowing the cast.
     """
     if hi <= lo:
         return np.zeros(values.shape, dtype=np.int64)
@@ -183,13 +182,12 @@ def collect_pairs(feature_maps: Sequence[np.ndarray], displacement: tuple[int, i
     """Joint (bins x bins) histogram of pixel/neighbour pairs over all maps.
 
     Counted by the estimator's blocked loop, after every map is validated and
-    every extent checked. With the redundancy filter on, pairs with |p - q|
-    below the threshold are left out of the count; an empty surviving pair
-    set is an error.
+    every extent checked, with the bins spanning the maps' pooled range.
+    With the redundancy filter on, pairs with |p - q| below the threshold are
+    left out of the count; an empty surviving pair set is an error.
     """
-    maps, pooled = _check_maps(feature_maps)
+    maps, (lo, hi) = _check_maps(feature_maps)
     i, j = displacement
-    lo, hi = cfg.value_range if cfg.value_range is not None else pooled
     delta = _resolve_delta(cfg, lo, hi)
     counts = _count_joints(maps, [(i, j)], lo, hi, cfg.bins, delta)[0]
     if not counts.any():
@@ -240,8 +238,9 @@ def spatial_dependence_mi(feature_maps: Sequence[np.ndarray], kernel_shape: tupl
                           cfg: BinningConfig) -> SpatialDependenceMatrix:
     """Normalized-MI dependence matrix over the kernel's receptive field.
 
-    The bin range is fixed once from the pooled activations and reused for
-    every displacement. The redundancy filter is skipped at displacement
+    The bins span the maps' pooled range, the same range for every
+    displacement; a ``collect_pairs`` call on the same maps finds that range
+    again. The redundancy filter is skipped at displacement
     (0, 0): those pairs are self-pairs and would all be dropped, while their
     dependence is what anchors the center of the matrix. Every extent is
     checked before any counting.
@@ -256,10 +255,7 @@ def spatial_dependence_mi(feature_maps: Sequence[np.ndarray], kernel_shape: tupl
     folds them into one). Every joint is therefore identical to a
     per-displacement ``collect_pairs`` call, for any block size.
     """
-    maps, pooled = _check_maps(feature_maps)
-    if cfg.value_range is None:
-        cfg = replace(cfg, value_range=pooled)
-    lo, hi = cfg.value_range
+    maps, (lo, hi) = _check_maps(feature_maps)
     bins = cfg.bins
     delta = _resolve_delta(cfg, lo, hi)
     displacements = list(_displacements(kernel_shape))

@@ -30,12 +30,12 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 
-    def _take(self) -> tuple:
+    def _take(self, needs: str = "backward needs a train-mode forward since the last "
+                                 "backward; an eval-mode forward saves nothing") -> tuple:
         """What the last train-mode forward saved, released as it is returned."""
         saved, self._saved = self._saved, None
         if saved is None:
-            raise RuntimeError(f"{type(self).__name__}.backward needs a train-mode forward "
-                               "since the last backward; an eval-mode forward saves nothing")
+            raise RuntimeError(f"{type(self).__name__}.{needs}")
         return saved
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
@@ -224,8 +224,13 @@ class BatchNormLayer(Layer):
         return g_inv * (dy - mean_dy - x_hat * mean_dy_xhat)
 
 
-class SoftmaxCrossEntropy:
-    """Loss head: softmax over logits with mean cross-entropy against labels."""
+class SoftmaxCrossEntropy(Layer):
+    """Loss head: softmax over logits with mean cross-entropy against labels.
+
+    Its ``loss`` and ``grad`` follow the layers' state rule as forward and
+    backward: ``loss`` saves the probabilities and labels, and ``grad`` takes
+    them, so each ``loss`` gives one ``grad``.
+    """
 
     def loss(self, logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
         if logits.ndim != 2:
@@ -238,12 +243,12 @@ class SoftmaxCrossEntropy:
         n = logits.shape[0]
         log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
         value = float(-log_probs[np.arange(n), labels].mean())
-        self._probs = probs
-        self._labels = labels
+        self._saved = (probs, labels)
         return value, probs
 
     def grad(self) -> np.ndarray:
-        n = self._probs.shape[0]
-        d = self._probs.copy()
-        d[np.arange(n), self._labels] -= 1.0
+        probs, labels = self._take("grad needs a loss since the last grad")
+        n = probs.shape[0]
+        d = probs.copy()
+        d[np.arange(n), labels] -= 1.0
         return d / n

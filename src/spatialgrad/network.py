@@ -32,6 +32,11 @@ class ConvLayerSpec:
     def __post_init__(self) -> None:
         if self.activation not in ("relu", "none"):
             raise ValueError(f"activation must be 'relu' or 'none', got {self.activation!r}")
+        self.conv(1)  # ConvSpec's checks of every field but the input channels
+
+    def conv(self, in_channels: int) -> ConvSpec:
+        """The layer's convolution on ``in_channels`` input channels."""
+        return ConvSpec(in_channels, self.out_channels, self.kernel, self.stride, self.padding)
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,10 @@ class FlattenSpec:
 @dataclass(frozen=True)
 class DenseSpec:
     out_features: int
+
+    def __post_init__(self) -> None:
+        if self.out_features < 1:
+            raise ValueError(f"out_features must be >= 1, got {self.out_features}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +160,7 @@ def build_network(specs: list, input_shape: tuple[int, int, int], class_count: i
     flat_features = 0
     for spec in specs[:-1]:
         if isinstance(spec, ConvLayerSpec):
-            conv_spec = ConvSpec(c, spec.out_channels, spec.kernel, spec.stride, spec.padding)
+            conv_spec = spec.conv(c)
             fan_in = c * spec.kernel[0] * spec.kernel[1]
             weights = (rng.normal(size=conv_spec.weight_shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
             layers.append(ConvLayer(conv_spec, weights))

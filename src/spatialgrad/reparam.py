@@ -202,8 +202,6 @@ class DivergenceReport:
     steps: list[int] = field(default_factory=list)
     max_rel: list[float] = field(default_factory=list)
     mean_rel: list[float] = field(default_factory=list)
-    linear_guarantee: bool = True
-    optimizer_kind: str = "sgd"
     diverged_numerically: bool = False
 
     @property
@@ -239,8 +237,9 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
     single side scales each conv gradient by the raw coverage matrix (the
     plain mask sum: the equivalence statement uses the unnormalized count).
     Divergence of the merged branched weights from the single weights is
-    recorded after every step. With a non-linear optimizer the run proceeds
-    but the report is flagged: no equivalence is guaranteed there.
+    recorded after every step. A non-linear optimizer runs the same way, but
+    no equivalence is guaranteed there; the caller reads
+    ``optimizer.is_linear`` to know whether the divergence is a verdict.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -269,9 +268,7 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
     state_s2 = make_state(optimizer, w2)
     raw_scaling = coverage.astype(np.float64)
 
-    report = DivergenceReport(
-        linear_guarantee=optimizer.is_linear, optimizer_kind=optimizer.kind
-    )
+    report = DivergenceReport()
     # Overflow is a legitimate outcome (too-hot lr for a heavy mask family);
     # it is detected by the finiteness check and flagged, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):

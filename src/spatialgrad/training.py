@@ -29,7 +29,6 @@ import numpy as np
 from . import dependence
 from .data import LabeledDataset
 from .dependence import BinningConfig, EstimatorError
-from .layers import ConvLayer
 from .network import Network, build_network, parameter_name
 from .optim import OptimizerConfig, OptimizerState, make_state, step
 from .reparam import MASK_FAMILIES, standard_mask_sets
@@ -37,7 +36,8 @@ from .scaling import DEFAULT_EPSILON_FLOOR, ScalingMatrix, finalize, from_masks,
 
 logger = logging.getLogger(__name__)
 
-MEASURES = ("mi", "autocorr", "alpha_beta", "fixed", "masks")
+_ESTIMATED = ("mi", "autocorr")  # the measures that read captured feature maps
+MEASURES = (*_ESTIMATED, "alpha_beta", "fixed", "masks")
 
 # One refresh: conv layer index -> (dependence matrix or None, scaling matrix).
 Refresh = dict[int, tuple[dependence.SpatialDependenceMatrix | None, ScalingMatrix]]
@@ -86,10 +86,6 @@ class SgsSettings:
         if self.mask_family not in MASK_FAMILIES:
             raise ValueError(f"unknown mask_family {self.mask_family!r}, "
                              f"expected one of {MASK_FAMILIES}")
-
-    @property
-    def needs_feature_maps(self) -> bool:
-        return self.measure in ("mi", "autocorr")
 
 
 @dataclass
@@ -156,44 +152,43 @@ class Run:
         return self.network.named_weights()
 
 
-def _uniform_for(layer: ConvLayer) -> ScalingMatrix:
-    return ScalingMatrix.uniform(layer.spec.kernel)
+def _layer_scaling(kernel: tuple[int, int], sgs: SgsSettings,
+                   maps: Sequence[np.ndarray] | None,
+                   ) -> tuple[dependence.SpatialDependenceMatrix | None, ScalingMatrix]:
+    """One conv layer's (dependence matrix or None, scaling matrix) under ``sgs``.
 
-
-def _analytic_scaling(layer: ConvLayer, sgs: SgsSettings) -> ScalingMatrix:
-    kernel = layer.spec.kernel
-    if sgs.measure == "fixed":
-        if sgs.fixed_values is None:
-            return ScalingMatrix.uniform(kernel)
-        values = np.asarray(sgs.fixed_values, dtype=np.float64)
-        if values.shape != kernel:
-            raise EstimatorError(
-                f"fixed scaling shape {values.shape} does not match kernel {kernel}"
-            )
-        return ScalingMatrix(values)
+    A 1x1 kernel gets the uniform scaling. ``mi`` and ``autocorr`` estimate
+    the dependence matrix from ``maps``, the layer's captured inputs, and
+    k-transform it; the analytic measures build the scaling from ``sgs`` and
+    the kernel alone, with no dependence matrix. ``EstimatorError`` means the
+    layer cannot have the measure's scaling.
+    """
+    if kernel == (1, 1):
+        return None, ScalingMatrix.uniform(kernel)
+    if sgs.measure in _ESTIMATED:
+        if sgs.measure == "mi":
+            cfg = BinningConfig(bins=sgs.bins, redundancy_filter=sgs.redundancy_filter)
+            dep = dependence.spatial_dependence_mi(maps, kernel, cfg)
+        else:
+            dep = dependence.spatial_dependence_autocorr(maps, kernel)
+        return dep, finalize(k_transform(dep.values, sgs.k), sgs.epsilon_floor)
     if sgs.measure == "alpha_beta":
         if kernel != (3, 3):
             raise EstimatorError(f"alpha/beta scaling is 3x3 only, layer kernel is {kernel}")
-        return dependence.alpha_beta_scaling(sgs.alpha, sgs.beta)
+        return None, dependence.alpha_beta_scaling(sgs.alpha, sgs.beta)
     if sgs.measure == "masks":
         try:
             masks = standard_mask_sets(kernel, sgs.mask_family)
         except ValueError as exc:
             raise EstimatorError(str(exc)) from exc
-        normalized, _ = from_masks(masks)
-        return normalized
-    raise AssertionError(f"not an analytic measure: {sgs.measure}")
-
-
-def _estimated_scaling(maps: Sequence[np.ndarray], layer: ConvLayer, sgs: SgsSettings,
-                       ) -> tuple[dependence.SpatialDependenceMatrix, ScalingMatrix]:
-    kernel = layer.spec.kernel
-    if sgs.measure == "mi":
-        cfg = BinningConfig(bins=sgs.bins, redundancy_filter=sgs.redundancy_filter)
-        s = dependence.spatial_dependence_mi(maps, kernel, cfg)
-    else:
-        s = dependence.spatial_dependence_autocorr(maps, kernel)
-    return s, finalize(k_transform(s.values, sgs.k), sgs.epsilon_floor)
+        return None, from_masks(masks)[0]
+    # measure == "fixed"
+    if sgs.fixed_values is None:
+        return None, ScalingMatrix.uniform(kernel)
+    values = np.asarray(sgs.fixed_values, dtype=np.float64)
+    if values.shape != kernel:
+        raise EstimatorError(f"fixed scaling shape {values.shape} does not match kernel {kernel}")
+    return None, ScalingMatrix(values)
 
 
 def _capture_feature_maps(net: Network, dataset: LabeledDataset, sgs: SgsSettings,
@@ -225,23 +220,16 @@ def inspect_scalings(net: Network, dataset: LabeledDataset, sgs: SgsSettings,
     refresh never aborts the run.
     """
     captured: dict[int, list[np.ndarray]] = {}
-    if sgs.needs_feature_maps:
+    if sgs.measure in _ESTIMATED:  # only a capture draws from ``rng``
         captured = _capture_feature_maps(net, dataset, sgs, rng, batch_size)
     out: Refresh = {}
     for layer_idx in net.conv_indices:
-        layer = net.layers[layer_idx]
-        assert isinstance(layer, ConvLayer)
-        if layer.spec.kernel == (1, 1):
-            out[layer_idx] = (None, _uniform_for(layer))
-            continue
+        kernel = net.layers[layer_idx].spec.kernel
         try:
-            if sgs.needs_feature_maps:
-                out[layer_idx] = _estimated_scaling(captured[layer_idx], layer, sgs)
-            else:
-                out[layer_idx] = (None, _analytic_scaling(layer, sgs))
+            out[layer_idx] = _layer_scaling(kernel, sgs, captured.get(layer_idx))
         except EstimatorError as exc:
             logger.warning("layer %d: %s; falling back to uniform scaling", layer_idx, exc)
-            out[layer_idx] = (None, _uniform_for(layer))
+            out[layer_idx] = (None, ScalingMatrix.uniform(kernel))
     return out
 
 

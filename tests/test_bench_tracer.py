@@ -4,16 +4,20 @@
 at every site they are bound. A refactor that renames or drops one of them (say
 ``training.refresh_scalings``), or stops calling it through its module, breaks
 the benchmark; these tests catch that without running the benchmark itself.
+The traced-call counts below are the ones the benchmark's per-layer metrics
+rest on, so a refactor that folds those calls away fails here too.
 """
 
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spatialgrad import training
+from spatialgrad import network, reparam, training
 from spatialgrad.data import synth_digits
 from spatialgrad.network import ConvLayerSpec, DenseSpec, FlattenSpec, MaxPoolSpec, SoftmaxXentSpec
 from spatialgrad.optim import OptimizerConfig
@@ -80,3 +84,36 @@ def test_a_traced_training_run_reports_its_refresh_and_steps(tracing):
     assert {"training.train", "training.refresh", "training.inspect_scalings",
             "dependence.mi", "optim.step", "network.forward", "network.backward",
             "network.predict"} <= names
+
+
+def _traced(tracing, call, *args, **kwargs) -> Counter:
+    """Span count per name of one traced call."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        call(*args, **kwargs)
+    finally:
+        tracer.uninstall()
+    return Counter(span.name for span in tracer.spans)
+
+
+def test_a_filtered_refresh_counts_each_unordered_displacement_once(tracing):
+    model = [ConvLayerSpec(out_channels=2, kernel=(3, 3), padding=1), MaxPoolSpec(),
+             FlattenSpec(), DenseSpec(out_features=10), SoftmaxXentSpec()]
+    net = network.build_network(model, (1, 28, 28), 10, np.random.default_rng(0))
+    sgs = training.SgsSettings(measure="mi", refresh_batches=1, redundancy_filter="auto")
+    counts = _traced(tracing, lambda: training.inspect_scalings(
+        net, synth_digits(16, seed=0), sgs, np.random.default_rng(1), 16))
+    # Four {d, -d} pairs off the centre of a 3x3 kernel, one collect_pairs call each.
+    assert counts["dependence.mi"] == 1 and counts["dependence.collect_pairs"] == 4
+
+
+def test_an_acb_equivalence_run_backs_up_branch_by_branch(tracing):
+    masks = reparam.standard_mask_sets((3, 3), "acb")
+    counts = _traced(tracing, lambda: reparam.equivalence_run(
+        masks, OptimizerConfig(kind="sgd"), steps=3, seed=0))
+    # Per step: one input gradient per branch of the second conv and one for
+    # its scaled twin; each twin's two convs take one branched step each.
+    assert counts["conv.backward_input"] == (3 + 1) * 3
+    assert counts["reparam.branched_backward_input"] == 3
+    assert counts["reparam.branched_backward_step"] == 2 * 3

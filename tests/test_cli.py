@@ -230,11 +230,21 @@ test_labels = /nonexistent/labels
     @pytest.mark.parametrize("line", ["conv out=4 kernel=3 pad=1 colour=red",
                                       "conv out=4 kernel=3x",
                                       "conv kernel=3",
-                                      "dense out=ten"])
-    def test_bad_model_line_is_a_config_error(self, tmp_path, capsys, line):
+                                      "conv out=0 kernel=3 pad=1",
+                                      "conv out=4 kernel=0",
+                                      "conv out=4 kernel=3 stride=3 pad=1",
+                                      "conv out=4 kernel=3 pad=-1",
+                                      "dense out=ten",
+                                      "dense out=0",
+                                      "dense out=-3"])
+    def test_bad_model_line_is_a_config_error(self, tmp_path, monkeypatch, capsys, line):
+        def no_datasets(*args):
+            raise AssertionError("a dataset was built for a model with a bad line")
+
+        monkeypatch.setattr(cli, "build_datasets", no_datasets)
+        old = "dense out=10" if line.startswith("dense") else "conv out=4 kernel=3 pad=1 act=relu"
         cfg = tmp_path / "exp.ini"
-        cfg.write_text(MODEL_BLOCK.replace("conv out=4 kernel=3 pad=1 act=relu", line)
-                       + synth_data_block() + train_block())
+        cfg.write_text(MODEL_BLOCK.replace(old, line) + synth_data_block() + train_block())
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "config error: [model]" in capsys.readouterr().err
 
@@ -356,6 +366,7 @@ class TestVerifyEquivalence:
                      "--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 0
+        assert "WARNING: optimizer 'adam' is outside the linear family" in captured.out
         assert "no equivalence guarantee" in captured.out
 
     def test_heavy_mask_family_stays_finite_at_default_lr(self, tmp_path, capsys):
@@ -756,7 +767,7 @@ class TestExitCodes:
         from spatialgrad.reparam import DivergenceReport
 
         def fake_run(*args, **kwargs):
-            report = DivergenceReport(optimizer_kind="sgd")
+            report = DivergenceReport()
             report.steps, report.max_rel, report.mean_rel = [0], [1e-3], [1e-4]
             return report
 

@@ -47,18 +47,18 @@ class TestCollectPairs:
     def test_hand_enumerated_example(self):
         # map [[0,1],[0,1]], displacement (0,1): valid pairs are (0,1) twice
         fm = np.array([[0.0, 1.0], [0.0, 1.0]]).reshape(1, 1, 2, 2)
-        joint = collect_pairs([fm], (0, 1), BinningConfig(bins=2, value_range=(0.0, 1.0)))
+        joint = collect_pairs([fm], (0, 1), BinningConfig(bins=2))
         np.testing.assert_array_equal(joint, [[0.0, 2.0], [0.0, 0.0]])
 
     def test_constant_map_with_filter_is_empty(self):
         fm = np.full((1, 1, 4, 4), 0.5)
-        cfg = BinningConfig(bins=4, value_range=(0.0, 1.0), redundancy_filter=0.01)
+        cfg = BinningConfig(bins=4, redundancy_filter=0.01)
         with pytest.raises(EstimatorError, match="redundancy"):
             collect_pairs([fm], (0, 1), cfg)
 
     def test_filter_drops_near_pairs_only(self):
         fm = np.array([[0.0, 0.05, 1.0, 0.0]]).reshape(1, 1, 1, 4)
-        cfg = BinningConfig(bins=2, value_range=(0.0, 1.0), redundancy_filter=0.1)
+        cfg = BinningConfig(bins=2, redundancy_filter=0.1)
         # pairs: (0,0.05) dropped, (0.05,1) kept, (1,0) kept
         joint = collect_pairs([fm], (0, 1), cfg)
         assert joint.sum() == 2
@@ -70,35 +70,26 @@ class TestCollectPairs:
 
     def test_aggregates_across_maps(self):
         fm = np.array([[0.0, 1.0]]).reshape(1, 1, 1, 2)
-        cfg = BinningConfig(bins=2, value_range=(0.0, 1.0))
+        cfg = BinningConfig(bins=2)
         one = collect_pairs([fm], (0, 1), cfg)
         three = collect_pairs([fm, fm, fm], (0, 1), cfg)
         np.testing.assert_array_equal(three, 3 * one)
 
     def test_auto_filter_threshold_is_one_bin(self):
         fm = np.array([[0.0, 0.2, 0.9]]).reshape(1, 1, 1, 3)
-        cfg = BinningConfig(bins=4, value_range=(0.0, 0.9), redundancy_filter="auto")
+        cfg = BinningConfig(bins=4, redundancy_filter="auto")
         # bin width 0.225: pair (0, 0.2) dropped, (0.2, 0.9) kept
         joint = collect_pairs([fm], (0, 1), cfg)
         assert joint.sum() == 1
 
-    def test_pixel_far_above_a_fixed_range_lands_in_the_last_bin(self):
-        # 1e18 * 16 overflows an int64 cast: the scaled value is clipped first.
-        fm = np.array([[0.0, 0.5, 1e18]]).reshape(1, 1, 1, 3)
-        joint = collect_pairs([fm], (0, 1), BinningConfig(bins=16, value_range=(0.0, 1.0)))
-        expected = np.zeros((16, 16))
-        expected[0, 8] = 1  # (0, 0.5)
-        expected[8, 15] = 1  # (0.5, 1e18)
-        np.testing.assert_array_equal(joint, expected)
-
     def test_kept_pairs_fill_the_last_cell(self):
-        # Pairs: (0.76, 0.99) kept in cell (3, 3), the last of bins**2;
-        # (0.99, 0.95) dropped from that same cell; (0.95, 0.0) kept in (3, 0);
+        # Pairs: (0.76, 1.0) kept in cell (3, 3), the last of bins**2;
+        # (1.0, 0.95) dropped from that same cell; (0.95, 0.0) kept in (3, 0);
         # (0.0, 0.05) dropped from cell (0, 0). A dropped pair's code lies at
         # or past bins**2, so an off-by-one there or in the kept cells moves or
         # loses a count of the last cell.
-        fm = np.array([[0.76, 0.99, 0.95, 0.0, 0.05]]).reshape(1, 1, 1, 5)
-        cfg = BinningConfig(bins=4, value_range=(0.0, 1.0), redundancy_filter=0.1)
+        fm = np.array([[0.76, 1.0, 0.95, 0.0, 0.05]]).reshape(1, 1, 1, 5)
+        cfg = BinningConfig(bins=4, redundancy_filter=0.1)
         expected = np.zeros((4, 4))
         expected[3, 3] = expected[3, 0] = 1
         joint = collect_pairs([fm], (0, 1), cfg)
@@ -242,8 +233,6 @@ def tied_maps(seed):
 def collect_pairs_rebuild(maps, kernel, cfg):
     """The MI matrix from one collect_pairs call per displacement, filter off at (0, 0)."""
     kx, ky = kernel
-    cfg = replace(cfg, value_range=(min(float(m.min()) for m in maps),
-                                    max(float(m.max()) for m in maps)))
     center = replace(cfg, redundancy_filter=None)
     return np.array([[normalized_mi(collect_pairs(
         maps, (a - kx // 2, b - ky // 2), center if (a, b) == (kx // 2, ky // 2) else cfg))
@@ -263,9 +252,8 @@ class TestEstimatorEqualsCollectPairs:
 
     @pytest.mark.parametrize("redundancy_filter", [None, "auto", 0.3])
     def test_mirrored_displacement_is_the_transpose(self, redundancy_filter):
-        maps = tied_maps(11)
-        cfg = BinningConfig(bins=8, value_range=(0.0, 3.0),
-                            redundancy_filter=redundancy_filter)
+        maps = [np.minimum(fm, 3.0) for fm in tied_maps(11)]  # pooled range (0, 3)
+        cfg = BinningConfig(bins=8, redundancy_filter=redundancy_filter)
         for i, j in [(0, 1), (1, 0), (1, 2), (-2, 1), (3, -3)]:
             joint = collect_pairs(maps, (i, j), cfg)
             assert np.array_equal(joint, collect_pairs(maps, (-i, -j), cfg).T)
@@ -319,8 +307,7 @@ def naive_joint(maps, displacement, cfg):
     filter threshold and the binning are written out here.
     """
     i, j = displacement
-    lo, hi = cfg.value_range or (min(float(fm.min()) for fm in maps),
-                                 max(float(fm.max()) for fm in maps))
+    lo, hi = min(float(fm.min()) for fm in maps), max(float(fm.max()) for fm in maps)
     delta = (hi - lo) / cfg.bins if cfg.redundancy_filter == "auto" else cfg.redundancy_filter
 
     def bin_index(values):
@@ -349,16 +336,11 @@ class TestCollectPairsEqualsNaiveJoint:
     @pytest.mark.parametrize("block_values", [1, 288, 10**6])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("redundancy_filter", [None, "auto", 0.3])
-    @pytest.mark.parametrize("value_range", [None, (0.2, 1.5)])
-    def test_matches_naive_joint(self, monkeypatch, block_values, dtype, redundancy_filter,
-                                 value_range):
+    def test_matches_naive_joint(self, monkeypatch, block_values, dtype, redundancy_filter):
         monkeypatch.setattr(dependence, "_BLOCK_VALUES", block_values)
         maps = [fm.astype(dtype) for fm in mixed_maps(3)]
-        # The narrow range is clipped at both ends; the pooled one puts the
-        # data maximum exactly on its upper edge, in the last bin.
-        assert min(fm.min() for fm in maps) < 0.2 and max(fm.max() for fm in maps) > 1.5
-        cfg = BinningConfig(bins=8, value_range=value_range,
-                            redundancy_filter=redundancy_filter)
+        # The pooled range puts the data maximum exactly on its upper edge, in the last bin.
+        cfg = BinningConfig(bins=8, redundancy_filter=redundancy_filter)
         displacements = self.DISPLACEMENTS + ([(0, 0)] if redundancy_filter is None else [])
         for d in displacements:
             assert np.array_equal(collect_pairs(maps, d, cfg), naive_joint(maps, d, cfg)), d
@@ -416,7 +398,7 @@ class TestEstimatorErrors:
                                                           ("auto", " after redundancy")])
     def test_empty_maps_name_the_first_displacement(self, redundancy_filter, suffix):
         maps = [np.zeros((0, 2, 6, 6))]
-        cfg = BinningConfig(value_range=(0.0, 1.0), redundancy_filter=redundancy_filter)
+        cfg = BinningConfig(redundancy_filter=redundancy_filter)
         with pytest.raises(EstimatorError,
                            match=r"no pairs collected for displacement \(-1, -1\)" + suffix):
             spatial_dependence_mi(maps, (3, 3), cfg)
@@ -582,11 +564,10 @@ class TestNonFiniteMaps:
         with pytest.raises(EstimatorError, match="non-finite"):
             spatial_dependence_mi(self.maps_with(bad), (3, 3), BinningConfig())
 
-    @pytest.mark.parametrize("cfg", [BinningConfig(value_range=(0.0, 1.0)),
-                                     BinningConfig(redundancy_filter="auto")])
-    def test_mi_with_fixed_range_or_filter_raises(self, cfg):
+    def test_mi_with_filter_raises(self):
         with pytest.raises(EstimatorError, match="non-finite"):
-            spatial_dependence_mi(self.maps_with(np.nan), (3, 3), cfg)
+            spatial_dependence_mi(self.maps_with(np.nan), (3, 3),
+                                  BinningConfig(redundancy_filter="auto"))
 
     def test_autocorr_raises(self):
         with pytest.raises(EstimatorError, match="non-finite"):
@@ -594,7 +575,7 @@ class TestNonFiniteMaps:
 
     def test_collect_pairs_raises(self):
         with pytest.raises(EstimatorError, match="non-finite"):
-            collect_pairs(self.maps_with(np.nan), (0, 1), BinningConfig(value_range=(0.0, 1.0)))
+            collect_pairs(self.maps_with(np.nan), (0, 1), BinningConfig())
 
 
 class TestAlphaBetaScaling:

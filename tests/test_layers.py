@@ -76,7 +76,9 @@ LAYER_KINDS = {
 
 
 def test_layer_kinds_cover_every_layer_subclass():
-    assert {type(make()) for make, _ in LAYER_KINDS.values()} == set(Layer.__subclasses__())
+    # The loss head's loss and grad are its forward and backward; tested below.
+    assert ({type(make()) for make, _ in LAYER_KINDS.values()} | {SoftmaxCrossEntropy}
+            == set(Layer.__subclasses__()))
 
 
 @pytest.mark.parametrize("kind", LAYER_KINDS)
@@ -101,6 +103,21 @@ def test_second_backward_after_one_train_forward_raises(kind):
     with pytest.raises(RuntimeError, match=f"{type(layer).__name__}.backward needs a "
                                            "train-mode forward"):
         layer.backward(dy)
+
+
+def test_head_grad_before_any_loss_raises():
+    with pytest.raises(RuntimeError, match="SoftmaxCrossEntropy.grad needs a loss"):
+        SoftmaxCrossEntropy().grad()
+
+
+def test_second_head_grad_after_one_loss_raises():
+    head = SoftmaxCrossEntropy()
+    head.loss(np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([1, 0]))
+    assert head.grad().shape == (2, 2)
+    assert head._saved is None
+    with pytest.raises(RuntimeError, match="SoftmaxCrossEntropy.grad needs a loss "
+                                           "since the last grad"):
+        head.grad()
 
 
 class TestConvLayer:
