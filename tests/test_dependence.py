@@ -82,6 +82,16 @@ class TestCollectPairs:
         joint = collect_pairs([fm], (0, 1), cfg)
         assert joint.sum() == 1
 
+    def test_pixel_far_above_the_rest_lands_alone_in_the_last_bin(self):
+        # Pooled range (0, 1e18): 0 and 0.5 share the first bin, and 1e18,
+        # scaled exactly to bins, is clipped into the last.
+        fm = np.array([[0.0, 0.5, 1e18]]).reshape(1, 1, 1, 3)
+        joint = collect_pairs([fm], (0, 1), BinningConfig(bins=16))
+        expected = np.zeros((16, 16))
+        expected[0, 0] = 1  # (0, 0.5)
+        expected[0, 15] = 1  # (0.5, 1e18)
+        np.testing.assert_array_equal(joint, expected)
+
     def test_kept_pairs_fill_the_last_cell(self):
         # Pairs: (0.76, 1.0) kept in cell (3, 3), the last of bins**2;
         # (1.0, 0.95) dropped from that same cell; (0.95, 0.0) kept in (3, 0);
@@ -336,9 +346,17 @@ class TestCollectPairsEqualsNaiveJoint:
     @pytest.mark.parametrize("block_values", [1, 288, 10**6])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("redundancy_filter", [None, "auto", 0.3])
-    def test_matches_naive_joint(self, monkeypatch, block_values, dtype, redundancy_filter):
+    @pytest.mark.parametrize("value_range", [None, (0.2, 1.5)])
+    def test_matches_naive_joint(self, monkeypatch, block_values, dtype, redundancy_filter,
+                                 value_range):
         monkeypatch.setattr(dependence, "_BLOCK_VALUES", block_values)
-        maps = [fm.astype(dtype) for fm in mixed_maps(3)]
+        maps = mixed_maps(3)
+        if value_range is not None:
+            # Maps clipped at both ends put many values exactly on both edges
+            # of their pooled range, in the first and the last bin.
+            assert min(fm.min() for fm in maps) < 0.2 and max(fm.max() for fm in maps) > 1.5
+            maps = [np.clip(fm, *value_range) for fm in maps]
+        maps = [fm.astype(dtype) for fm in maps]
         # The pooled range puts the data maximum exactly on its upper edge, in the last bin.
         cfg = BinningConfig(bins=8, redundancy_filter=redundancy_filter)
         displacements = self.DISPLACEMENTS + ([(0, 0)] if redundancy_filter is None else [])
@@ -564,10 +582,11 @@ class TestNonFiniteMaps:
         with pytest.raises(EstimatorError, match="non-finite"):
             spatial_dependence_mi(self.maps_with(bad), (3, 3), BinningConfig())
 
-    def test_mi_with_filter_raises(self):
+    @pytest.mark.parametrize("redundancy_filter", ["auto", 0.3])
+    def test_mi_with_filter_raises(self, redundancy_filter):
         with pytest.raises(EstimatorError, match="non-finite"):
             spatial_dependence_mi(self.maps_with(np.nan), (3, 3),
-                                  BinningConfig(redundancy_filter="auto"))
+                                  BinningConfig(redundancy_filter=redundancy_filter))
 
     def test_autocorr_raises(self):
         with pytest.raises(EstimatorError, match="non-finite"):
