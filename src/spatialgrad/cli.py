@@ -162,16 +162,15 @@ def cmd_verify_equivalence(args) -> int:
 
 def cmd_inspect_scaling(args) -> int:
     cfg, train_ds, _ = _load(args)
-    ds = train_ds.astype(cfg.train.dtype)
     # Inspection never touches labels; size the head by the model itself so
     # unlabeled synthetic datasets work.
     dense_widths = [s.out_features for s in cfg.model if isinstance(s, DenseSpec)]
-    class_count = dense_widths[-1] if dense_widths else ds.class_count
-    run = _build_run(cfg, ds, class_count)
+    class_count = dense_widths[-1] if dense_widths else train_ds.class_count
+    run = _build_run(cfg, train_ds, class_count)
     out = _out_dir(args.out)
     _echo_config(cfg, out)
     records = _refresh_records(run.network, inspect_scalings(
-        run.network, ds, cfg.train.sgs, run.refresh_rng, cfg.train.batch_size), 0)
+        run.network, train_ds, cfg.train.sgs, run.refresh_rng, cfg.train.batch_size), 0)
     path = out / "scalings.json"
     path.write_text(json.dumps(records, indent=2))
     print(f"wrote {path} ({len(records)} records)")
@@ -289,9 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="experiment INI file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="experiment INI file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--precision", type=int, choices=(32, 64), default=None,

@@ -24,11 +24,11 @@ differs from a contraction over all of (n, h, w) at once (such as
 ``einsum`` over the window view), so the two agree to rounding, not
 bitwise.
 
-Each of the two builds the matrix per call and keeps nothing, unless it is
-passed one as ``cols=im2col(x, spec)``. A caller that runs both on one
-input, as a train-mode ``ConvLayer`` does, builds it once and passes it to
-both; ``reparam``'s oracle makes the plain calls. The matrix is the same
-either way, so the results are bitwise equal.
+The weight gradient reads only the matrix, never the input: every caller
+builds it once per conv input with ``im2col(x, spec)`` and passes it to
+both the forward (as ``cols``) and the weight gradient, as a train-mode
+``ConvLayer`` and ``reparam``'s oracle do. A forward without ``cols``
+builds the same matrix itself, so its result is bitwise equal.
 
 The input gradient is the adjoint of the forward map,
 
@@ -150,8 +150,8 @@ def _im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
 def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """The window matrix [N, Ci*kx*ky, H'*W'] of x, as ``conv_forward`` builds it.
 
-    Pass it as ``cols`` to ``conv_forward`` and ``conv_backward_weights`` to
-    build it once for both.
+    Pass it as ``cols`` to ``conv_forward`` and as the second argument of
+    ``conv_backward_weights``, so one matrix serves both.
     """
     return _im2col(_check_input(x, spec), spec)
 
@@ -181,26 +181,14 @@ def conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, *,
     return y.reshape(x.shape[0], spec.out_channels, oh, ow)
 
 
-def conv_backward_weights(dy: np.ndarray, x: np.ndarray | None, spec: ConvSpec, *,
-                          cols: np.ndarray | None = None) -> np.ndarray:
-    """Loss gradient w.r.t. the weights; depends on dY and X only, never on W.
-
-    With ``cols``, the window matrix ``im2col(x, spec)`` of the forward pass,
-    x is not read and may be ``None``; dY is then checked against ``cols``.
-    """
+def conv_backward_weights(dy: np.ndarray, cols: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Loss gradient w.r.t. the weights from dY and the forward's window matrix
+    ``cols = im2col(x, spec)``; it never reads W, and dY is checked against ``cols``."""
     dy = require_rank4(dy, "output gradient")
-    if cols is None:
-        x = _check_input(x, spec)
-        oh, ow = spec.out_size(x.shape[2], x.shape[3])
-        expected = (x.shape[0], spec.out_channels, oh, ow)
-        if dy.shape != expected:
-            raise ShapeError(f"output gradient shape {dy.shape}, expected {expected}")
-        cols = _im2col(x, spec)
-    else:
-        if dy.shape[1] != spec.out_channels:
-            raise ShapeError(f"output gradient has {dy.shape[1]} channels, "
-                             f"spec expects {spec.out_channels}")
-        _check_cols(cols, spec, dy.shape[0], dy.shape[2] * dy.shape[3])
+    if dy.shape[1] != spec.out_channels:
+        raise ShapeError(f"output gradient has {dy.shape[1]} channels, "
+                         f"spec expects {spec.out_channels}")
+    _check_cols(cols, spec, dy.shape[0], dy.shape[2] * dy.shape[3])
     per_sample = np.matmul(dy.reshape(dy.shape[0], spec.out_channels, -1),
                            cols.transpose(0, 2, 1))
     return per_sample.sum(axis=0).reshape(spec.weight_shape)

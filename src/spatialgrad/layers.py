@@ -72,7 +72,7 @@ class ConvLayer(Layer):
 
     def backward(self, dy):
         cols, in_hw = self._take()
-        self.grads["W"] = conv_backward_weights(dy, None, self.spec, cols=cols)
+        self.grads["W"] = conv_backward_weights(dy, cols, self.spec)
         del cols  # free it before the input gradient's own temporaries
         return conv_backward_input(dy, self.params["W"], self.spec, in_hw)
 

@@ -86,11 +86,13 @@ def validate_model_spec(specs: list) -> None:
 
 
 class Network:
-    """An ordered stack of layers plus a softmax cross-entropy head."""
+    """An ordered stack of layers plus a softmax cross-entropy head, computing in
+    ``dtype``: every forward casts its input to it first."""
 
-    def __init__(self, layers: list[Layer], head: SoftmaxCrossEntropy):
+    def __init__(self, layers: list[Layer], head: SoftmaxCrossEntropy, dtype):
         self.layers = layers
         self.head = head
+        self.dtype = dtype
         self.conv_indices = [i for i, l in enumerate(layers) if isinstance(l, ConvLayer)]
 
     def forward(self, x: np.ndarray, train: bool,
@@ -102,6 +104,7 @@ class Network:
         conv's input is stored: the layers from there on cannot change
         anything captured, so they do not run.
         """
+        x = np.asarray(x, dtype=self.dtype)
         for idx, layer in enumerate(self.layers):
             if capture_conv_inputs is not None and isinstance(layer, ConvLayer):
                 capture_conv_inputs[idx] = x
@@ -191,7 +194,7 @@ def build_network(specs: list, input_shape: tuple[int, int, int], class_count: i
         raise ValueError(
             f"final feature count {flat_features} does not match class count {class_count}"
         )
-    return Network(layers, SoftmaxCrossEntropy())
+    return Network(layers, SoftmaxCrossEntropy(), dtype)
 
 
 def kernel_magnitude_matrix(w: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conv import ConvSpec, conv_backward_input, conv_backward_weights, conv_forward
+from .conv import ConvSpec, conv_backward_input, conv_backward_weights, conv_forward, im2col
 from .optim import OptimizerConfig, OptimizerState, make_state, step
 from .scaling import from_masks
 
@@ -110,10 +110,11 @@ def split_init(w_base: np.ndarray, masks: Sequence[np.ndarray], spec: ConvSpec) 
 
 
 def branched_forward(conv: BranchedConv, x: np.ndarray) -> np.ndarray:
-    """Sum of the branch convolutions, evaluated branch by branch."""
+    """Sum of the branch convolutions, evaluated branch by branch over one window matrix."""
+    cols = im2col(x, conv.spec)
     out = None
     for branch in conv.branches:
-        y = conv_forward(x, branch.mask * branch.weights, conv.spec)
+        y = conv_forward(x, branch.mask * branch.weights, conv.spec, cols=cols)
         out = y if out is None else out + y
     return out
 
@@ -137,7 +138,7 @@ def branched_backward_step(conv: BranchedConv, x: np.ndarray, dy: np.ndarray,
     """
     if len(states) != len(conv.branches):
         raise ValueError(f"{len(conv.branches)} branches but {len(states)} optimizer states")
-    g = conv_backward_weights(dy, x, conv.spec)
+    g = conv_backward_weights(dy, im2col(x, conv.spec), conv.spec)
     for branch, state in zip(conv.branches, states):
         branch.weights = step(state, branch.weights, branch.mask * g, lr=lr)
 
@@ -286,15 +287,18 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
             branched_backward_step(branched2, a1, dy, states_b2, lr)
             branched_backward_step(branched1, x, dh1, states_b1, lr)
 
-            # Scaled twin: identical data, raw-coverage scaling on each conv gradient.
-            h1s = conv_forward(x, single1, spec1)
+            # Scaled twin: identical data, raw-coverage scaling on each conv gradient;
+            # each conv input's window matrix serves its forward and weight gradient.
+            cols1 = im2col(x, spec1)
+            h1s = conv_forward(x, single1, spec1, cols=cols1)
             a1s = np.maximum(h1s, 0.0)
-            ys = conv_forward(a1s, single2, spec2)
+            cols2 = im2col(a1s, spec2)
+            ys = conv_forward(a1s, single2, spec2, cols=cols2)
             dys = (ys - target) / ys.size
-            g2 = conv_backward_weights(dys, a1s, spec2)
+            g2 = conv_backward_weights(dys, cols2, spec2)
             da1s = conv_backward_input(dys, single2, spec2, (_HEIGHT, _WIDTH))
             dh1s = da1s * (h1s > 0)
-            g1 = conv_backward_weights(dh1s, x, spec1)
+            g1 = conv_backward_weights(dh1s, cols1, spec1)
             single2 = step(state_s2, single2, g2, lr=lr, scaling=raw_scaling, position="pre")
             single1 = step(state_s1, single1, g1, lr=lr, scaling=raw_scaling, position="pre")
 

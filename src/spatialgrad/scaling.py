@@ -38,10 +38,6 @@ class KernelMatrix:
     def _check(self, values: np.ndarray) -> None:
         raise NotImplementedError
 
-    @property
-    def kernel(self) -> tuple[int, int]:
-        return self.values.shape  # type: ignore[return-value]
-
 
 @dataclass(frozen=True)
 class ScalingMatrix(KernelMatrix):

@@ -13,7 +13,7 @@ class ShapeError(ValueError):
     """An operand's shape violates the operation's contract."""
 
 
-def require_rank4(t: np.ndarray, name: str = "tensor") -> np.ndarray:
+def require_rank4(t: np.ndarray, name: str) -> np.ndarray:
     t = np.asarray(t)
     if t.ndim != 4:
         raise ShapeError(f"{name} must be rank-4, got shape {t.shape}")

@@ -291,7 +291,13 @@ def train_step(run: Run, x: np.ndarray, labels: np.ndarray, offset: int) -> tupl
 
 def run_epoch(run: Run, train_ds: LabeledDataset, eval_ds: LabeledDataset) -> EpochMetrics:
     """The run's next epoch: the due refresh, a ``train_step`` per shuffled batch, then
-    the eval; appends its metrics to the run. Images must be of the run's dtype."""
+    the eval; appends its metrics to the run. Bad datasets raise before the refresh."""
+    if train_ds.class_count < 2:
+        raise ValueError("training needs a dataset with at least 2 classes")
+    if len(train_ds) == 0:
+        raise ValueError("the training set is empty; the epoch loss would divide by zero")
+    if len(eval_ds) == 0:
+        raise ValueError("the eval set is empty; eval accuracy would divide by zero")
     cfg, sgs, epoch = run.cfg, run.cfg.sgs, run.epoch
     t0 = time.perf_counter()
     if sgs.enabled and epoch >= sgs.warmup_epochs \
@@ -327,13 +333,6 @@ def run_epoch(run: Run, train_ds: LabeledDataset, eval_ds: LabeledDataset) -> Ep
 def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
           cfg: TrainingConfig) -> Run:
     """Build a run and train it for ``cfg.epochs``; see the module docstring."""
-    train_ds, eval_ds = train_ds.astype(cfg.dtype), eval_ds.astype(cfg.dtype)
-    if train_ds.class_count < 2:
-        raise ValueError("training needs a dataset with at least 2 classes")
-    if len(train_ds) == 0:
-        raise ValueError("the training set is empty; the epoch loss would divide by zero")
-    if len(eval_ds) == 0:
-        raise ValueError("the eval set is empty; eval accuracy would divide by zero")
     run = build_run(model_spec, train_ds.images.shape[1:], train_ds.class_count, cfg)
     while run.epoch < cfg.epochs:
         run_epoch(run, train_ds, eval_ds)

@@ -10,7 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from spatialgrad.conv import ConvSpec, conv_backward_input, conv_backward_weights, conv_forward
+from spatialgrad.conv import (
+    ConvSpec,
+    conv_backward_input,
+    conv_backward_weights,
+    conv_forward,
+    im2col,
+)
 from spatialgrad.data import synth_correlated_field, synth_digits
 from spatialgrad.dependence import (
     BinningConfig,
@@ -127,7 +133,7 @@ def test_criterion_3_gradient_correctness():
         wp[idx] += h
         wm[idx] -= h
         num_w[idx] = (loss_w(wp) - loss_w(wm)) / (2 * h)
-    err_w = rel_err(conv_backward_weights(dy, x, spec), num_w)
+    err_w = rel_err(conv_backward_weights(dy, im2col(x, spec), spec), num_w)
 
     num_x = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])

@@ -194,12 +194,13 @@ class TestConvBackwardWeights:
     def test_zero_dy(self):
         spec = ConvSpec(1, 1, (2, 2))
         x = np.ones((1, 1, 3, 3))
-        assert not conv_backward_weights(np.zeros((1, 1, 2, 2)), x, spec).any()
+        assert not conv_backward_weights(np.zeros((1, 1, 2, 2)), im2col(x, spec), spec).any()
 
     def test_frozen_1x1_example(self):
         x = np.array([[1.0, 2], [3, 4]]).reshape(1, 1, 2, 2)
         dy = np.ones((1, 1, 2, 2))
-        dw = conv_backward_weights(dy, x, ConvSpec(1, 1, (1, 1)))
+        spec = ConvSpec(1, 1, (1, 1))
+        dw = conv_backward_weights(dy, im2col(x, spec), spec)
         # direct summation oracle: sum of X
         assert dw.shape == (1, 1, 1, 1)
         assert dw[0, 0, 0, 0] == x.sum() == 10.0
@@ -211,7 +212,7 @@ class TestConvBackwardWeights:
         x = rng.normal(size=(2, 2, 7, 6))
         w = rng.normal(size=spec.weight_shape)
         dy = rng.normal(size=conv_forward(x, w, spec).shape)
-        dw = conv_backward_weights(dy, x, spec)
+        dw = conv_backward_weights(dy, im2col(x, spec), spec)
         num = findiff_weight_grad(x, w, dy, spec)
         np.testing.assert_allclose(dw, num, rtol=1e-5, atol=1e-8)
 
@@ -221,7 +222,7 @@ class TestConvBackwardWeights:
         spec = ConvSpec(2, 2, (3, 3), padding=1)
         x = rng.normal(size=(2, 2, 5, 5))
         dy = rng.normal(size=(2, 2, 5, 5))
-        g = conv_backward_weights(dy, x, spec)
+        g = conv_backward_weights(dy, im2col(x, spec), spec)
         # the operation does not even accept W; confirm the chain value ignores it
         for seed in range(3):
             w = np.random.default_rng(seed).normal(size=spec.weight_shape)
@@ -237,7 +238,7 @@ class TestConvBackwardWeights:
         spec = ConvSpec(2, 3, kernel, stride=stride, padding=padding)
         x = rng.normal(size=(2, 2, 5, 6)).astype(dtype)
         dy = rng.normal(size=(2, 3, *spec.out_size(5, 6))).astype(dtype)
-        dw = conv_backward_weights(dy, x, spec)
+        dw = conv_backward_weights(dy, im2col(x, spec), spec)
         assert dw.dtype == dtype
         ref = loop_conv_backward_weights(dy.astype(np.float64), x, stride, padding, kernel)
         # each entry's rounding error is bounded by its sum of |products|
@@ -248,11 +249,11 @@ class TestConvBackwardWeights:
     def test_shape_error(self):
         spec = ConvSpec(1, 1, (2, 2))
         with pytest.raises(ShapeError):
-            conv_backward_weights(np.ones((1, 1, 3, 3)), np.ones((1, 1, 3, 3)), spec)
+            conv_backward_weights(np.ones((1, 1, 3, 3)), im2col(np.ones((1, 1, 3, 3)), spec), spec)
 
 
 class TestWindowMatrix:
-    """``cols=im2col(x, spec)`` stands in for the matrix each call would build."""
+    """``im2col(x, spec)`` is the forward's ``cols`` and the weight gradient's input."""
 
     def test_wrong_shape_raises(self):
         spec = ConvSpec(2, 3, (3, 2), stride=2, padding=1)
@@ -264,11 +265,11 @@ class TestWindowMatrix:
             with pytest.raises(ShapeError, match="window matrix"):
                 conv_forward(x, w, spec, cols=bad)
             with pytest.raises(ShapeError, match="window matrix"):
-                conv_backward_weights(dy, None, spec, cols=bad)
+                conv_backward_weights(dy, bad, spec)
         with pytest.raises(ShapeError, match="window matrix"):
-            conv_backward_weights(dy[:, :, :-1], None, spec, cols=cols)
+            conv_backward_weights(dy[:, :, :-1], cols, spec)
         with pytest.raises(ShapeError, match="channels"):
-            conv_backward_weights(dy[:, :2], None, spec, cols=cols)
+            conv_backward_weights(dy[:, :2], cols, spec)
         with pytest.raises(ShapeError, match="channels"):
             im2col(np.ones((2, 3, 6, 5)), spec)
 
@@ -356,7 +357,7 @@ class TestAdjointness:
     def inner_products(x, w, dy, spec):
         y = conv_forward(x, w, spec)
         dx = conv_backward_input(dy, w, spec, x.shape[2:])
-        dw = conv_backward_weights(dy, x, spec)
+        dw = conv_backward_weights(dy, im2col(x, spec), spec)
         # every product in the three sums is bounded by this magnitude sum
         scale = _dot64(conv_forward(np.abs(x), np.abs(w), spec), np.abs(dy))
         products = (_dot64(y, dy), _dot64(x, dx), _dot64(w, dw))

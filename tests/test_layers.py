@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from spatialgrad.conv import ConvSpec, conv_backward_input, conv_backward_weights, conv_forward
+from spatialgrad.conv import (
+    ConvSpec,
+    conv_backward_input,
+    conv_backward_weights,
+    conv_forward,
+    im2col,
+)
 from spatialgrad.layers import (
     BatchNormLayer,
     ConvLayer,
@@ -138,7 +144,7 @@ class TestConvLayer:
         dy = rng.normal(size=y.shape).astype(dtype)
         dx = layer.backward(dy)
         assert layer.grads["W"].dtype == dtype
-        assert np.array_equal(layer.grads["W"], conv_backward_weights(dy, x, spec))
+        assert np.array_equal(layer.grads["W"], conv_backward_weights(dy, im2col(x, spec), spec))
         assert np.array_equal(dx, conv_backward_input(dy, w, spec, x.shape[2:]))
 
     def test_eval_forward_keeps_no_window_matrix(self):
@@ -488,7 +494,8 @@ class TestParamsDicts:
         np.testing.assert_array_equal(layer.forward(x, train=True), 0.0)
         dy = rng.normal(size=(2, 3, 5, 5))
         np.testing.assert_array_equal(layer.backward(dy), 0.0)
-        np.testing.assert_array_equal(layer.grads["W"], conv_backward_weights(dy, x, spec))
+        np.testing.assert_array_equal(layer.grads["W"],
+                                      conv_backward_weights(dy, im2col(x, spec), spec))
 
         w = rng.normal(size=spec.weight_shape)
         layer.params["W"] = w
@@ -496,7 +503,8 @@ class TestParamsDicts:
         dy = rng.normal(size=dy.shape)
         np.testing.assert_array_equal(layer.backward(dy),
                                       conv_backward_input(dy, w, spec, x.shape[2:]))
-        np.testing.assert_array_equal(layer.grads["W"], conv_backward_weights(dy, x, spec))
+        np.testing.assert_array_equal(layer.grads["W"],
+                                      conv_backward_weights(dy, im2col(x, spec), spec))
 
     def test_dense(self):
         rng = np.random.default_rng(11)

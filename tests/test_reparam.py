@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spatialgrad.conv import ConvSpec, conv_forward
+from spatialgrad.conv import ConvSpec, conv_forward, im2col
 from spatialgrad.optim import OptimizerConfig, make_state
 from spatialgrad.reparam import (
     BranchedConv,
@@ -151,6 +151,28 @@ class TestBranchedForward:
         )
         assert not branched_forward(conv, np.ones((1, 1, 4, 4))).any()
 
+    def test_branches_share_one_window_matrix(self, monkeypatch):
+        import spatialgrad.reparam as reparam_mod
+
+        built = []
+
+        def counting_im2col(x, spec):
+            built.append(spec)
+            return im2col(x, spec)
+
+        monkeypatch.setattr(reparam_mod, "im2col", counting_im2col)
+        rng = np.random.default_rng(5)
+        spec = ConvSpec(2, 3, (3, 3), padding=1)
+        conv = split_init(rng.normal(size=spec.weight_shape), acb_masks(), spec)
+        x = rng.normal(size=(2, 2, 6, 6))
+        out = branched_forward(conv, x)
+        assert built == [spec]
+        expected = None
+        for b in conv.branches:
+            y = conv_forward(x, b.mask * b.weights, spec)
+            expected = y if expected is None else expected + y
+        np.testing.assert_array_equal(out, expected)
+
 
 class TestBranchedBackwardStep:
     def test_single_full_mask_matches_plain_sgd(self):
@@ -164,10 +186,11 @@ class TestBranchedBackwardStep:
         conv = split_init(w, [np.ones((3, 3))], spec)
         branched_backward_step(conv, x, dy, [make_state(cfg, w)], lr=0.1)
 
-        from spatialgrad.conv import conv_backward_weights
+        from spatialgrad.conv import conv_backward_weights, im2col
         from spatialgrad.optim import step
 
-        expected = step(make_state(cfg, w), w, conv_backward_weights(dy, x, spec), lr=0.1)
+        g = conv_backward_weights(dy, im2col(x, spec), spec)
+        expected = step(make_state(cfg, w), w, g, lr=0.1)
         np.testing.assert_array_equal(conv.merged_weights(), expected)
 
     def test_single_step_merged_change_is_coverage_scaled(self):
@@ -183,9 +206,9 @@ class TestBranchedBackwardStep:
         states = [make_state(cfg, w) for _ in masks]
         branched_backward_step(conv, x, dy, states, lr=0.1)
 
-        from spatialgrad.conv import conv_backward_weights
+        from spatialgrad.conv import conv_backward_weights, im2col
 
-        g = conv_backward_weights(dy, x, spec)
+        g = conv_backward_weights(dy, im2col(x, spec), spec)
         expected = w - 0.1 * sum(masks) * g
         np.testing.assert_allclose(conv.merged_weights(), expected, rtol=1e-12, atol=1e-15)
 

@@ -10,7 +10,7 @@ from spatialgrad.scaling import ScalingMatrix, finalize, from_masks, k_transform
 class TestScalingMatrix:
     def test_valid_construction(self):
         m = ScalingMatrix(np.array([[0.5, 1.5], [1.5, 0.5]]))
-        assert m.kernel == (2, 2)
+        assert m.values.shape == (2, 2)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spatialgrad import data as data_mod
-from spatialgrad.conv import conv_backward_input, conv_backward_weights, conv_forward
+from spatialgrad.conv import conv_backward_input, conv_backward_weights, conv_forward, im2col
 from spatialgrad.data import LabeledDataset, synth_digits
 from spatialgrad.expconfig import build_datasets, load_config
 from spatialgrad.layers import ConvLayer, DenseLayer
@@ -253,6 +253,47 @@ class TestRunSplit:
         assert_same_weights(by_hand, run)
 
 
+class TestRunEpochData:
+    @pytest.mark.parametrize("bad,match", [
+        ("train", "training set is empty"),
+        ("eval", "eval set is empty"),
+        ("classes", "at least 2 classes"),
+    ])
+    def test_bad_dataset_raises_before_the_refresh(self, bad, match):
+        ds = synth_digits(64, seed=24)
+        empty = LabeledDataset(ds.images[:0], ds.labels[:0], ds.class_count)
+        one_class = LabeledDataset(ds.images, np.zeros_like(ds.labels), 1)
+        train_ds, eval_ds = {"train": (empty, ds), "eval": (ds, empty),
+                             "classes": (one_class, ds)}[bad]
+        cfg = momentum_cfg(sgs=SgsSettings(enabled=True, measure="mi", warmup_epochs=0))
+        run = build_run(two_conv_model(), ds.images.shape[1:], ds.class_count, cfg)
+        before = copy.deepcopy(run)
+        with pytest.raises(ValueError, match=match):
+            run_epoch(run, train_ds, eval_ds)
+        assert run.epoch == 0 and run.refreshes == [] and run.scalings == {}
+        assert run.refresh_rng.bit_generator.state == before.refresh_rng.bit_generator.state
+        assert run.shuffle_rng.bit_generator.state == before.shuffle_rng.bit_generator.state
+        assert_same_weights(run, before)
+
+    def test_float64_data_keeps_a_float32_run_in_float32(self):
+        train_ds = synth_digits(96, seed=26)
+        test_ds = synth_digits(32, seed=27)
+        assert train_ds.images.dtype == test_ds.images.dtype == np.float64
+        cfg = momentum_cfg(precision=32, sgs=SgsSettings(enabled=True, measure="mi",
+                                                         warmup_epochs=0, refresh_every=1))
+        run = build_run(two_conv_model(), train_ds.images.shape[1:], train_ds.class_count, cfg)
+        cast = copy.deepcopy(run)
+        run_epoch(run, train_ds, test_ds)
+        for name, value in run.final_weights().items():
+            assert value.dtype == np.float32, name
+        for key, state in run.opt_states.items():
+            assert all(b.dtype == np.float32 for b in state.buffers.values()), key
+        # the same epoch as on data cast to float32 up front
+        run_epoch(cast, train_ds.astype(np.float32), test_ds.astype(np.float32))
+        assert_same_weights(run, cast)
+        assert run.metrics[0].train_loss == cast.metrics[0].train_loss
+
+
 class TestTrainLoop:
     def test_smoke_loss_decreases(self):
         train_ds = synth_digits(512, seed=0)
@@ -302,7 +343,7 @@ class TestTrainLoop:
                                                 refresh_every=1, scaling_position=position))
         a = train(model, train_ds, test_ds, base_cfg)
         b = train(model, train_ds, test_ds, ones_cfg)
-        assert {scaling.kernel for _, refresh in b.refreshes
+        assert {scaling.values.shape for _, refresh in b.refreshes
                 for _, scaling in refresh.values()} == {(1, 1), (3, 3)}
         assert [m.train_loss for m in a.metrics] == [m.train_loss for m in b.metrics]
         wa, wb = a.final_weights(), b.final_weights()
@@ -377,7 +418,7 @@ class TestTrainLoop:
             return conv_forward(x, self.params["W"], self.spec)
 
         def backward(self, dy):
-            self.grads["W"] = conv_backward_weights(dy, self._x, self.spec)
+            self.grads["W"] = conv_backward_weights(dy, im2col(self._x, self.spec), self.spec)
             return conv_backward_input(dy, self.params["W"], self.spec, self._x.shape[2:])
 
         monkeypatch.setattr(ConvLayer, "forward", forward)
@@ -389,10 +430,10 @@ class TestTrainLoop:
     def test_empty_eval_set_rejected_before_training(self, monkeypatch):
         import spatialgrad.training as training_mod
 
-        def no_network(*args, **kwargs):
-            raise AssertionError("train() built a network for an empty eval set")
+        def no_step(*args, **kwargs):
+            raise AssertionError("train() stepped with an empty eval set")
 
-        monkeypatch.setattr(training_mod, "build_network", no_network)
+        monkeypatch.setattr(training_mod, "train_step", no_step)
         train_ds = synth_digits(64, seed=16)
         empty = LabeledDataset(train_ds.images[:0], train_ds.labels[:0], train_ds.class_count)
         with pytest.raises(ValueError, match="eval set is empty"):
@@ -401,10 +442,10 @@ class TestTrainLoop:
     def test_empty_training_set_rejected_before_training(self, monkeypatch):
         import spatialgrad.training as training_mod
 
-        def no_network(*args, **kwargs):
-            raise AssertionError("train() built a network for an empty training set")
+        def no_refresh(*args, **kwargs):
+            raise AssertionError("train() refreshed on an empty training set")
 
-        monkeypatch.setattr(training_mod, "build_network", no_network)
+        monkeypatch.setattr(training_mod, "refresh_scalings", no_refresh)
         eval_ds = synth_digits(64, seed=16)
         empty = LabeledDataset(eval_ds.images[:0], eval_ds.labels[:0], eval_ds.class_count)
         with pytest.raises(ValueError, match="training set is empty"):
@@ -544,7 +585,7 @@ class TestRefreshScalings:
         out = refresh_scalings(net, ds, sgs, np.random.default_rng(0), 32)
         first_conv, second_conv = net.conv_indices
         np.testing.assert_array_equal(out[first_conv][1].values, np.ones((1, 1)))
-        assert out[second_conv][1].kernel == (3, 3)
+        assert out[second_conv][1].values.shape == (3, 3)
 
 
 class TestKernelMagnitude:
