@@ -13,9 +13,13 @@ which is a function of the input and the output gradient only; the weight
 tensor never appears, so ``conv_backward_weights`` does not take it.
 
 All three operations are direct convolutions (no FFT). The forward pass and
-the weight gradient share one window-to-matrix path, ``_im2col``: it copies
-the overlapping-window view of the padded input into a matrix
-[N, Ci*kx*ky, H'*W']. The forward pass multiplies that matrix by
+the weight gradient share one window-to-matrix path, ``_im2col``: it builds
+the overlapping-window view [N, Ci, kx, ky, H', W'] of the padded input
+directly from the padded input's strides (sizes from ``ConvSpec.out_size``,
+so an input smaller than the kernel raises ``ShapeError``) and copies it
+once into a C-contiguous matrix [N, Ci*kx*ky, H'*W'], which it marks
+read-only for every kernel, so that no consumer of a shared matrix can
+change it for the others. The forward pass multiplies that matrix by
 ``W.reshape(Co, -1)`` in one batched GEMM; the weight gradient multiplies
 ``dY.reshape(N, Co, H'*W')`` by its transpose in one batched GEMM and sums
 the N per-sample products. The weight gradient therefore sums over the
@@ -67,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import ShapeError, require_rank4
 
@@ -135,16 +139,22 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Copy the windows of the padded input into a matrix [N, Ci*kx*ky, H'*W'].
+    """Copy the windows of the padded input into a read-only matrix [N, Ci*kx*ky, H'*W'].
 
     Rows run over (ci, kh, kw) in ``W.reshape(Co, -1)`` order, columns over
     the output cells in row-major order.
     """
-    view = sliding_window_view(_pad(x, spec.padding), spec.kernel, axis=(2, 3))
-    if spec.stride > 1:
-        view = view[:, :, :: spec.stride, :: spec.stride]
-    n, ci, oh, ow, kx, ky = view.shape
-    return view.transpose(0, 1, 4, 5, 2, 3).reshape(n, ci * kx * ky, oh * ow)
+    oh, ow = spec.out_size(x.shape[2], x.shape[3])
+    xp = _pad(x, spec.padding)
+    n, ci = xp.shape[:2]
+    kx, ky = spec.kernel
+    sn, sc, sh, sw = xp.strides
+    s = spec.stride
+    view = as_strided(xp, shape=(n, ci, kx, ky, oh, ow),
+                      strides=(sn, sc, sh, sw, s * sh, s * sw), writeable=False)
+    cols = np.ascontiguousarray(view).reshape(n, ci * kx * ky, oh * ow)
+    cols.flags.writeable = False
+    return cols
 
 
 def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:

@@ -63,7 +63,7 @@ class SpatialDependenceMatrix(KernelMatrix):
     kind: ClassVar[str] = "dependence"
 
     def _check(self, values: np.ndarray) -> None:
-        if np.any(values < 0) or np.any(values > 1):
+        if not np.all((values >= 0) & (values <= 1)):
             raise ValueError("dependence values must lie in [0, 1]")
 
 
@@ -211,6 +211,8 @@ def normalized_mi(joint: np.ndarray) -> float:
     joint = np.asarray(joint, dtype=np.float64)
     if joint.ndim != 2:
         raise ValueError(f"joint histogram must be 2-D, got shape {joint.shape}")
+    if not np.all(np.isfinite(joint)):
+        raise ValueError("joint histogram counts must be finite")
     if np.any(joint < 0):
         raise ValueError("joint histogram counts must be non-negative")
     total = joint.sum()

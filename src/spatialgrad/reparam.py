@@ -109,9 +109,15 @@ def split_init(w_base: np.ndarray, masks: Sequence[np.ndarray], spec: ConvSpec) 
     return conv
 
 
-def branched_forward(conv: BranchedConv, x: np.ndarray) -> np.ndarray:
-    """Sum of the branch convolutions, evaluated branch by branch over one window matrix."""
-    cols = im2col(x, conv.spec)
+def branched_forward(conv: BranchedConv, x: np.ndarray, *,
+                     cols: np.ndarray | None = None) -> np.ndarray:
+    """Sum of the branch convolutions, evaluated branch by branch over one window matrix.
+
+    ``cols``, if given, is ``im2col(x, conv.spec)`` and is used in place of a
+    new window matrix.
+    """
+    if cols is None:
+        cols = im2col(x, conv.spec)
     out = None
     for branch in conv.branches:
         y = conv_forward(x, branch.mask * branch.weights, conv.spec, cols=cols)
@@ -128,17 +134,19 @@ def branched_backward_input(conv: BranchedConv, dy: np.ndarray,
     return out
 
 
-def branched_backward_step(conv: BranchedConv, x: np.ndarray, dy: np.ndarray,
+def branched_backward_step(conv: BranchedConv, cols: np.ndarray, dy: np.ndarray,
                            states: Sequence[OptimizerState], lr: float) -> None:
     """One independent optimizer step per branch.
 
-    The shared kernel gradient is computed once (it depends only on the input
-    and the output gradient) and each branch receives its masked view, so
-    unmasked positions see zero gradient and stay zero forever.
+    ``cols`` is the forward's window matrix ``im2col(x, conv.spec)``, as for
+    ``conv_backward_weights``. The shared kernel gradient is computed once
+    (it depends only on that matrix and the output gradient) and each branch
+    receives its masked view, so unmasked positions see zero gradient and
+    stay zero forever.
     """
     if len(states) != len(conv.branches):
         raise ValueError(f"{len(conv.branches)} branches but {len(states)} optimizer states")
-    g = conv_backward_weights(dy, im2col(x, conv.spec), conv.spec)
+    g = conv_backward_weights(dy, cols, conv.spec)
     for branch, state in zip(conv.branches, states):
         branch.weights = step(state, branch.weights, branch.mask * g, lr=lr)
 
@@ -241,6 +249,11 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
     recorded after every step. A non-linear optimizer runs the same way, but
     no equivalence is guaranteed there; the caller reads
     ``optimizer.is_linear`` to know whether the divergence is a verdict.
+
+    Each step builds one window matrix per conv input: the matrix of ``x``
+    serves both twins' first conv (they receive the same ``x`` by design, and
+    the matrix is read-only, so sharing it couples no state), and each twin's
+    hidden activation has its own. Each is released after its last use.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -277,28 +290,34 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
             x = rng.normal(size=(_BATCH, _IN_CHANNELS, _HEIGHT, _WIDTH))
             target = rng.normal(size=(_BATCH, _OUT_CHANNELS, _HEIGHT, _WIDTH))
 
+            # One window matrix of x for both twins' first conv.
+            cols_x = im2col(x, spec1)
+
             # Branched twin: forward, backward through the branch sum, step branches.
-            h1 = branched_forward(branched1, x)
+            h1 = branched_forward(branched1, x, cols=cols_x)
             a1 = np.maximum(h1, 0.0)
-            y = branched_forward(branched2, a1)
+            cols_a1 = im2col(a1, spec2)
+            y = branched_forward(branched2, a1, cols=cols_a1)
             dy = (y - target) / y.size
             da1 = branched_backward_input(branched2, dy, (_HEIGHT, _WIDTH))
             dh1 = da1 * (h1 > 0)
-            branched_backward_step(branched2, a1, dy, states_b2, lr)
-            branched_backward_step(branched1, x, dh1, states_b1, lr)
+            branched_backward_step(branched2, cols_a1, dy, states_b2, lr)
+            del cols_a1
+            branched_backward_step(branched1, cols_x, dh1, states_b1, lr)
 
             # Scaled twin: identical data, raw-coverage scaling on each conv gradient;
             # each conv input's window matrix serves its forward and weight gradient.
-            cols1 = im2col(x, spec1)
-            h1s = conv_forward(x, single1, spec1, cols=cols1)
+            h1s = conv_forward(x, single1, spec1, cols=cols_x)
             a1s = np.maximum(h1s, 0.0)
-            cols2 = im2col(a1s, spec2)
-            ys = conv_forward(a1s, single2, spec2, cols=cols2)
+            cols_a1s = im2col(a1s, spec2)
+            ys = conv_forward(a1s, single2, spec2, cols=cols_a1s)
             dys = (ys - target) / ys.size
-            g2 = conv_backward_weights(dys, cols2, spec2)
+            g2 = conv_backward_weights(dys, cols_a1s, spec2)
+            del cols_a1s
             da1s = conv_backward_input(dys, single2, spec2, (_HEIGHT, _WIDTH))
             dh1s = da1s * (h1s > 0)
-            g1 = conv_backward_weights(dh1s, cols1, spec1)
+            g1 = conv_backward_weights(dh1s, cols_x, spec1)
+            del cols_x
             single2 = step(state_s2, single2, g2, lr=lr, scaling=raw_scaling, position="pre")
             single1 = step(state_s1, single1, g1, lr=lr, scaling=raw_scaling, position="pre")
 

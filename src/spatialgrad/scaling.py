@@ -101,10 +101,10 @@ def k_transform(dependence: np.ndarray, k: float) -> np.ndarray:
     0 and 1 are fixed points for every k > 0; k = 1 is the identity. Larger k
     lifts intermediate dependence values toward 1.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    if not 0 < k < np.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     s = np.asarray(dependence, dtype=np.float64)
-    if np.any(s < 0) or np.any(s > 1):
+    if not np.all((s >= 0) & (s <= 1)):
         raise ValueError("dependence values must lie in [0, 1]")
     return (k * s) / ((k - 1.0) * s + 1.0)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from spatialgrad.conv import (
     ConvSpec,
@@ -272,6 +273,53 @@ class TestWindowMatrix:
             conv_backward_weights(dy[:, :2], cols, spec)
         with pytest.raises(ShapeError, match="channels"):
             im2col(np.ones((2, 3, 6, 5)), spec)
+
+    def test_input_smaller_than_kernel_raises_shape_error(self):
+        spec = ConvSpec(1, 1, (3, 3))
+        x = np.zeros((1, 1, 2, 2))
+        for build in (lambda: im2col(x, spec), lambda: conv_forward(x, np.ones((1, 1, 3, 3)), spec)):
+            with pytest.raises(ShapeError, match="non-positive output size 0x0"):
+                build()
+
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3)])
+    def test_read_only_for_every_kernel(self, kernel):
+        x = np.ones((1, 2, 4, 4))
+        cols = im2col(x, ConvSpec(2, 1, kernel))
+        assert not cols.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cols[0, 0, 0] = 2.0
+        assert (x == 1.0).all()
+
+    @given(n=st.integers(1, 9), c=st.integers(1, 9), h=st.integers(1, 9), w=st.integers(1, 9),
+           kx=st.integers(1, 5), ky=st.integers(1, 5), stride=st.sampled_from([1, 2]),
+           padding=st.integers(0, 3), dtype=st.sampled_from([np.float32, np.float64]),
+           margins=st.tuples(*[st.integers(0, 2)] * 5), fortran=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_sliding_window_reference(self, n, c, h, w, kx, ky, stride, padding, dtype,
+                                             margins, fortran, seed):
+        """Every geometry, dtype and input layout gives the reference matrix, C-contiguous
+        and read-only; an input smaller than the padded kernel raises ``ShapeError``."""
+        top, bottom, left, right, extra_c = margins
+        base = np.random.default_rng(seed).normal(
+            size=(n, c + extra_c, h + top + bottom, w + left + right)).astype(dtype)
+        if fortran:
+            base = np.asfortranarray(base)
+        # A cropped view, as the gather path crops the padded dY.
+        x = base[:, extra_c:, top : top + h, left : left + w]
+        spec = ConvSpec(c, 1, (kx, ky), stride=stride, padding=padding)
+        if h + 2 * padding < kx or w + 2 * padding < ky:
+            with pytest.raises(ShapeError, match="non-positive output size"):
+                im2col(x, spec)
+            return
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        view = sliding_window_view(xp, (kx, ky), axis=(2, 3))[:, :, ::stride, ::stride]
+        oh, ow = view.shape[2:4]
+        expected = view.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kx * ky, oh * ow)
+        cols = im2col(x, spec)
+        assert cols.dtype == dtype
+        assert np.array_equal(cols, expected)
+        assert cols.flags.c_contiguous and not cols.flags.writeable
 
 
 class TestConvBackwardInput:

@@ -162,6 +162,11 @@ class TestNormalizedMI:
         with pytest.raises(ValueError):
             normalized_mi(np.array([[1.0, -1.0], [1.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts_raise(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            normalized_mi(np.array([[1.0, bad], [1.0, 1.0]]))
+
     @given(st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
     def test_symmetric_under_transpose(self, seed):
@@ -632,3 +637,8 @@ class TestSpatialDependenceMatrix:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
             SpatialDependenceMatrix(np.array([[0.5, 1.2]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SpatialDependenceMatrix(np.array([[bad, 1.0]]))

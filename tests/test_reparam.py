@@ -172,6 +172,9 @@ class TestBranchedForward:
             y = conv_forward(x, b.mask * b.weights, spec)
             expected = y if expected is None else expected + y
         np.testing.assert_array_equal(out, expected)
+        built.clear()
+        np.testing.assert_array_equal(branched_forward(conv, x, cols=im2col(x, spec)), out)
+        assert built == []
 
 
 class TestBranchedBackwardStep:
@@ -184,9 +187,9 @@ class TestBranchedBackwardStep:
         cfg = OptimizerConfig(kind="sgd")
 
         conv = split_init(w, [np.ones((3, 3))], spec)
-        branched_backward_step(conv, x, dy, [make_state(cfg, w)], lr=0.1)
+        branched_backward_step(conv, im2col(x, spec), dy, [make_state(cfg, w)], lr=0.1)
 
-        from spatialgrad.conv import conv_backward_weights, im2col
+        from spatialgrad.conv import conv_backward_weights
         from spatialgrad.optim import step
 
         g = conv_backward_weights(dy, im2col(x, spec), spec)
@@ -204,9 +207,9 @@ class TestBranchedBackwardStep:
         masks = acb_masks()
         conv = split_init(w, masks, spec)
         states = [make_state(cfg, w) for _ in masks]
-        branched_backward_step(conv, x, dy, states, lr=0.1)
+        branched_backward_step(conv, im2col(x, spec), dy, states, lr=0.1)
 
-        from spatialgrad.conv import conv_backward_weights, im2col
+        from spatialgrad.conv import conv_backward_weights
 
         g = conv_backward_weights(dy, im2col(x, spec), spec)
         expected = w - 0.1 * sum(masks) * g
@@ -219,7 +222,8 @@ class TestBranchedBackwardStep:
         conv = split_init(w, acb_masks(), spec)
         before = [b.weights.copy() for b in conv.branches]
         states = [make_state(OptimizerConfig(kind="sgd"), w) for _ in conv.branches]
-        branched_backward_step(conv, np.ones((1, 1, 5, 5)), np.zeros((1, 1, 5, 5)), states, lr=0.1)
+        branched_backward_step(conv, im2col(np.ones((1, 1, 5, 5)), spec), np.zeros((1, 1, 5, 5)),
+                               states, lr=0.1)
         for prev, branch in zip(before, conv.branches):
             np.testing.assert_array_equal(branch.weights, prev)
 
@@ -234,7 +238,7 @@ class TestBranchedBackwardStep:
         for _ in range(10):
             x = rng.normal(size=(2, 2, 5, 5))
             dy = rng.normal(size=(2, 2, 5, 5))
-            branched_backward_step(conv, x, dy, states, lr=0.05)
+            branched_backward_step(conv, im2col(x, spec), dy, states, lr=0.05)
         for branch in conv.branches:
             assert not branch.weights[:, :, branch.mask == 0].any()
 
@@ -255,6 +259,25 @@ class TestEquivalenceRun:
         cfg = OptimizerConfig(kind="sgd_momentum", momentum=0.9, weight_decay=1e-4)
         report = equivalence_run(acb_masks(), cfg, steps=100, seed=2)
         assert report.max_divergence < 1e-8
+
+    def test_one_window_matrix_per_conv_input_per_step(self, monkeypatch):
+        """x's matrix serves both twins' first conv; each hidden activation gets one."""
+        import spatialgrad.reparam as reparam_mod
+
+        built = []
+
+        def counting_im2col(x, spec):
+            built.append(spec)
+            return im2col(x, spec)
+
+        masks = standard_mask_sets((7, 7), "random", count=4, seed=0)
+        cfg = OptimizerConfig(kind="sgd_momentum", momentum=0.9)
+        expected = equivalence_run(masks, cfg, steps=10, seed=0, kernel=(7, 7))
+        monkeypatch.setattr(reparam_mod, "im2col", counting_im2col)
+        report = equivalence_run(masks, cfg, steps=10, seed=0, kernel=(7, 7))
+        assert len(built) == 3 * 10
+        assert [s.in_channels for s in built[:3]] == [2, 3, 3]
+        assert report.max_rel == expected.max_rel and report.mean_rel == expected.mean_rel
 
     def test_nonlinear_optimizer_runs_every_step(self):
         cfg = OptimizerConfig(kind="adam")

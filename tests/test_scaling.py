@@ -86,6 +86,12 @@ class TestKTransform:
         with pytest.raises(ValueError):
             k_transform(np.array([[-0.1]]), 2.0)
 
+    @pytest.mark.parametrize("dependence,k", [([[np.nan, 1.0]], 5.0), ([[0.5, np.inf]], 5.0),
+                                              ([[0.5]], np.inf), ([[0.5]], np.nan)])
+    def test_rejects_non_finite_values(self, dependence, k):
+        with pytest.raises(ValueError):
+            k_transform(np.array(dependence), k)
+
     def test_monotonic_in_s_and_k_bulk(self):
         rng = np.random.default_rng(0)
         s = np.sort(rng.uniform(0.0, 1.0, size=10_000))
