@@ -16,10 +16,13 @@ All three operations are direct convolutions (no FFT). The forward pass and
 the weight gradient share one window-to-matrix path, ``_im2col``: it builds
 the overlapping-window view [N, Ci, kx, ky, H', W'] of the padded input
 directly from the padded input's strides (sizes from ``ConvSpec.out_size``,
-so an input smaller than the kernel raises ``ShapeError``) and copies it
-once into a C-contiguous matrix [N, Ci*kx*ky, H'*W'], which it marks
-read-only for every kernel, so that no consumer of a shared matrix can
-change it for the others. The forward pass multiplies that matrix by
+so an input smaller than the kernel raises ``ShapeError``) and reshapes it
+into a C-contiguous matrix [N, Ci*kx*ky, H'*W'], copying the view once.
+An unpadded 1x1 stride-1 kernel over a C-contiguous input is the one
+exception: its view is already contiguous, so the matrix is a view of the
+input with no copy, and a later write to the input shows in it. The matrix
+is read-only for every kernel, so no consumer of a shared matrix can write
+into it. The forward pass multiplies that matrix by
 ``W.reshape(Co, -1)`` in one batched GEMM; the weight gradient multiplies
 ``dY.reshape(N, Co, H'*W')`` by its transpose in one batched GEMM and sums
 the N per-sample products. The weight gradient therefore sums over the
@@ -139,10 +142,12 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Copy the windows of the padded input into a read-only matrix [N, Ci*kx*ky, H'*W'].
+    """The windows of the padded input as a read-only matrix [N, Ci*kx*ky, H'*W'].
 
     Rows run over (ci, kh, kw) in ``W.reshape(Co, -1)`` order, columns over
-    the output cells in row-major order.
+    the output cells in row-major order. The view is copied once, unless it
+    is already C-contiguous (an unpadded 1x1 stride-1 kernel over a
+    C-contiguous input), in which case the matrix is a view of x.
     """
     oh, ow = spec.out_size(x.shape[2], x.shape[3])
     xp = _pad(x, spec.padding)

@@ -109,15 +109,12 @@ def split_init(w_base: np.ndarray, masks: Sequence[np.ndarray], spec: ConvSpec) 
     return conv
 
 
-def branched_forward(conv: BranchedConv, x: np.ndarray, *,
-                     cols: np.ndarray | None = None) -> np.ndarray:
+def branched_forward(conv: BranchedConv, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sum of the branch convolutions, evaluated branch by branch over one window matrix.
 
-    ``cols``, if given, is ``im2col(x, conv.spec)`` and is used in place of a
-    new window matrix.
+    ``cols`` is ``im2col(x, conv.spec)``, built once by the caller and shared
+    by every branch, as for ``branched_backward_step``.
     """
-    if cols is None:
-        cols = im2col(x, conv.spec)
     out = None
     for branch in conv.branches:
         y = conv_forward(x, branch.mask * branch.weights, conv.spec, cols=cols)
@@ -294,10 +291,10 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
             cols_x = im2col(x, spec1)
 
             # Branched twin: forward, backward through the branch sum, step branches.
-            h1 = branched_forward(branched1, x, cols=cols_x)
+            h1 = branched_forward(branched1, x, cols_x)
             a1 = np.maximum(h1, 0.0)
             cols_a1 = im2col(a1, spec2)
-            y = branched_forward(branched2, a1, cols=cols_a1)
+            y = branched_forward(branched2, a1, cols_a1)
             dy = (y - target) / y.size
             da1 = branched_backward_input(branched2, dy, (_HEIGHT, _WIDTH))
             dh1 = da1 * (h1 > 0)

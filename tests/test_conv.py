@@ -289,6 +289,8 @@ class TestWindowMatrix:
         with pytest.raises(ValueError, match="read-only"):
             cols[0, 0, 0] = 2.0
         assert (x == 1.0).all()
+        # Only an unpadded 1x1 stride-1 view is already contiguous and so not copied.
+        assert np.shares_memory(cols, x) == (kernel == (1, 1))
 
     @given(n=st.integers(1, 9), c=st.integers(1, 9), h=st.integers(1, 9), w=st.integers(1, 9),
            kx=st.integers(1, 5), ky=st.integers(1, 5), stride=st.sampled_from([1, 2]),
