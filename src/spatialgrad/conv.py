@@ -53,7 +53,11 @@ intermediates:
   ``dX = conv(pad(dY), W[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))``.
   Only the windows that land inside the unpadded input are built, so the
   ``_im2col`` matrix has N*Co*kx*ky*H*W entries, and each dX entry is one
-  dot product over (co, kh, kw) inside BLAS. At stride 2 the identity would
+  dot product over (co, kh, kw) inside BLAS. The matrix is a function of dY
+  and the spec only, never of W, so ``grad_im2col(dy, spec, input_hw)``
+  builds it once and one matrix can serve several weights, each passed to
+  ``conv_backward_input`` as ``cols``; a call without it builds the same
+  matrix itself, so its result is bitwise equal. At stride 2 the identity would
   first dilate dY by the stride, and three quarters of that matrix would be
   dilation zeros, so stride 2 always scatters.
 - Scatter (stride 2, or ``Co > Ci``). One GEMM ``W.reshape(Co, -1).T @ dY``
@@ -66,7 +70,8 @@ The two paths sum in different orders, so for one input they agree to
 rounding, not bitwise; which one runs is fixed by the spec, and every path
 has a fixed reduction order, so results are deterministic for a given
 input. The gather path calls ``_im2col`` directly rather than
-``conv_forward``, so a profiler attributes its time to the input gradient.
+``conv_forward``, so a profiler attributes its time to the input gradient;
+a matrix built by ``grad_im2col`` is attributed to that call's caller.
 """
 
 from __future__ import annotations
@@ -209,43 +214,89 @@ def conv_backward_weights(dy: np.ndarray, cols: np.ndarray, spec: ConvSpec) -> n
     return per_sample.sum(axis=0).reshape(spec.weight_shape)
 
 
-def conv_backward_input(dy: np.ndarray, w: np.ndarray, spec: ConvSpec,
-                        input_hw: tuple[int, int]) -> np.ndarray:
-    """Loss gradient w.r.t. the input, for an input of spatial size ``input_hw``.
+def _gathers(spec: ConvSpec) -> bool:
+    """Whether ``conv_backward_input`` takes the gather path for this spec."""
+    return spec.stride == 1 and spec.out_channels <= spec.in_channels
 
-    One GEMM per call: a forward conv of the padded dY at stride 1 when
-    ``Co <= Ci``, ``W.reshape(Co, -1).T @ dY`` plus col2im otherwise (module
-    docstring).
-    """
-    w = _check_weights(w, spec)
+
+def _grad_spec(spec: ConvSpec) -> ConvSpec:
+    """The gather path's stride-1 valid conv: in/out channels swapped, no padding."""
+    return ConvSpec(spec.out_channels, spec.in_channels, spec.kernel)
+
+
+def _check_output_grad(dy: np.ndarray, spec: ConvSpec, input_hw: tuple[int, int]) -> np.ndarray:
     dy = require_rank4(dy, "output gradient")
-    height, width = input_hw
-    oh, ow = spec.out_size(height, width)
+    oh, ow = spec.out_size(*input_hw)
     if dy.shape[1:] != (spec.out_channels, oh, ow):
         raise ShapeError(
             f"output gradient shape {dy.shape}, expected (N, {spec.out_channels}, {oh}, {ow})"
         )
-    pad, s = spec.padding, spec.stride
+    return dy
+
+
+def _grad_im2col(dy: np.ndarray, spec: ConvSpec, input_hw: tuple[int, int]) -> np.ndarray:
+    # dY padded by k - 1 and cropped to the window rows and columns of the
+    # unpadded input, so the conv reads only windows that land inside it.
+    height, width = input_hw
+    pad = spec.padding
     kx, ky = spec.kernel
-    n, ci, co = dy.shape[0], spec.in_channels, spec.out_channels
-    hp, wp = height + 2 * pad, width + 2 * pad
-    if s == 1 and co <= ci:
-        # Gather: a stride-1 valid conv of dY padded by k - 1, with the kernel
-        # rotated 180 degrees and in/out swapped. The conv reads only the
-        # window rows and columns of the unpadded input.
-        dyp = np.zeros((n, co, hp + kx - 1, wp + ky - 1), dtype=dy.dtype)
-        dyp[:, :, kx - 1 : kx - 1 + oh, ky - 1 : ky - 1 + ow] = dy
-        dyp = dyp[:, :, pad : pad + height + kx - 1, pad : pad + width + ky - 1]
+    n, co, oh, ow = dy.shape
+    dyp = np.zeros((n, co, height + 2 * pad + kx - 1, width + 2 * pad + ky - 1), dtype=dy.dtype)
+    dyp[:, :, kx - 1 : kx - 1 + oh, ky - 1 : ky - 1 + ow] = dy
+    dyp = dyp[:, :, pad : pad + height + kx - 1, pad : pad + width + ky - 1]
+    return _im2col(dyp, _grad_spec(spec))
+
+
+def grad_im2col(dy: np.ndarray, spec: ConvSpec,
+                input_hw: tuple[int, int]) -> np.ndarray | None:
+    """The gather path's read-only window matrix [N, Co*kx*ky, H*W] of the padded dY.
+
+    Pass it as ``cols`` to ``conv_backward_input`` for any weights of this
+    spec, so one matrix serves several weights. A scatter spec (stride 2, or
+    ``Co > Ci``) has no such matrix, and the result is ``None``.
+    """
+    dy = _check_output_grad(dy, spec, input_hw)
+    if not _gathers(spec):
+        return None
+    return _grad_im2col(dy, spec, input_hw)
+
+
+def conv_backward_input(dy: np.ndarray, w: np.ndarray, spec: ConvSpec,
+                        input_hw: tuple[int, int], *,
+                        cols: np.ndarray | None = None) -> np.ndarray:
+    """Loss gradient w.r.t. the input, for an input of spatial size ``input_hw``.
+
+    One GEMM per call: a forward conv of the padded dY at stride 1 when
+    ``Co <= Ci``, ``W.reshape(Co, -1).T @ dY`` plus col2im otherwise (module
+    docstring). ``cols``, if given, is ``grad_im2col(dy, spec, input_hw)``
+    and is used in place of a new matrix of dY; it is checked by shape, and
+    passing one with a scatter spec, which has none, raises ``ValueError``.
+    """
+    w = _check_weights(w, spec)
+    dy = _check_output_grad(dy, spec, input_hw)
+    height, width = input_hw
+    kx, ky = spec.kernel
+    n, co, oh, ow = dy.shape
+    ci = spec.in_channels
+    if _gathers(spec):
+        # Gather: a stride-1 valid conv of the padded dY with the kernel
+        # rotated 180 degrees and in/out swapped.
+        if cols is None:
+            cols = _grad_im2col(dy, spec, input_hw)
+        else:
+            _check_cols(cols, _grad_spec(spec), n, height * width)
         w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
-        cols = _im2col(dyp, ConvSpec(co, ci, spec.kernel))
         return (w_t @ cols).reshape(n, ci, height, width).astype(dy.dtype, copy=False)
+    if cols is not None:
+        raise ValueError(f"{spec} takes the scatter path, which has no dY window matrix")
     # Scatter: every offset's contribution in one GEMM, then col2im.
-    cols = (w.reshape(co, -1).T @ dy.reshape(n, co, oh * ow)).reshape(n, ci, kx, ky, oh, ow)
-    dxp = np.zeros((n, ci, hp, wp), dtype=dy.dtype)
+    pad, s = spec.padding, spec.stride
+    contrib = (w.reshape(co, -1).T @ dy.reshape(n, co, oh * ow)).reshape(n, ci, kx, ky, oh, ow)
+    dxp = np.zeros((n, ci, height + 2 * pad, width + 2 * pad), dtype=dy.dtype)
     for kh in range(kx):
         for kw in range(ky):
             dxp[:, :, kh : kh + s * (oh - 1) + 1 : s, kw : kw + s * (ow - 1) + 1 : s] += \
-                cols[:, :, kh, kw]
+                contrib[:, :, kh, kw]
     if pad == 0:
         return dxp
     return dxp[:, :, pad : pad + height, pad : pad + width]

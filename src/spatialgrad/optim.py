@@ -132,8 +132,8 @@ def _check_scaling(scaling: np.ndarray | None, w: np.ndarray) -> np.ndarray | No
         raise ShapeError(
             f"scaling shape {scaling.shape} does not match kernel spatial shape {w.shape[2:]}"
         )
-    if not np.all(scaling > 0):
-        raise ValueError("scaling matrix must be strictly positive")
+    if not np.all((scaling > 0) & (scaling < np.inf)):
+        raise ValueError("scaling matrix must be strictly positive and finite")
     return scaling
 
 

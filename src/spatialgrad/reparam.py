@@ -17,7 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .conv import ConvSpec, conv_backward_input, conv_backward_weights, conv_forward, im2col
+from .conv import (
+    ConvSpec,
+    conv_backward_input,
+    conv_backward_weights,
+    conv_forward,
+    grad_im2col,
+    im2col,
+)
 from .optim import OptimizerConfig, OptimizerState, make_state, step
 from .scaling import from_masks
 
@@ -124,9 +131,19 @@ def branched_forward(conv: BranchedConv, x: np.ndarray, cols: np.ndarray) -> np.
 
 def branched_backward_input(conv: BranchedConv, dy: np.ndarray,
                             input_hw: tuple[int, int]) -> np.ndarray:
+    """Sum of the branch input gradients, evaluated branch by branch over one dY matrix.
+
+    The gather path's window matrix of dY depends on dY and the spec only,
+    so it is built once (``grad_im2col``) and passed to every branch's
+    ``conv_backward_input``; each branch still makes its own call and GEMM,
+    and the sum runs in branch order. A scatter spec has no such matrix, and
+    each branch scatters on its own.
+    """
+    cols = grad_im2col(dy, conv.spec, input_hw)
     out = None
     for branch in conv.branches:
-        dx = conv_backward_input(dy, branch.mask * branch.weights, conv.spec, input_hw)
+        dx = conv_backward_input(dy, branch.mask * branch.weights, conv.spec, input_hw,
+                                 cols=cols)
         out = dx if out is None else out + dx
     return out
 
@@ -250,7 +267,10 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
     Each step builds one window matrix per conv input: the matrix of ``x``
     serves both twins' first conv (they receive the same ``x`` by design, and
     the matrix is read-only, so sharing it couples no state), and each twin's
-    hidden activation has its own. Each is released after its last use.
+    hidden activation has its own. Each is released after its last use. The
+    input gradient of the second conv builds one matrix of its dY per twin:
+    ``branched_backward_input`` shares its matrix among the branches, and the
+    scaled twin's single call builds its own.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

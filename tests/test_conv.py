@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -9,6 +9,7 @@ from spatialgrad.conv import (
     conv_backward_input,
     conv_backward_weights,
     conv_forward,
+    grad_im2col,
     im2col,
 )
 from spatialgrad.tensor import ShapeError
@@ -368,6 +369,45 @@ class TestConvBackwardInput:
         spec = ConvSpec(1, 2, (3, 3))
         with pytest.raises(ShapeError):
             conv_backward_input(np.ones((1, 1, 3, 3)), np.ones(spec.weight_shape), spec, (5, 5))
+
+
+class TestGradWindowMatrix:
+    """``grad_im2col(dy, spec, input_hw)`` is the gather path's ``cols`` for any weights."""
+
+    @given(n=st.integers(1, 5), c1=st.integers(1, 5), c2=st.integers(1, 5),
+           h=st.integers(1, 9), w=st.integers(1, 9), kx=st.integers(1, 5), ky=st.integers(1, 5),
+           padding=st.integers(0, 3), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_given_matrix_equals_built_one(self, n, c1, c2, h, w, kx, ky, padding, dtype, seed):
+        assume(h + 2 * padding >= kx and w + 2 * padding >= ky)
+        ci, co = max(c1, c2), min(c1, c2)  # co <= ci at stride 1: the gather path
+        spec = ConvSpec(ci, co, (kx, ky), padding=padding)
+        rng = np.random.default_rng(seed)
+        dy = rng.normal(size=(n, co, *spec.out_size(h, w))).astype(dtype)
+        weights = rng.normal(size=spec.weight_shape).astype(dtype)
+        cols = grad_im2col(dy, spec, (h, w))
+        assert cols.shape == (n, co * kx * ky, h * w) and cols.dtype == dtype
+        assert cols.flags.c_contiguous and not cols.flags.writeable
+        assert np.array_equal(conv_backward_input(dy, weights, spec, (h, w), cols=cols),
+                              conv_backward_input(dy, weights, spec, (h, w)))
+        for bad in (cols[:, :-1], cols[:, :, :-1], cols.reshape(-1)):
+            with pytest.raises(ShapeError, match="window matrix"):
+                conv_backward_input(dy, weights, spec, (h, w), cols=bad)
+        for scatter in (ConvSpec(ci, ci + 1, (kx, ky), padding=padding),
+                        ConvSpec(ci, co, (kx, ky), stride=2, padding=padding)):
+            dy_s = np.ones((n, scatter.out_channels, *scatter.out_size(h, w)), dtype=dtype)
+            assert grad_im2col(dy_s, scatter, (h, w)) is None
+            with pytest.raises(ValueError, match="scatter"):
+                conv_backward_input(dy_s, np.ones(scatter.weight_shape, dtype=dtype), scatter,
+                                    (h, w), cols=cols)
+
+    def test_shape_errors(self):
+        spec = ConvSpec(2, 1, (3, 3), padding=1)
+        with pytest.raises(ShapeError, match="output gradient shape"):
+            grad_im2col(np.ones((1, 1, 4, 5)), spec, (4, 4))
+        with pytest.raises(ShapeError, match="non-positive output size"):
+            grad_im2col(np.ones((1, 1, 1, 1)), ConvSpec(2, 1, (3, 3)), (2, 2))
 
 
 def _dot64(a, b):

@@ -117,6 +117,18 @@ class TestLinearStep:
         with pytest.raises(ValueError):
             step(make_state(cfg, w), w, g, lr=0.1, position="mid")
 
+    @pytest.mark.parametrize("position", ["pre", "post"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_scaling_is_rejected(self, value, position):
+        cfg = OptimizerConfig(kind="sgd")
+        w = np.ones((1, 1, 3, 3))
+        scaling = np.ones((3, 3))
+        scaling[0, 0] = value
+        state = make_state(cfg, w)
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            step(state, w, np.ones_like(w), lr=0.1, scaling=scaling, position=position)
+        assert state.step_count == 0
+
 
 class TestAdaptiveStep:
     def test_adam_first_step_closed_form(self):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from spatialgrad.conv import ConvSpec, conv_forward, im2col
+from spatialgrad.conv import ConvSpec, conv_backward_input, conv_forward, im2col
 from spatialgrad.optim import OptimizerConfig, make_state
 from spatialgrad.reparam import (
     BranchedConv,
+    branched_backward_input,
     branched_backward_step,
     branched_forward,
     equivalence_run,
@@ -16,6 +17,21 @@ from spatialgrad.scaling import from_masks
 
 def acb_masks():
     return standard_mask_sets((3, 3), "acb")
+
+
+def count_window_matrices(monkeypatch):
+    """Record the spec of every ``conv._im2col`` call, the one builder of window matrices."""
+    import spatialgrad.conv as conv_mod
+
+    built = []
+    build = conv_mod._im2col
+
+    def counting_im2col(x, spec):
+        built.append(spec)
+        return build(x, spec)
+
+    monkeypatch.setattr(conv_mod, "_im2col", counting_im2col)
+    return built
 
 
 class TestMaskValidation:
@@ -177,6 +193,57 @@ class TestBranchedForward:
         np.testing.assert_array_equal(out, expected)
 
 
+class TestBranchedBackwardInput:
+    """One dY window matrix per call, shared by the branches' own calls and GEMMs."""
+
+    @staticmethod
+    def branch_sum(conv, dy, input_hw):
+        expected = None
+        for b in conv.branches:
+            dx = conv_backward_input(dy, b.mask * b.weights, conv.spec, input_hw)
+            expected = dx if expected is None else expected + dx
+        return expected
+
+    @pytest.mark.parametrize("masks", [
+        acb_masks(),
+        standard_mask_sets((3, 3), "random", count=4, seed=1),
+    ], ids=["acb", "random5"])
+    def test_one_window_matrix_shared_by_every_branch(self, masks, monkeypatch):
+        import spatialgrad.reparam as reparam_mod
+
+        rng = np.random.default_rng(9)
+        spec = ConvSpec(3, 2, (3, 3), padding=1)
+        conv = split_init(rng.normal(size=spec.weight_shape), masks, spec)
+        dy = rng.normal(size=(2, 2, 6, 5))
+        expected = self.branch_sum(conv, dy, (6, 5))
+
+        calls = []
+
+        def counting_backward_input(*args, **kwargs):
+            calls.append(kwargs["cols"])
+            return conv_backward_input(*args, **kwargs)
+
+        monkeypatch.setattr(reparam_mod, "conv_backward_input", counting_backward_input)
+        built = count_window_matrices(monkeypatch)
+        out = branched_backward_input(conv, dy, (6, 5))
+        assert built == [ConvSpec(2, 3, (3, 3))]
+        assert len(calls) == len(masks) and all(c is calls[0] for c in calls)
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("spec", [ConvSpec(2, 3, (3, 3), padding=1),
+                                      ConvSpec(3, 2, (3, 3), stride=2, padding=1)],
+                             ids=["co_gt_ci", "stride2"])
+    def test_scatter_spec_builds_no_matrix(self, spec, monkeypatch):
+        rng = np.random.default_rng(10)
+        conv = split_init(rng.normal(size=spec.weight_shape), acb_masks(), spec)
+        dy = rng.normal(size=(2, spec.out_channels, *spec.out_size(6, 5)))
+        expected = self.branch_sum(conv, dy, (6, 5))
+        built = count_window_matrices(monkeypatch)
+        out = branched_backward_input(conv, dy, (6, 5))
+        assert built == []
+        np.testing.assert_array_equal(out, expected)
+
+
 class TestBranchedBackwardStep:
     def test_single_full_mask_matches_plain_sgd(self):
         rng = np.random.default_rng(5)
@@ -277,6 +344,17 @@ class TestEquivalenceRun:
         report = equivalence_run(masks, cfg, steps=10, seed=0, kernel=(7, 7))
         assert len(built) == 3 * 10
         assert [s.in_channels for s in built[:3]] == [2, 3, 3]
+        assert report.max_rel == expected.max_rel and report.mean_rel == expected.mean_rel
+
+    def test_one_dy_window_matrix_per_twin_per_step(self, monkeypatch):
+        """Three conv-input matrices plus one dY matrix per twin: 50 over 10 steps, not 90."""
+        masks = standard_mask_sets((7, 7), "random", count=4, seed=0)
+        cfg = OptimizerConfig(kind="sgd_momentum", momentum=0.9)
+        expected = equivalence_run(masks, cfg, steps=10, seed=0, kernel=(7, 7))
+        built = count_window_matrices(monkeypatch)
+        report = equivalence_run(masks, cfg, steps=10, seed=0, kernel=(7, 7))
+        assert len(built) == 5 * 10
+        assert built.count(ConvSpec(2, 3, (7, 7))) == 2 * 10
         assert report.max_rel == expected.max_rel and report.mean_rel == expected.mean_rel
 
     def test_nonlinear_optimizer_runs_every_step(self):
