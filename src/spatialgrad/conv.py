@@ -17,25 +17,27 @@ the weight gradient share one window-to-matrix path, ``_im2col``: it builds
 the overlapping-window view [N, Ci, kx, ky, H', W'] of the padded input
 directly from the padded input's strides (sizes from ``ConvSpec.out_size``,
 so an input smaller than the kernel raises ``ShapeError``) and reshapes it
-into a C-contiguous matrix [N, Ci*kx*ky, H'*W'], copying the view once.
-An unpadded 1x1 stride-1 kernel over a C-contiguous input is the one
+into a C-contiguous matrix [N, Ci*kx*ky, H', W'], copying the view once.
+The matrix keeps the output grid (H', W') as its last two axes. An
+unpadded 1x1 stride-1 kernel over a C-contiguous input is the one
 exception: its view is already contiguous, so the matrix is a view of the
 input with no copy, and a later write to the input shows in it. The matrix
 is read-only for every kernel, so no consumer of a shared matrix can write
-into it. The forward pass multiplies that matrix by
-``W.reshape(Co, -1)`` in one batched GEMM; the weight gradient multiplies
-``dY.reshape(N, Co, H'*W')`` by its transpose in one batched GEMM and sums
-the N per-sample products. The weight gradient therefore sums over the
-output cells inside BLAS first and over the batch last, an order that
-differs from a contraction over all of (n, h, w) at once (such as
-``einsum`` over the window view), so the two agree to rounding, not
-bitwise.
+into it. The forward pass multiplies ``W.reshape(Co, -1)`` by that matrix,
+viewed as [N, Ci*kx*ky, H'*W'], in one batched GEMM; the weight gradient
+multiplies ``dY.reshape(N, Co, H'*W')`` by the same view's transpose in one
+batched GEMM and sums the N per-sample products. The weight gradient
+therefore sums over the output cells inside BLAS first and over the batch
+last, an order that differs from a contraction over all of (n, h, w) at
+once (such as ``einsum`` over the window view), so the two agree to
+rounding, not bitwise.
 
-The weight gradient reads only the matrix, never the input: every caller
-builds it once per conv input with ``im2col(x, spec)`` and passes it to
-both the forward (as ``cols``) and the weight gradient, as a train-mode
-``ConvLayer`` and ``reparam``'s oracle do. A forward without ``cols``
-builds the same matrix itself, so its result is bitwise equal.
+The forward and the weight gradient read only the matrix, never the input:
+every caller builds it once per conv input with ``im2col(x, spec)`` and
+passes it to both, as a train-mode ``ConvLayer`` and ``reparam``'s oracle
+do. The forward takes its batch size and grid from the matrix; the weight
+gradient and the gather input gradient check a matrix's whole shape, grid
+included.
 
 The input gradient is the adjoint of the forward map,
 
@@ -52,7 +54,7 @@ intermediates:
   its in/out channels swapped:
   ``dX = conv(pad(dY), W[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))``.
   Only the windows that land inside the unpadded input are built, so the
-  ``_im2col`` matrix has N*Co*kx*ky*H*W entries, and each dX entry is one
+  ``_im2col`` matrix is [N, Co*kx*ky, H, W], and each dX entry is one
   dot product over (co, kh, kw) inside BLAS. The matrix is a function of dY
   and the spec only, never of W, so ``grad_im2col(dy, spec, input_hw)``
   builds it once and one matrix can serve several weights, each passed to
@@ -147,10 +149,10 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """The windows of the padded input as a read-only matrix [N, Ci*kx*ky, H'*W'].
+    """The windows of the padded input as a read-only matrix [N, Ci*kx*ky, H', W'].
 
-    Rows run over (ci, kh, kw) in ``W.reshape(Co, -1)`` order, columns over
-    the output cells in row-major order. The view is copied once, unless it
+    Rows run over (ci, kh, kw) in ``W.reshape(Co, -1)`` order, the last two
+    axes over the output grid. The view is copied once, unless it
     is already C-contiguous (an unpadded 1x1 stride-1 kernel over a
     C-contiguous input), in which case the matrix is a view of x.
     """
@@ -162,55 +164,48 @@ def _im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     s = spec.stride
     view = as_strided(xp, shape=(n, ci, kx, ky, oh, ow),
                       strides=(sn, sc, sh, sw, s * sh, s * sw), writeable=False)
-    cols = np.ascontiguousarray(view).reshape(n, ci * kx * ky, oh * ow)
+    cols = np.ascontiguousarray(view).reshape(n, ci * kx * ky, oh, ow)
     cols.flags.writeable = False
     return cols
 
 
 def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """The window matrix [N, Ci*kx*ky, H'*W'] of x, as ``conv_forward`` builds it.
+    """The window matrix [N, Ci*kx*ky, H', W'] of x [N, Ci, H, W].
 
-    Pass it as ``cols`` to ``conv_forward`` and as the second argument of
-    ``conv_backward_weights``, so one matrix serves both.
+    Pass it to ``conv_forward`` and ``conv_backward_weights``, so one matrix
+    serves both.
     """
     return _im2col(_check_input(x, spec), spec)
 
 
-def _check_cols(cols: np.ndarray, spec: ConvSpec, n: int, cells: int) -> None:
+def _check_cols(cols: np.ndarray, spec: ConvSpec, n: int, grid: tuple[int, int]) -> None:
     kx, ky = spec.kernel
-    expected = (n, spec.in_channels * kx * ky, cells)
+    expected = (n, spec.in_channels * kx * ky, *grid)
     if np.shape(cols) != expected:
         raise ShapeError(f"window matrix shape {np.shape(cols)}, expected {expected}")
 
 
-def conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, *,
-                 cols: np.ndarray | None = None) -> np.ndarray:
-    """Convolve x [N, Ci, H, W] with w [Co, Ci, kx, ky] -> [N, Co, H', W'].
-
-    ``cols``, if given, is ``im2col(x, spec)`` and is used in place of a new
-    window matrix.
-    """
-    x = _check_input(x, spec)
+def conv_forward(cols: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Convolve the window matrix ``cols = im2col(x, spec)`` [N, Ci*kx*ky, H', W']
+    with w [Co, Ci, kx, ky] -> [N, Co, H', W']."""
     w = _check_weights(w, spec)
-    oh, ow = spec.out_size(x.shape[2], x.shape[3])
-    if cols is None:
-        cols = _im2col(x, spec)
-    else:
-        _check_cols(cols, spec, x.shape[0], oh * ow)
-    y = w.reshape(spec.out_channels, -1) @ cols
-    return y.reshape(x.shape[0], spec.out_channels, oh, ow)
+    n, _, oh, ow = require_rank4(cols, "window matrix").shape
+    _check_cols(cols, spec, n, (oh, ow))
+    y = w.reshape(spec.out_channels, -1) @ cols.reshape(n, -1, oh * ow)
+    return y.reshape(n, spec.out_channels, oh, ow)
 
 
 def conv_backward_weights(dy: np.ndarray, cols: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Loss gradient w.r.t. the weights from dY and the forward's window matrix
-    ``cols = im2col(x, spec)``; it never reads W, and dY is checked against ``cols``."""
+    ``cols = im2col(x, spec)``; it never reads W, and ``cols`` must match dY's
+    batch size and grid."""
     dy = require_rank4(dy, "output gradient")
-    if dy.shape[1] != spec.out_channels:
-        raise ShapeError(f"output gradient has {dy.shape[1]} channels, "
-                         f"spec expects {spec.out_channels}")
-    _check_cols(cols, spec, dy.shape[0], dy.shape[2] * dy.shape[3])
-    per_sample = np.matmul(dy.reshape(dy.shape[0], spec.out_channels, -1),
-                           cols.transpose(0, 2, 1))
+    n, co, oh, ow = dy.shape
+    if co != spec.out_channels:
+        raise ShapeError(f"output gradient has {co} channels, spec expects {spec.out_channels}")
+    _check_cols(cols, spec, n, (oh, ow))
+    per_sample = np.matmul(dy.reshape(n, co, oh * ow),
+                           cols.reshape(n, -1, oh * ow).transpose(0, 2, 1))
     return per_sample.sum(axis=0).reshape(spec.weight_shape)
 
 
@@ -249,7 +244,7 @@ def _grad_im2col(dy: np.ndarray, spec: ConvSpec, input_hw: tuple[int, int]) -> n
 
 def grad_im2col(dy: np.ndarray, spec: ConvSpec,
                 input_hw: tuple[int, int]) -> np.ndarray | None:
-    """The gather path's read-only window matrix [N, Co*kx*ky, H*W] of the padded dY.
+    """The gather path's read-only window matrix [N, Co*kx*ky, H, W] of the padded dY.
 
     Pass it as ``cols`` to ``conv_backward_input`` for any weights of this
     spec, so one matrix serves several weights. A scatter spec (stride 2, or
@@ -284,9 +279,10 @@ def conv_backward_input(dy: np.ndarray, w: np.ndarray, spec: ConvSpec,
         if cols is None:
             cols = _grad_im2col(dy, spec, input_hw)
         else:
-            _check_cols(cols, _grad_spec(spec), n, height * width)
+            _check_cols(cols, _grad_spec(spec), n, input_hw)
         w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
-        return (w_t @ cols).reshape(n, ci, height, width).astype(dy.dtype, copy=False)
+        dx = w_t @ cols.reshape(n, -1, height * width)
+        return dx.reshape(n, ci, height, width).astype(dy.dtype, copy=False)
     if cols is not None:
         raise ValueError(f"{spec} takes the scatter path, which has no dY window matrix")
     # Scatter: every offset's contribution in one GEMM, then col2im.

@@ -253,7 +253,7 @@ def spatial_dependence_mi(feature_maps: Sequence[np.ndarray], kernel_shape: tupl
     unfiltered joints are counted in one ``_count_joints`` call. With the
     filter on, each unordered off-centre displacement (24 of a 7x7 kernel)
     is one ``collect_pairs`` call through the same loop; the calls stay
-    separate only because the benchmark traces them (ROADMAP direction 1
+    separate only because the benchmark traces them (ROADMAP direction 5
     folds them into one). Every joint is therefore identical to a
     per-displacement ``collect_pairs`` call, for any block size.
     """

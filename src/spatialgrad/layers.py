@@ -65,7 +65,7 @@ class ConvLayer(Layer):
     def forward(self, x, train):
         self._saved = None  # drop a matrix no backward took before building the next
         cols = im2col(x, self.spec)
-        y = conv_forward(x, self.params["W"], self.spec, cols=cols)
+        y = conv_forward(cols, self.params["W"], self.spec)
         if train:
             self._saved = (cols, x.shape[2:])
         return y

@@ -116,15 +116,16 @@ def split_init(w_base: np.ndarray, masks: Sequence[np.ndarray], spec: ConvSpec) 
     return conv
 
 
-def branched_forward(conv: BranchedConv, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def branched_forward(conv: BranchedConv, cols: np.ndarray) -> np.ndarray:
     """Sum of the branch convolutions, evaluated branch by branch over one window matrix.
 
-    ``cols`` is ``im2col(x, conv.spec)``, built once by the caller and shared
-    by every branch, as for ``branched_backward_step``.
+    ``cols`` is the input's window matrix ``im2col(x, conv.spec)``
+    [N, Ci*kx*ky, H', W'], built once by the caller and shared by every
+    branch, as for ``branched_backward_step``.
     """
     out = None
     for branch in conv.branches:
-        y = conv_forward(x, branch.mask * branch.weights, conv.spec, cols=cols)
+        y = conv_forward(cols, branch.mask * branch.weights, conv.spec)
         out = y if out is None else out + y
     return out
 
@@ -250,8 +251,7 @@ class DivergenceReport:
 
 
 def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, steps: int,
-                    seed: int, kernel: tuple[int, int] = (3, 3),
-                    lr: float = 0.05) -> DivergenceReport:
+                    seed: int, kernel: tuple[int, int], lr: float) -> DivergenceReport:
     """Train a branched twin and a gradient-scaled twin in lockstep.
 
     Both sides are two-layer convolutional regressors (conv, relu, conv,
@@ -263,12 +263,15 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
     recorded after every step. A non-linear optimizer runs the same way, but
     no equivalence is guaranteed there; the caller reads
     ``optimizer.is_linear`` to know whether the divergence is a verdict.
+    ``kernel`` (square, odd side) and ``lr`` have no defaults here: the
+    ``verify-equivalence`` command's ``--kernel`` and ``--lr`` hold them.
 
-    Each step builds one window matrix per conv input: the matrix of ``x``
-    serves both twins' first conv (they receive the same ``x`` by design, and
-    the matrix is read-only, so sharing it couples no state), and each twin's
-    hidden activation has its own. Each is released after its last use. The
-    input gradient of the second conv builds one matrix of its dY per twin:
+    Each step builds one window matrix per conv input, the only input of that
+    conv's forward and weight gradient: the matrix of ``x`` serves both twins'
+    first conv (they receive the same ``x`` by design, and the matrix is
+    read-only, so sharing it couples no state), and each twin's hidden
+    activation has its own. Each is released after its last use. The input
+    gradient of the second conv builds one matrix of its dY per twin:
     ``branched_backward_input`` shares its matrix among the branches, and the
     scaled twin's single call builds its own.
     """
@@ -311,10 +314,10 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
             cols_x = im2col(x, spec1)
 
             # Branched twin: forward, backward through the branch sum, step branches.
-            h1 = branched_forward(branched1, x, cols_x)
+            h1 = branched_forward(branched1, cols_x)
             a1 = np.maximum(h1, 0.0)
             cols_a1 = im2col(a1, spec2)
-            y = branched_forward(branched2, a1, cols_a1)
+            y = branched_forward(branched2, cols_a1)
             dy = (y - target) / y.size
             da1 = branched_backward_input(branched2, dy, (_HEIGHT, _WIDTH))
             dh1 = da1 * (h1 > 0)
@@ -324,10 +327,10 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
 
             # Scaled twin: identical data, raw-coverage scaling on each conv gradient;
             # each conv input's window matrix serves its forward and weight gradient.
-            h1s = conv_forward(x, single1, spec1, cols=cols_x)
+            h1s = conv_forward(cols_x, single1, spec1)
             a1s = np.maximum(h1s, 0.0)
             cols_a1s = im2col(a1s, spec2)
-            ys = conv_forward(a1s, single2, spec2, cols=cols_a1s)
+            ys = conv_forward(cols_a1s, single2, spec2)
             dys = (ys - target) / ys.size
             g2 = conv_backward_weights(dys, cols_a1s, spec2)
             del cols_a1s

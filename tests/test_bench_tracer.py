@@ -4,8 +4,10 @@
 at every site they are bound. A refactor that renames or drops one of them (say
 ``training.refresh_scalings``), or stops calling it through its module, breaks
 the benchmark; these tests catch that without running the benchmark itself.
-The traced-call counts below are the ones the benchmark's per-layer metrics
-rest on, so a refactor that folds those calls away fails here too.
+The traced-call counts and conv GMAC attributes below are the ones the
+benchmark's per-layer metrics rest on, so a refactor that folds those calls
+away, or moves the spec from a conv call's third positional argument, fails
+here too.
 """
 
 import importlib
@@ -18,7 +20,9 @@ import numpy as np
 import pytest
 
 from spatialgrad import network, reparam, training
+from spatialgrad.conv import ConvSpec
 from spatialgrad.data import synth_digits
+from spatialgrad.layers import ConvLayer
 from spatialgrad.network import ConvLayerSpec, DenseSpec, FlattenSpec, MaxPoolSpec, SoftmaxXentSpec
 from spatialgrad.optim import OptimizerConfig
 
@@ -111,9 +115,29 @@ def test_a_filtered_refresh_counts_each_unordered_displacement_once(tracing):
 def test_an_acb_equivalence_run_backs_up_branch_by_branch(tracing):
     masks = reparam.standard_mask_sets((3, 3), "acb")
     counts = _traced(tracing, lambda: reparam.equivalence_run(
-        masks, OptimizerConfig(kind="sgd"), steps=3, seed=0))
+        masks, OptimizerConfig(kind="sgd"), steps=3, seed=0, kernel=(3, 3), lr=0.05))
     # Per step: one input gradient per branch of the second conv and one for
     # its scaled twin; each twin's two convs take one branched step each.
     assert counts["conv.backward_input"] == (3 + 1) * 3
     assert counts["reparam.branched_backward_input"] == 3
     assert counts["reparam.branched_backward_step"] == 2 * 3
+
+
+def test_conv_spans_count_the_macs_of_their_call(tracing):
+    """The GMAC attributes read the spec as each conv call's third positional argument."""
+    n, ci, co, (kx, ky) = 2, 3, 5, (3, 2)
+    spec = ConvSpec(ci, co, (kx, ky), stride=2, padding=1)
+    rng = np.random.default_rng(0)
+    layer = ConvLayer(spec, rng.normal(size=spec.weight_shape))
+    x = rng.normal(size=(n, ci, 8, 5))
+    oh, ow = spec.out_size(8, 5)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        layer.backward(layer.forward(x, train=True))
+    finally:
+        tracer.uninstall()
+    names = ("conv.forward", "conv.backward_weights", "conv.backward_input")
+    gmac = [(span.name, span.attrs["gmac"]) for span in tracer.spans if span.name in names]
+    assert (oh, ow) == (4, 3)
+    assert gmac == [(name, n * co * oh * ow * ci * kx * ky / 1e9) for name in names]

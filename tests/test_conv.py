@@ -83,8 +83,8 @@ def findiff_weight_grad(x, w, dy, spec, h=1e-5):
         wp, wm = w.copy(), w.copy()
         wp[idx] += h
         wm[idx] -= h
-        num[idx] = ((conv_forward(x, wp, spec) * dy).sum()
-                    - (conv_forward(x, wm, spec) * dy).sum()) / (2 * h)
+        num[idx] = ((conv_forward(im2col(x, spec), wp, spec) * dy).sum()
+                    - (conv_forward(im2col(x, spec), wm, spec) * dy).sum()) / (2 * h)
     return num
 
 
@@ -96,8 +96,8 @@ def findiff_input_grad(x, w, dy, spec, h=1e-5):
         xp, xm = x.copy(), x.copy()
         xp[idx] += h
         xm[idx] -= h
-        num[idx] = ((conv_forward(xp, w, spec) * dy).sum()
-                    - (conv_forward(xm, w, spec) * dy).sum()) / (2 * h)
+        num[idx] = ((conv_forward(im2col(xp, spec), w, spec) * dy).sum()
+                    - (conv_forward(im2col(xm, spec), w, spec) * dy).sum()) / (2 * h)
     return num
 
 
@@ -123,7 +123,8 @@ class TestConvForward:
     def test_identity_1x1_kernel(self):
         x = np.random.default_rng(0).normal(size=(2, 1, 4, 4))
         w = np.ones((1, 1, 1, 1))
-        np.testing.assert_array_equal(conv_forward(x, w, ConvSpec(1, 1, (1, 1))), x)
+        spec = ConvSpec(1, 1, (1, 1))
+        np.testing.assert_array_equal(conv_forward(im2col(x, spec), w, spec), x)
 
     def test_frozen_2x2_example_matches_loop_oracle(self):
         x = np.array([[1.0, 2, 3], [4, 5, 6], [7, 8, 9]]).reshape(1, 1, 3, 3)
@@ -131,12 +132,12 @@ class TestConvForward:
         spec = ConvSpec(1, 1, (2, 2))
         expected = np.array([[6.0, 8.0], [12.0, 14.0]])
         np.testing.assert_array_equal(loop_conv_forward(x, w, 1, 0)[0, 0], expected)
-        np.testing.assert_array_equal(conv_forward(x, w, spec)[0, 0], expected)
+        np.testing.assert_array_equal(conv_forward(im2col(x, spec), w, spec)[0, 0], expected)
 
     def test_zero_weights(self):
         x = np.ones((1, 2, 5, 5))
         spec = ConvSpec(2, 3, (3, 3), padding=1)
-        assert not conv_forward(x, np.zeros(spec.weight_shape), spec).any()
+        assert not conv_forward(im2col(x, spec), np.zeros(spec.weight_shape), spec).any()
 
     @pytest.mark.parametrize("stride,padding,hw", [(1, 0, (5, 6)), (1, 2, (4, 4)),
                                                    (2, 1, (7, 6)), (2, 0, (9, 9))])
@@ -145,7 +146,7 @@ class TestConvForward:
         spec = ConvSpec(3, 2, (3, 3), stride=stride, padding=padding)
         x = rng.normal(size=(2, 3, *hw))
         w = rng.normal(size=spec.weight_shape)
-        np.testing.assert_allclose(conv_forward(x, w, spec),
+        np.testing.assert_allclose(conv_forward(im2col(x, spec), w, spec),
                                    loop_conv_forward(x, w, stride, padding),
                                    rtol=1e-12, atol=1e-14)
 
@@ -154,17 +155,17 @@ class TestConvForward:
         spec = ConvSpec(1, 2, (1, 3), padding=0)
         x = rng.normal(size=(1, 1, 4, 5))
         w = rng.normal(size=spec.weight_shape)
-        np.testing.assert_allclose(conv_forward(x, w, spec), loop_conv_forward(x, w, 1, 0),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(conv_forward(im2col(x, spec), w, spec),
+                                   loop_conv_forward(x, w, 1, 0), rtol=1e-12)
 
     def test_shape_errors(self):
         spec = ConvSpec(2, 1, (3, 3))
         with pytest.raises(ShapeError):
-            conv_forward(np.ones((1, 3, 5, 5)), np.ones(spec.weight_shape), spec)
+            conv_forward(im2col(np.ones((1, 3, 5, 5)), spec), np.ones(spec.weight_shape), spec)
         with pytest.raises(ShapeError):
-            conv_forward(np.ones((1, 2, 5, 5)), np.ones((1, 2, 3, 4)), spec)
+            conv_forward(im2col(np.ones((1, 2, 5, 5)), spec), np.ones((1, 2, 3, 4)), spec)
         with pytest.raises(ShapeError):
-            conv_forward(np.ones((1, 2, 2, 2)), np.ones(spec.weight_shape), spec)
+            conv_forward(im2col(np.ones((1, 2, 2, 2)), spec), np.ones(spec.weight_shape), spec)
 
     def test_linearity_in_weights(self):
         rng = np.random.default_rng(5)
@@ -173,8 +174,9 @@ class TestConvForward:
         w1 = rng.normal(size=spec.weight_shape)
         w2 = rng.normal(size=spec.weight_shape)
         a, b = 1.7, -0.6
-        lhs = conv_forward(x, a * w1 + b * w2, spec)
-        rhs = a * conv_forward(x, w1, spec) + b * conv_forward(x, w2, spec)
+        lhs = conv_forward(im2col(x, spec), a * w1 + b * w2, spec)
+        rhs = (a * conv_forward(im2col(x, spec), w1, spec)
+               + b * conv_forward(im2col(x, spec), w2, spec))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
 
     def test_mask_distributivity(self):
@@ -187,8 +189,8 @@ class TestConvForward:
         masks[2][:, 1] = 1
         ws = [rng.normal(size=spec.weight_shape) for _ in masks]
         merged = sum(m * w for m, w in zip(masks, ws))
-        branch_sum = sum(conv_forward(x, m * w, spec) for m, w in zip(masks, ws))
-        np.testing.assert_allclose(conv_forward(x, merged, spec), branch_sum,
+        branch_sum = sum(conv_forward(im2col(x, spec), m * w, spec) for m, w in zip(masks, ws))
+        np.testing.assert_allclose(conv_forward(im2col(x, spec), merged, spec), branch_sum,
                                    rtol=1e-12, atol=1e-14)
 
 
@@ -213,7 +215,7 @@ class TestConvBackwardWeights:
         spec = ConvSpec(2, 3, (3, 3), stride=stride, padding=padding)
         x = rng.normal(size=(2, 2, 7, 6))
         w = rng.normal(size=spec.weight_shape)
-        dy = rng.normal(size=conv_forward(x, w, spec).shape)
+        dy = rng.normal(size=conv_forward(im2col(x, spec), w, spec).shape)
         dw = conv_backward_weights(dy, im2col(x, spec), spec)
         num = findiff_weight_grad(x, w, dy, spec)
         np.testing.assert_allclose(dw, num, rtol=1e-5, atol=1e-8)
@@ -262,14 +264,22 @@ class TestWindowMatrix:
         x = np.ones((2, 2, 6, 5))
         w = np.ones(spec.weight_shape)
         cols = im2col(x, spec)
-        dy = np.ones(conv_forward(x, w, spec).shape)
-        for bad in (cols[:1], cols[:, :-1], cols[:, :, :-1], cols.reshape(-1)):
+        dy = np.ones(conv_forward(cols, w, spec).shape)
+        rank3 = cols.reshape(*cols.shape[:2], -1)
+        # The forward takes its batch size and grid from the matrix.
+        for bad in (cols[:, :-1], rank3, cols.reshape(-1)):
             with pytest.raises(ShapeError, match="window matrix"):
-                conv_forward(x, w, spec, cols=bad)
+                conv_forward(bad, w, spec)
+        for bad in (cols[:1], cols[:, :-1], cols[:, :, :-1], cols[:, :, :, :-1], rank3,
+                    cols.reshape(-1)):
             with pytest.raises(ShapeError, match="window matrix"):
                 conv_backward_weights(dy, bad, spec)
         with pytest.raises(ShapeError, match="window matrix"):
             conv_backward_weights(dy[:, :, :-1], cols, spec)
+        # A 4x4 grid against a 2x8 dY: the same cell count, another grid.
+        same = ConvSpec(1, 1, (3, 3), padding=1)
+        with pytest.raises(ShapeError, match="window matrix"):
+            conv_backward_weights(np.ones((1, 1, 2, 8)), im2col(np.ones((1, 1, 4, 4)), same), same)
         with pytest.raises(ShapeError, match="channels"):
             conv_backward_weights(dy[:, :2], cols, spec)
         with pytest.raises(ShapeError, match="channels"):
@@ -278,7 +288,8 @@ class TestWindowMatrix:
     def test_input_smaller_than_kernel_raises_shape_error(self):
         spec = ConvSpec(1, 1, (3, 3))
         x = np.zeros((1, 1, 2, 2))
-        for build in (lambda: im2col(x, spec), lambda: conv_forward(x, np.ones((1, 1, 3, 3)), spec)):
+        for build in (lambda: im2col(x, spec),
+                      lambda: conv_forward(im2col(x, spec), np.ones((1, 1, 3, 3)), spec)):
             with pytest.raises(ShapeError, match="non-positive output size 0x0"):
                 build()
 
@@ -318,7 +329,7 @@ class TestWindowMatrix:
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         view = sliding_window_view(xp, (kx, ky), axis=(2, 3))[:, :, ::stride, ::stride]
         oh, ow = view.shape[2:4]
-        expected = view.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kx * ky, oh * ow)
+        expected = view.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kx * ky, oh, ow)
         cols = im2col(x, spec)
         assert cols.dtype == dtype
         assert np.array_equal(cols, expected)
@@ -343,7 +354,7 @@ class TestConvBackwardInput:
         spec = ConvSpec(2, 3, (3, 3), stride=stride, padding=padding)
         x = rng.normal(size=(2, 2, 6, 7))
         w = rng.normal(size=spec.weight_shape)
-        dy = rng.normal(size=conv_forward(x, w, spec).shape)
+        dy = rng.normal(size=conv_forward(im2col(x, spec), w, spec).shape)
         dx = conv_backward_input(dy, w, spec, x.shape[2:])
         num = findiff_input_grad(x, w, dy, spec)
         np.testing.assert_allclose(dx, num, rtol=1e-5, atol=1e-8)
@@ -387,7 +398,7 @@ class TestGradWindowMatrix:
         dy = rng.normal(size=(n, co, *spec.out_size(h, w))).astype(dtype)
         weights = rng.normal(size=spec.weight_shape).astype(dtype)
         cols = grad_im2col(dy, spec, (h, w))
-        assert cols.shape == (n, co * kx * ky, h * w) and cols.dtype == dtype
+        assert cols.shape == (n, co * kx * ky, h, w) and cols.dtype == dtype
         assert cols.flags.c_contiguous and not cols.flags.writeable
         assert np.array_equal(conv_backward_input(dy, weights, spec, (h, w), cols=cols),
                               conv_backward_input(dy, weights, spec, (h, w)))
@@ -408,6 +419,11 @@ class TestGradWindowMatrix:
             grad_im2col(np.ones((1, 1, 4, 5)), spec, (4, 4))
         with pytest.raises(ShapeError, match="non-positive output size"):
             grad_im2col(np.ones((1, 1, 1, 1)), ConvSpec(2, 1, (3, 3)), (2, 2))
+        # A 4x4 input's matrix against a 2x8 input: the same cell count, another grid.
+        cols = grad_im2col(np.ones((1, 1, 4, 4)), spec, (4, 4))
+        with pytest.raises(ShapeError, match="window matrix"):
+            conv_backward_input(np.ones((1, 1, 2, 8)), np.ones(spec.weight_shape), spec, (2, 8),
+                                cols=cols)
 
 
 def _dot64(a, b):
@@ -445,11 +461,11 @@ class TestAdjointness:
 
     @staticmethod
     def inner_products(x, w, dy, spec):
-        y = conv_forward(x, w, spec)
+        y = conv_forward(im2col(x, spec), w, spec)
         dx = conv_backward_input(dy, w, spec, x.shape[2:])
         dw = conv_backward_weights(dy, im2col(x, spec), spec)
         # every product in the three sums is bounded by this magnitude sum
-        scale = _dot64(conv_forward(np.abs(x), np.abs(w), spec), np.abs(dy))
+        scale = _dot64(conv_forward(im2col(np.abs(x), spec), np.abs(w), spec), np.abs(dy))
         products = (_dot64(y, dy), _dot64(x, dx), _dot64(w, dw))
         return (y, dx, dw), products, scale
 

@@ -140,7 +140,7 @@ class TestConvLayer:
         x = rng.normal(size=(2, 2, 7, 6)).astype(dtype)
         layer = ConvLayer(spec, w)
         y = layer.forward(x, train=True)
-        assert np.array_equal(y, conv_forward(x, w, spec))
+        assert np.array_equal(y, conv_forward(im2col(x, spec), w, spec))
         dy = rng.normal(size=y.shape).astype(dtype)
         dx = layer.backward(dy)
         assert layer.grads["W"].dtype == dtype
@@ -155,7 +155,8 @@ class TestConvLayer:
         layer = ConvLayer(spec, w)
         layer.forward(x, train=True)
         assert layer._saved is not None
-        np.testing.assert_array_equal(layer.forward(x, train=False), conv_forward(x, w, spec))
+        np.testing.assert_array_equal(layer.forward(x, train=False),
+                                      conv_forward(im2col(x, spec), w, spec))
         assert layer._saved is None
 
     def test_backward_frees_the_window_matrix(self):
@@ -499,7 +500,8 @@ class TestParamsDicts:
 
         w = rng.normal(size=spec.weight_shape)
         layer.params["W"] = w
-        np.testing.assert_array_equal(layer.forward(x, train=True), conv_forward(x, w, spec))
+        np.testing.assert_array_equal(layer.forward(x, train=True),
+                                      conv_forward(im2col(x, spec), w, spec))
         dy = rng.normal(size=dy.shape)
         np.testing.assert_array_equal(layer.backward(dy),
                                       conv_backward_input(dy, w, spec, x.shape[2:]))

@@ -145,8 +145,8 @@ class TestBranchedForward:
         w = rng.normal(size=spec.weight_shape)
         conv = split_init(w, [np.ones((3, 3))], spec)
         x = rng.normal(size=(2, 2, 6, 6))
-        np.testing.assert_array_equal(branched_forward(conv, x, im2col(x, spec)),
-                                      conv_forward(x, w, spec))
+        np.testing.assert_array_equal(branched_forward(conv, im2col(x, spec)),
+                                      conv_forward(im2col(x, spec), w, spec))
 
     def test_branch_sum_equals_merged_conv(self):
         rng = np.random.default_rng(4)
@@ -154,8 +154,8 @@ class TestBranchedForward:
         w = rng.normal(size=spec.weight_shape)
         conv = split_init(w, acb_masks(), spec)
         x = rng.normal(size=(2, 2, 6, 6))
-        merged_out = conv_forward(x, conv.merged_weights(), spec)
-        branch_out = branched_forward(conv, x, im2col(x, spec))
+        merged_out = conv_forward(im2col(x, spec), conv.merged_weights(), spec)
+        branch_out = branched_forward(conv, im2col(x, spec))
         scale = np.abs(merged_out).max()
         assert np.abs(branch_out - merged_out).max() / scale < 1e-12
 
@@ -167,7 +167,7 @@ class TestBranchedForward:
             spec=spec,
         )
         x = np.ones((1, 1, 4, 4))
-        assert not branched_forward(conv, x, im2col(x, spec)).any()
+        assert not branched_forward(conv, im2col(x, spec)).any()
 
     def test_branches_share_one_window_matrix(self, monkeypatch):
         import spatialgrad.reparam as reparam_mod
@@ -184,11 +184,11 @@ class TestBranchedForward:
         conv = split_init(rng.normal(size=spec.weight_shape), acb_masks(), spec)
         x = rng.normal(size=(2, 2, 6, 6))
         cols = im2col(x, spec)
-        out = branched_forward(conv, x, cols)
+        out = branched_forward(conv, cols)
         assert built == []
         expected = None
         for b in conv.branches:
-            y = conv_forward(x, b.mask * b.weights, spec)
+            y = conv_forward(im2col(x, spec), b.mask * b.weights, spec)
             expected = y if expected is None else expected + y
         np.testing.assert_array_equal(out, expected)
 
@@ -313,18 +313,19 @@ class TestBranchedBackwardStep:
 class TestEquivalenceRun:
     def test_full_mask_degenerate_case(self):
         cfg = OptimizerConfig(kind="sgd")
-        report = equivalence_run([np.ones((3, 3))], cfg, steps=25, seed=0)
+        report = equivalence_run([np.ones((3, 3))], cfg, steps=25, seed=0, kernel=(3, 3),
+                                 lr=0.05)
         assert cfg.is_linear
         assert report.max_divergence <= 1e-12
 
     def test_acb_sgd_50_steps(self):
         report = equivalence_run(acb_masks(), OptimizerConfig(kind="sgd"),
-                                 steps=50, seed=1, lr=0.1)
+                                 steps=50, seed=1, kernel=(3, 3), lr=0.1)
         assert report.max_divergence < 1e-10
 
     def test_momentum_weight_decay_100_steps(self):
         cfg = OptimizerConfig(kind="sgd_momentum", momentum=0.9, weight_decay=1e-4)
-        report = equivalence_run(acb_masks(), cfg, steps=100, seed=2)
+        report = equivalence_run(acb_masks(), cfg, steps=100, seed=2, kernel=(3, 3), lr=0.05)
         assert report.max_divergence < 1e-8
 
     def test_one_window_matrix_per_conv_input_per_step(self, monkeypatch):
@@ -339,9 +340,9 @@ class TestEquivalenceRun:
 
         masks = standard_mask_sets((7, 7), "random", count=4, seed=0)
         cfg = OptimizerConfig(kind="sgd_momentum", momentum=0.9)
-        expected = equivalence_run(masks, cfg, steps=10, seed=0, kernel=(7, 7))
+        expected = equivalence_run(masks, cfg, steps=10, seed=0, kernel=(7, 7), lr=0.05)
         monkeypatch.setattr(reparam_mod, "im2col", counting_im2col)
-        report = equivalence_run(masks, cfg, steps=10, seed=0, kernel=(7, 7))
+        report = equivalence_run(masks, cfg, steps=10, seed=0, kernel=(7, 7), lr=0.05)
         assert len(built) == 3 * 10
         assert [s.in_channels for s in built[:3]] == [2, 3, 3]
         assert report.max_rel == expected.max_rel and report.mean_rel == expected.mean_rel
@@ -350,16 +351,16 @@ class TestEquivalenceRun:
         """Three conv-input matrices plus one dY matrix per twin: 50 over 10 steps, not 90."""
         masks = standard_mask_sets((7, 7), "random", count=4, seed=0)
         cfg = OptimizerConfig(kind="sgd_momentum", momentum=0.9)
-        expected = equivalence_run(masks, cfg, steps=10, seed=0, kernel=(7, 7))
+        expected = equivalence_run(masks, cfg, steps=10, seed=0, kernel=(7, 7), lr=0.05)
         built = count_window_matrices(monkeypatch)
-        report = equivalence_run(masks, cfg, steps=10, seed=0, kernel=(7, 7))
+        report = equivalence_run(masks, cfg, steps=10, seed=0, kernel=(7, 7), lr=0.05)
         assert len(built) == 5 * 10
         assert built.count(ConvSpec(2, 3, (7, 7))) == 2 * 10
         assert report.max_rel == expected.max_rel and report.mean_rel == expected.mean_rel
 
     def test_nonlinear_optimizer_runs_every_step(self):
         cfg = OptimizerConfig(kind="adam")
-        report = equivalence_run(acb_masks(), cfg, steps=5, seed=0)
+        report = equivalence_run(acb_masks(), cfg, steps=5, seed=0, kernel=(3, 3), lr=0.05)
         assert not cfg.is_linear and cfg.kind == "adam"
         assert report.steps == list(range(5)) and not report.diverged_numerically
 
@@ -367,7 +368,7 @@ class TestEquivalenceRun:
                                         {"kernel": (4, 4)}, {"kernel": (3, 5)},
                                         {"kernel": (-1, -1)}])
     def test_rejects_bad_run_arguments(self, kwargs):
-        args = {"steps": 5, "seed": 0, **kwargs}
+        args = {"steps": 5, "seed": 0, "kernel": (3, 3), "lr": 0.05, **kwargs}
         with pytest.raises(ValueError, match="must be"):
             equivalence_run(acb_masks(), OptimizerConfig(kind="sgd"), **args)
 
@@ -384,6 +385,6 @@ class TestEquivalenceRun:
                 OptimizerConfig(kind="sgd_momentum", momentum=0.9),
                 OptimizerConfig(kind="sgd_momentum", momentum=0.9, weight_decay=1e-4),
             ][seed % 4]
-            report = equivalence_run(masks, cfg, steps=100, seed=seed, kernel=kernel)
+            report = equivalence_run(masks, cfg, steps=100, seed=seed, kernel=kernel, lr=0.05)
             worst = max(worst, report.max_divergence)
         assert worst <= 1e-8

@@ -415,7 +415,7 @@ class TestTrainLoop:
 
         def forward(self, x, train):
             self._x = x
-            return conv_forward(x, self.params["W"], self.spec)
+            return conv_forward(im2col(x, self.spec), self.params["W"], self.spec)
 
         def backward(self, dy):
             self.grads["W"] = conv_backward_weights(dy, im2col(self._x, self.spec), self.spec)
