@@ -6,7 +6,9 @@ pairs are pooled over samples, channels, and positions from one or more
 feature-map batches, then scored either by normalized mutual information over
 a discrete joint histogram (primary) or by absolute Pearson autocorrelation
 (ablation). Scores land in a kernel-shaped matrix with entries in [0, 1],
-entry (a, b) holding the displacement (a - kx//2, b - ky//2).
+entry (a, b) holding the displacement (a - kx//2, b - ky//2). The pairs at -d
+are the pairs at d swapped, so both estimators score each unordered {d, -d}
+once, at the first of the two in row-major order, and -d takes d's result.
 
 Both scores walk the maps the same way: ``_plane_blocks`` copies cache-sized
 blocks of whole (sample, channel) planes plane-last, as [H, W, planes], so a
@@ -153,15 +155,15 @@ def _count_joints(maps: Sequence[np.ndarray], displacements: Sequence[tuple[int,
                   lo: float, hi: float, bins: int, delta: float | None) -> np.ndarray:
     """Int64 joint counts [len(displacements), bins**2] over all maps.
 
-    Every extent is checked first. Each plane-last block of ``_plane_blocks``
-    is binned once, and each displacement bincounts its shifted row codes
-    ``index * bins`` plus column indices. When ``delta`` is set, a pair with
-    |p - q| < delta gets the code past ``bins**2`` instead of being removed:
-    the bincount spans ``2 * bins**2`` cells and only the first ``bins**2``
-    are kept. Pairs never cross a plane, and binning and the filter are
-    elementwise in the map's dtype, so no count depends on the block size.
+    The caller has checked every extent. Each plane-last block of
+    ``_plane_blocks`` is binned once, and each displacement bincounts its
+    shifted row codes ``index * bins`` plus column indices. When ``delta`` is
+    set, a pair with |p - q| < delta gets the code past ``bins**2`` instead of
+    being removed: the bincount spans ``2 * bins**2`` cells and only the
+    first ``bins**2`` are kept. Pairs never cross a plane, and binning and the
+    filter are elementwise in the map's dtype, so no count depends on the
+    block size.
     """
-    _check_extents(maps, displacements)
     cells = bins * bins
     counts = np.zeros((len(displacements), cells), dtype=np.int64)
     for block in _plane_blocks(maps):
@@ -181,13 +183,15 @@ def collect_pairs(feature_maps: Sequence[np.ndarray], displacement: tuple[int, i
                   cfg: BinningConfig) -> np.ndarray:
     """Joint (bins x bins) histogram of pixel/neighbour pairs over all maps.
 
-    Counted by the estimator's blocked loop, after every map is validated and
-    every extent checked, with the bins spanning the maps' pooled range.
-    With the redundancy filter on, pairs with |p - q| below the threshold are
-    left out of the count; an empty surviving pair set is an error.
+    Every map is validated and the displacement's extent checked against
+    each map before the estimator's blocked loop counts the pairs, with the
+    bins spanning the maps' pooled range. With the redundancy filter on,
+    pairs with |p - q| below the threshold are left out of the count; an
+    empty surviving pair set is an error.
     """
     maps, (lo, hi) = _check_maps(feature_maps)
     i, j = displacement
+    _check_extents(maps, [(i, j)])
     delta = _resolve_delta(cfg, lo, hi)
     counts = _count_joints(maps, [(i, j)], lo, hi, cfg.bins, delta)[0]
     if not counts.any():
@@ -227,63 +231,54 @@ def normalized_mi(joint: np.ndarray) -> float:
     return float(np.clip((h_p + h_q - h_joint) / h_joint, 0.0, 1.0))
 
 
-def _displacements(kernel_shape: tuple[int, int]):
+def _displacements(kernel_shape: tuple[int, int]) -> list[tuple[int, int]]:
+    """Offset (a - kx//2, b - ky//2) of each kernel entry (a, b), row-major."""
     kx, ky = kernel_shape
     if kx < 1 or ky < 1:
         raise ValueError(f"kernel dims must be >= 1, got {kernel_shape}")
-    for a in range(kx):
-        for b in range(ky):
-            yield a, b, a - kx // 2, b - ky // 2
+    return [(a - kx // 2, b - ky // 2) for a in range(kx) for b in range(ky)]
+
+
+def _unordered(offsets: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The first of each {d, -d} in ``offsets``, in order: what both estimators score."""
+    firsts: list[tuple[int, int]] = []
+    for i, j in offsets:
+        if (-i, -j) not in firsts:
+            firsts.append((i, j))
+    return firsts
 
 
 def spatial_dependence_mi(feature_maps: Sequence[np.ndarray], kernel_shape: tuple[int, int],
                           cfg: BinningConfig) -> SpatialDependenceMatrix:
     """Normalized-MI dependence matrix over the kernel's receptive field.
 
-    The bins span the maps' pooled range, the same range for every
-    displacement; a ``collect_pairs`` call on the same maps finds that range
-    again. The redundancy filter is skipped at displacement
-    (0, 0): those pairs are self-pairs and would all be dropped, while their
-    dependence is what anchors the center of the matrix. Every extent is
-    checked before any counting.
-
-    The pairs at displacement -d are the pairs at d swapped, so when both lie
-    in the kernel (every displacement of an odd kernel does) the joint at -d
-    is the transpose of the joint at d, reused instead of recounted. The
-    unfiltered joints are counted in one ``_count_joints`` call. With the
-    filter on, each unordered off-centre displacement (24 of a 7x7 kernel)
-    is one ``collect_pairs`` call through the same loop; the calls stay
-    separate only because the benchmark traces them (ROADMAP direction 5
-    folds them into one). Every joint is therefore identical to a
-    per-displacement ``collect_pairs`` call, for any block size.
+    Each entry is ``normalized_mi`` of its displacement's joint histogram,
+    binned over the maps' pooled range. The joints are counted once per
+    unordered {d, -d}, and -d takes the transpose of d's joint. With the
+    filter off, one ``_count_joints`` call counts them all. With it on, only
+    (0, 0) is counted there, unfiltered: its pairs are self-pairs that the
+    filter would drop, and their dependence anchors the center. Every other
+    joint is one ``collect_pairs`` call through the same loop (24 of a 7x7
+    kernel), so each joint equals a per-displacement ``collect_pairs`` call,
+    for any block size. Every extent is checked before any counting.
     """
     maps, (lo, hi) = _check_maps(feature_maps)
     bins = cfg.bins
     delta = _resolve_delta(cfg, lo, hi)
-    displacements = list(_displacements(kernel_shape))
-    _check_extents(maps, [(i, j) for _, _, i, j in displacements])
-    offsets = {(i, j) for _, _, i, j in displacements}
-    # Each unordered {d, -d} is counted once; the filter counts only (0, 0) here.
-    blocked: dict[tuple[int, int], int] = {}
-    for _, _, i, j in displacements:
-        if (-i, -j) not in blocked and (delta is None or (i, j) == (0, 0)):
-            blocked[(i, j)] = len(blocked)
-    counts = _count_joints(maps, list(blocked), lo, hi, bins, None)
-    mirrored: dict[tuple[int, int], np.ndarray] = {}
-    values = np.zeros(kernel_shape, dtype=np.float64)
-    for a, b, i, j in displacements:
-        joint = mirrored.pop((i, j), None)
-        if joint is None:
-            if (i, j) in blocked:
-                joint = counts[blocked[(i, j)]].reshape(bins, bins).astype(np.float64)
-                if not joint.any():
-                    raise EstimatorError(f"no pairs collected for displacement ({i}, {j})")
-            else:
-                joint = collect_pairs(maps, (i, j), cfg)
-            if (-i, -j) in offsets and (-i, -j) != (i, j):
-                mirrored[(-i, -j)] = np.ascontiguousarray(joint.T)
-        values[a, b] = normalized_mi(joint)
-    return SpatialDependenceMatrix(values)
+    offsets = _displacements(kernel_shape)
+    _check_extents(maps, offsets)
+    firsts = _unordered(offsets)
+    counted = firsts if delta is None else [(0, 0)]
+    counts = _count_joints(maps, counted, lo, hi, bins, None).reshape(-1, bins, bins)
+    joints = dict(zip(counted, counts.astype(np.float64)))
+    for i, j in firsts:
+        if (i, j) not in joints:
+            joints[i, j] = collect_pairs(maps, (i, j), cfg)
+        elif not joints[i, j].any():
+            raise EstimatorError(f"no pairs collected for displacement ({i}, {j})")
+        joints.setdefault((-i, -j), np.ascontiguousarray(joints[i, j].T))
+    values = [normalized_mi(joints[d]) for d in offsets]
+    return SpatialDependenceMatrix(np.reshape(values, kernel_shape))
 
 
 def spatial_dependence_autocorr(feature_maps: Sequence[np.ndarray],
@@ -294,41 +289,43 @@ def spatial_dependence_autocorr(feature_maps: Sequence[np.ndarray],
     a scaling source (raw correlation may be negative); a zero-variance
     marginal yields 0 by convention.
 
-    The moments n, sum p, sum q, sum p**2, sum q**2 and sum pq of each
-    displacement are accumulated in float64 over the plane blocks of
-    ``_plane_blocks``, after shifting every value by the pooled mean, so
-    float32 maps also get float64 moments and the memory beyond the maps is
-    one block's arrays. A constant side is found from its exact extremes:
-    a constant such as 0.1 can leave a variance of order 1e-34, not 0.
+    The moments n, sum p, sum q, sum p**2, sum q**2 and sum pq are
+    accumulated in float64 over the plane blocks of ``_plane_blocks``, after
+    shifting every value by the pooled mean, so float32 maps also get float64
+    moments and the memory beyond the maps is one block's arrays. A constant
+    side is found from its exact extremes: a constant such as 0.1 can leave a
+    variance of order 1e-34, not 0. Only the first of each {d, -d} is
+    accumulated: -d's sums are d's, swapped, so -d shares d's score bit for bit.
     """
     maps, _ = _check_maps(feature_maps)
-    displacements = list(_displacements(kernel_shape))
-    _check_extents(maps, [(i, j) for _, _, i, j in displacements])
+    offsets = _displacements(kernel_shape)
+    _check_extents(maps, offsets)
+    firsts = _unordered(offsets)
     size = sum(fm.size for fm in maps)
     shift = sum(float(fm.sum(dtype=np.float64)) for fm in maps) / max(size, 1)
-    moments = np.zeros((len(displacements), 6))
-    lows = np.full((len(displacements), 2), np.inf)
-    highs = np.full((len(displacements), 2), -np.inf)
+    moments = np.zeros((len(firsts), 6))
+    lows = np.full((len(firsts), 2), np.inf)
+    highs = np.full((len(firsts), 2), -np.inf)
     for block in _plane_blocks(maps):
         x = block.astype(np.float64)
         x -= shift
-        for row, (_, _, i, j) in enumerate(displacements):
+        for row, (i, j) in enumerate(firsts):
             ps, qs = _pair_slices(block.shape, i, j)
             p, q = x[ps], x[qs]
             moments[row] += (p.size, p.sum(), q.sum(), (p * p).sum(), (q * q).sum(),
                              (p * q).sum())
             lows[row] = np.minimum(lows[row], (block[ps].min(), block[qs].min()))
             highs[row] = np.maximum(highs[row], (block[ps].max(), block[qs].max()))
-    values = np.zeros(kernel_shape, dtype=np.float64)
-    for row, (a, b, i, j) in enumerate(displacements):
+    scores = {}
+    for row, (i, j) in enumerate(firsts):
         if moments[row, 0] == 0:
             raise EstimatorError(f"no pairs collected for displacement ({i}, {j})")
         mp, mq, mpp, mqq, mpq = moments[row, 1:] / moments[row, 0]
         var_p, var_q = mpp - mp * mp, mqq - mq * mq
-        if (lows[row] == highs[row]).any() or var_p <= 0 or var_q <= 0:
-            continue
-        values[a, b] = min(abs((mpq - mp * mq) / math.sqrt(var_p * var_q)), 1.0)
-    return SpatialDependenceMatrix(values)
+        constant = (lows[row] == highs[row]).any() or var_p <= 0 or var_q <= 0
+        scores[i, j] = scores[-i, -j] = (
+            0.0 if constant else min(abs((mpq - mp * mq) / math.sqrt(var_p * var_q)), 1.0))
+    return SpatialDependenceMatrix(np.reshape([scores[d] for d in offsets], kernel_shape))
 
 
 def alpha_beta_scaling(alpha: float, beta: float) -> ScalingMatrix:

@@ -245,6 +245,14 @@ def tied_maps(seed):
             for shape in ((3, 2, 9, 8), (2, 2, 9, 8))]
 
 
+def values_or_error(call, *args):
+    """call(*args), or the message of the EstimatorError it raised."""
+    try:
+        return call(*args)
+    except EstimatorError as err:
+        return str(err)
+
+
 def collect_pairs_rebuild(maps, kernel, cfg):
     """The MI matrix from one collect_pairs call per displacement, filter off at (0, 0)."""
     kx, ky = kernel
@@ -300,19 +308,22 @@ class TestBlockBoundaries:
     @given(block_values=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
            batches=st.lists(st.tuples(st.integers(1, 4), st.integers(4, 9), st.integers(4, 9)),
                             min_size=1, max_size=3),
-           kernel=st.tuples(st.integers(1, 7), st.integers(1, 7)))
+           kernel=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+           redundancy_filter=st.one_of(st.none(), st.just("auto"), st.floats(0.05, 0.5)))
     @settings(max_examples=60, deadline=None)
-    def test_any_block_size_matches_rebuild(self, block_values, seed, batches, kernel):
+    def test_any_block_size_matches_rebuild(self, block_values, seed, batches, kernel,
+                                            redundancy_filter):
         rng = np.random.default_rng(seed)
         maps = [np.round(rng.uniform(size=(n, 2, h, w)), 1) for n, h, w in batches]
-        cfg = BinningConfig(bins=6)
+        cfg = BinningConfig(bins=6, redundancy_filter=redundancy_filter)
         original = dependence._BLOCK_VALUES
         dependence._BLOCK_VALUES = block_values
         try:
-            fast = spatial_dependence_mi(maps, kernel, cfg).values
+            fast = values_or_error(lambda: spatial_dependence_mi(maps, kernel, cfg).values)
         finally:
             dependence._BLOCK_VALUES = original
-        assert np.array_equal(fast, collect_pairs_rebuild(maps, kernel, cfg))
+        # A filter can empty some displacement: both then name the same first one.
+        assert np.array_equal(fast, values_or_error(collect_pairs_rebuild, maps, kernel, cfg))
 
 
 def naive_joint(maps, displacement, cfg):
@@ -386,7 +397,7 @@ class TestCollectPairsEqualsNaiveJoint:
         maps = [np.round(np.maximum(rng.normal(size=shape), 0.0), 1).astype(dtype)
                 for shape in shapes]
         cfg = BinningConfig(bins=8, redundancy_filter=redundancy_filter)
-        for _, _, i, j in dependence._displacements((kx, ky)):
+        for i, j in dependence._displacements((kx, ky)):
             if redundancy_filter is not None and (i, j) == (0, 0):
                 continue
             assert np.array_equal(collect_pairs(maps, (i, j), cfg),
@@ -570,6 +581,22 @@ class TestAutocorrEqualsConcatenatedForm:
         maps = [fm.astype(dtype) for fm in make(sum(kernel))]
         fast = spatial_dependence_autocorr(maps, kernel).values
         np.testing.assert_allclose(fast, concatenated_autocorr(maps, kernel), rtol=0, atol=1e-12)
+        if kernel[0] % 2 and kernel[1] % 2:  # -d shares d's score bit for bit
+            assert fast.tobytes() == fast[::-1, ::-1].tobytes()
+
+    def test_scores_each_unordered_displacement_once(self, monkeypatch):
+        fm = np.random.default_rng(3).normal(size=(2, 3, 10, 10))  # one block
+        extents = []
+        pair_slices = dependence._pair_slices
+
+        def recording(extent, i, j):
+            extents.append(extent)
+            return pair_slices(extent, i, j)
+
+        monkeypatch.setattr(dependence, "_pair_slices", recording)
+        spatial_dependence_autocorr([fm], (7, 7))
+        # The extent check passes the 10x10 grid; the block loop the [H, W, planes] block.
+        assert extents.count((10, 10, 6)) == 25
 
 
 class TestNonFiniteMaps:
