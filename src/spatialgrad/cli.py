@@ -304,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--kernel", type=int, default=3, help="square kernel size")
     p_ver.add_argument("--mask-family", default="acb",
                        choices=MASK_FAMILIES)
-    p_ver.add_argument("--mask-count", type=int, default=3,
-                       help="random-family mask count")
+    p_ver.add_argument("--mask-count", type=int, default=None,
+                       help="random-family mask count (default 3)")
     p_ver.add_argument("--optimizer", default="sgd_momentum",
                        choices=OPTIMIZER_KINDS)
     p_ver.add_argument("--momentum", type=float, default=None,

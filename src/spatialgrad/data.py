@@ -75,8 +75,7 @@ def read_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset
                 f"unexpected magic 0x{magic:08x} in {images_path}, want 0x{IDX_IMAGES_MAGIC:08x}"
             )
         raw = _read_exact(f, n * h * w, f"{n} images of {h}x{w}")
-        extra = f.read(1)
-        if extra:
+        if f.read(1):
             raise DataFormatError(f"trailing bytes after {n} images in {images_path}")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w).astype(np.float64) / 255.0
 
@@ -87,6 +86,8 @@ def read_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset
                 f"unexpected magic 0x{magic:08x} in {labels_path}, want 0x{IDX_LABELS_MAGIC:08x}"
             )
         label_raw = _read_exact(f, n_labels, f"{n_labels} labels")
+        if f.read(1):
+            raise DataFormatError(f"trailing bytes after {n_labels} labels in {labels_path}")
     if n_labels != n:
         raise DataFormatError(f"image count {n} does not match label count {n_labels}")
     labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)

@@ -105,14 +105,9 @@ def _get(section: dict[str, str], key: str, where: str) -> str:
 def _parse_typed(raw: str, key: str, kind: type, where: str):
     try:
         if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         return kind(raw)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"[{where}] {key} = {raw!r} is not a valid {kind.__name__}") from exc
 
 

@@ -12,6 +12,7 @@ weight divergence so that claim can be machine-checked rather than trusted.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,6 +28,8 @@ from .conv import (
 )
 from .optim import OptimizerConfig, OptimizerState, make_state, step
 from .scaling import from_masks
+
+logger = logging.getLogger(__name__)
 
 MASK_FAMILIES = ("acb", "full_plus_center", "all_rectangles", "random")
 
@@ -166,19 +169,23 @@ def branched_backward_step(conv: BranchedConv, cols: np.ndarray, dy: np.ndarray,
         branch.weights = step(state, branch.weights, branch.mask * g, lr=lr)
 
 
-def standard_mask_sets(kernel: tuple[int, int], family: str, count: int = 3,
+def standard_mask_sets(kernel: tuple[int, int], family: str, count: int | None = None,
                        seed: int = 0) -> list[np.ndarray]:
     """Named mask families over a kernel shape.
 
     ``acb``: full kernel plus its middle row and middle column.
     ``full_plus_center``: full kernel plus the 1x1 center.
     ``all_rectangles``: every centerd odd a x b rectangle (odd kernels only).
-    ``random``: ``count`` (at least 1) random non-empty masks plus the full
-    mask, which forces full coverage; deterministic per seed.
+    ``random``: ``count`` (at least 1, default 3) random non-empty masks plus
+    the full mask, which forces full coverage; deterministic per seed.
+    Only ``random`` reads ``count``: one given with another family is logged
+    as a warning and ignored.
     """
     kx, ky = kernel
     if kx < 1 or ky < 1:
         raise ValueError(f"kernel dims must be >= 1, got {kernel}")
+    if count is not None and family != "random" and family in MASK_FAMILIES:
+        logger.warning("mask count %s is ignored: mask family %r has no count", count, family)
     full = np.ones(kernel)
     if family == "acb":
         if kx % 2 == 0 or ky % 2 == 0:
@@ -205,6 +212,7 @@ def standard_mask_sets(kernel: tuple[int, int], family: str, count: int = 3,
                 masks.append(m)
         return masks
     if family == "random":
+        count = 3 if count is None else count
         if count < 1:
             raise ValueError(f"random masks need a count >= 1, got {count}")
         rng = np.random.default_rng(seed)

@@ -191,15 +191,19 @@ def _layer_scaling(kernel: tuple[int, int], sgs: SgsSettings,
     return None, ScalingMatrix(values)
 
 
+def _batches(order: np.ndarray, batch_size: int):
+    """Consecutive ``batch_size`` slices of the index array ``order``."""
+    for start in range(0, len(order), batch_size):
+        yield order[start : start + batch_size]
+
+
 def _capture_feature_maps(net: Network, dataset: LabeledDataset, sgs: SgsSettings,
                           rng: np.random.Generator, batch_size: int,
                           ) -> dict[int, list[np.ndarray]]:
     captured: dict[int, list[np.ndarray]] = {i: [] for i in net.conv_indices}
     n = len(dataset)
     take = min(n, sgs.refresh_batches * batch_size)
-    order = rng.choice(n, size=take, replace=False)
-    for start in range(0, take, batch_size):
-        batch_idx = order[start : start + batch_size]
+    for batch_idx in _batches(rng.choice(n, size=take, replace=False), batch_size):
         capture: dict[int, np.ndarray] = {}
         net.forward(dataset.images[batch_idx], train=False, capture_conv_inputs=capture)
         for layer_idx, fmap in capture.items():
@@ -242,12 +246,6 @@ def refresh_scalings(net: Network, dataset: LabeledDataset, sgs: SgsSettings,
     and time the refreshes ``train`` makes.
     """
     return inspect_scalings(net, dataset, sgs, rng, batch_size)
-
-
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
 
 
 def build_run(model_spec: list, input_shape: tuple[int, ...], class_count: int,
@@ -308,7 +306,7 @@ def run_epoch(run: Run, train_ds: LabeledDataset, eval_ds: LabeledDataset) -> Ep
         run.refreshes.append((epoch, refresh))
 
     loss_sum, hit, seen = 0.0, 0, 0
-    for batch_idx in _batches(len(train_ds), cfg.batch_size, run.shuffle_rng):
+    for batch_idx in _batches(run.shuffle_rng.permutation(len(train_ds)), cfg.batch_size):
         value, hits = train_step(run, train_ds.images[batch_idx], train_ds.labels[batch_idx],
                                  seen)
         loss_sum += value * len(batch_idx)
@@ -316,10 +314,9 @@ def run_epoch(run: Run, train_ds: LabeledDataset, eval_ds: LabeledDataset) -> Ep
         seen += len(batch_idx)
 
     eval_hit = 0
-    for start in range(0, len(eval_ds), cfg.batch_size):
-        x = eval_ds.images[start : start + cfg.batch_size]
-        labels = eval_ds.labels[start : start + cfg.batch_size]
-        eval_hit += int((run.network.predict(x) == labels).sum())
+    for batch_idx in _batches(np.arange(len(eval_ds)), cfg.batch_size):
+        eval_hit += int((run.network.predict(eval_ds.images[batch_idx])
+                         == eval_ds.labels[batch_idx]).sum())
     run.metrics.append(EpochMetrics(
         epoch=epoch,
         train_loss=loss_sum / seen,

@@ -30,6 +30,10 @@ layers =
     softmax_xent
 """
 
+# configparser's boolean words and their meaning.
+BOOLEAN_WORDS = {"1": True, "yes": True, "true": True, "on": True,
+                 "0": False, "no": False, "false": False, "off": False}
+
 
 def write_config(path, data_block, train_block, sgs_block=""):
     path.write_text(MODEL_BLOCK + data_block + train_block + sgs_block)
@@ -359,6 +363,37 @@ class TestVerifyEquivalence:
                          "--out", str(tmp_path)]) == 0
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
         assert [o.momentum for o in optimizers] == [momentum]
+
+    @pytest.mark.parametrize("family", ["acb", "full_plus_center", "all_rectangles"])
+    def test_mask_count_for_a_family_without_count_warns(self, tmp_path, caplog, capsys,
+                                                          family):
+        with caplog.at_level(logging.WARNING, logger="spatialgrad.reparam"):
+            code = main(["verify-equivalence", "--mask-family", family, "--mask-count", "0",
+                         "--steps", "1", "--out", str(tmp_path)])
+        assert code == 0 and "PASS" in capsys.readouterr().out
+        warnings = [r.message for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "mask count 0 is ignored" in warnings[0] and repr(family) in warnings[0]
+
+    @pytest.mark.parametrize("flags, branches", [
+        (["--mask-family", "random"], 4),
+        (["--mask-family", "random", "--mask-count", "2"], 3),
+        (["--mask-family", "acb"], 3),
+    ])
+    def test_mask_count_without_conflict_does_not_warn(self, tmp_path, caplog, monkeypatch,
+                                                       flags, branches):
+        mask_sets = []
+
+        def recording_run(masks, optimizer, **kwargs):
+            mask_sets.append(masks)
+            return equivalence_run(masks, optimizer, **kwargs)
+
+        monkeypatch.setattr(cli, "equivalence_run", recording_run)
+        with caplog.at_level(logging.WARNING, logger="spatialgrad.reparam"):
+            assert main(["verify-equivalence", *flags, "--steps", "1",
+                         "--out", str(tmp_path)]) == 0
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert [len(masks) for masks in mask_sets] == [branches]
 
     def test_adam_warns_without_failing(self, tmp_path, capsys):
         code = main(["verify-equivalence", "--kernel", "3", "--mask-family", "acb",
@@ -884,6 +919,15 @@ class TestConfigSchema:
             assert cfg.raw["train"]["momentum"] == "0.0"
             assert "momentum = 0.0" in resolved_ini(cfg)
 
+    @pytest.mark.parametrize("word", sorted({case(w) for w in BOOLEAN_WORDS
+                                             for case in (str.lower, str.upper)}))
+    def test_enabled_reads_configparser_boolean_words(self, tmp_path, word):
+        from spatialgrad.expconfig import load_config
+
+        cfg = load_config(write_config(tmp_path / "exp.ini", synth_data_block(), train_block(),
+                                       f"\n[sgs]\nenabled = {word}\n"))
+        assert cfg.train.sgs.enabled is BOOLEAN_WORDS[word.lower()]
+
     def test_train_and_sgs_accept_exactly_their_keys(self):
         from spatialgrad.expconfig import _SGS_SCHEMA, _TRAIN_SCHEMA
 
@@ -901,6 +945,7 @@ class TestConfigSchema:
                                               ("train", "weight_decay = inf"),
                                               ("train", "weight_decay = nan"),
                                               ("train", "momentum = nan"),
+                                              ("sgs", "enabled = maybe"),
                                               ("sgs", "measure = entropy"),
                                               ("sgs", "k = 0"), ("sgs", "k = nan"),
                                               ("sgs", "k = inf"),

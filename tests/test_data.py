@@ -69,6 +69,17 @@ class TestReadIdx:
         with pytest.raises(DataFormatError, match="truncated"):
             read_idx(img, lab)
 
+    @pytest.mark.parametrize("trailing", ["images", "labels"])
+    def test_trailing_bytes(self, tmp_path, trailing):
+        img = tmp_path / "img"
+        lab = tmp_path / "lab"
+        img.write_bytes(craft_idx_images([0, 255, 0, 255], 1, 2, 2)
+                        + (b"\x00" if trailing == "images" else b""))
+        lab.write_bytes(craft_idx_labels([3]) + (b"\x00\x07" if trailing == "labels" else b""))
+        with pytest.raises(DataFormatError, match=f"trailing bytes after 1 {trailing} in ") as err:
+            read_idx(img, lab)
+        assert str(err.value).endswith(str(img if trailing == "images" else lab))
+
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(5, 1, 4, 3)).astype(np.float64) / 255.0

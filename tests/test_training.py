@@ -244,7 +244,8 @@ class TestRunSplit:
         metrics = run_epoch(run, train_ds, test_ds)
         assert [epoch for epoch, _ in run.refreshes] == [0] and by_hand.scalings
         loss_sum, seen = 0.0, 0
-        for batch_idx in _batches(len(train_ds), cfg.batch_size, by_hand.shuffle_rng):
+        for batch_idx in _batches(by_hand.shuffle_rng.permutation(len(train_ds)),
+                                  cfg.batch_size):
             loss, _ = train_step(by_hand, train_ds.images[batch_idx], train_ds.labels[batch_idx],
                                  seen)
             loss_sum += loss * len(batch_idx)
