@@ -33,7 +33,6 @@ from .training import (
     Run,
     SgsSettings,
     TrainingConfig,
-    TrainingDivergedError,
     build_run,
     inspect_scalings,
     train,
@@ -348,7 +347,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TrainingDivergedError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -7,6 +7,7 @@ interpretable.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,11 +56,23 @@ class LabeledDataset:
                               self.class_count)
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise DataFormatError(f"truncated file: expected {n} bytes for {what}, got {len(data)}")
-    return data
+def _read_idx_file(path: str | Path, magic: int, dims: int, what: str) -> np.ndarray:
+    """An IDX file's uint8 payload of exactly the shape its ``dims`` header sizes give."""
+    raw = Path(path).read_bytes()
+    header = 4 * (1 + dims)
+    if len(raw) < header:
+        raise DataFormatError(f"truncated file: expected {header} bytes for the {what} "
+                              f"header of {path}, got {len(raw)}")
+    found, *sizes = struct.unpack_from(f">{1 + dims}I", raw)
+    if found != magic:
+        raise DataFormatError(f"unexpected magic 0x{found:08x} in {path}, want 0x{magic:08x}")
+    declared, payload = math.prod(sizes), len(raw) - header  # Python ints: cannot overflow
+    if payload < declared:
+        raise DataFormatError(f"truncated file: expected {declared} bytes for "
+                              f"{'x'.join(map(str, sizes))} {what} in {path}, got {payload}")
+    if payload > declared:
+        raise DataFormatError(f"trailing bytes after {sizes[0]} {what} in {path}")
+    return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(sizes)
 
 
 def read_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset:
@@ -68,31 +81,12 @@ def read_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset
     Images: magic 0x00000803, then N, H, W uint32, then N*H*W pixel bytes.
     Labels: magic 0x00000801, then N uint32, then N label bytes.
     """
-    with open(images_path, "rb") as f:
-        magic, n, h, w = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(
-                f"unexpected magic 0x{magic:08x} in {images_path}, want 0x{IDX_IMAGES_MAGIC:08x}"
-            )
-        raw = _read_exact(f, n * h * w, f"{n} images of {h}x{w}")
-        if f.read(1):
-            raise DataFormatError(f"trailing bytes after {n} images in {images_path}")
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w).astype(np.float64) / 255.0
-
-    with open(labels_path, "rb") as f:
-        magic, n_labels = struct.unpack(">II", _read_exact(f, 8, "label header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(
-                f"unexpected magic 0x{magic:08x} in {labels_path}, want 0x{IDX_LABELS_MAGIC:08x}"
-            )
-        label_raw = _read_exact(f, n_labels, f"{n_labels} labels")
-        if f.read(1):
-            raise DataFormatError(f"trailing bytes after {n_labels} labels in {labels_path}")
-    if n_labels != n:
-        raise DataFormatError(f"image count {n} does not match label count {n_labels}")
-    labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
+    pixels = _read_idx_file(images_path, IDX_IMAGES_MAGIC, 3, "images")
+    labels = _read_idx_file(labels_path, IDX_LABELS_MAGIC, 1, "labels").astype(np.int64)
+    if len(labels) != len(pixels):
+        raise DataFormatError(f"image count {len(pixels)} does not match label count {len(labels)}")
     class_count = int(labels.max()) + 1 if labels.size else 1
-    return LabeledDataset(images, labels, class_count)
+    return LabeledDataset(pixels[:, None].astype(np.float64) / 255.0, labels, class_count)
 
 
 def read_cifar_binary(paths: Sequence[str | Path]) -> LabeledDataset:
@@ -101,13 +95,15 @@ def read_cifar_binary(paths: Sequence[str | Path]) -> LabeledDataset:
     for path in paths:
         raw = Path(path).read_bytes()
         if len(raw) % CIFAR_RECORD_BYTES != 0:
-            raise DataFormatError(
-                f"{path}: length {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}"
-            )
+            raise DataFormatError(f"{path}: length {len(raw)} is not a multiple of "
+                                  f"{CIFAR_RECORD_BYTES}")
         chunks.append(np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES))
-    records = np.concatenate(chunks) if chunks else np.zeros((0, CIFAR_RECORD_BYTES), np.uint8)
-    if len(records) == 0:
+        bad = np.flatnonzero(chunks[-1][:, 0] > 9)
+        if bad.size:
+            raise DataFormatError(f"{path}: record {bad[0]} has label {chunks[-1][bad[0], 0]} > 9")
+    if not sum(map(len, chunks)):
         raise DataFormatError("no CIFAR records found (empty input)")
+    records = np.concatenate(chunks)
     labels = records[:, 0].astype(np.int64)
     images = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
     return LabeledDataset(images, labels, 10)

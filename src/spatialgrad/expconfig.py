@@ -216,13 +216,17 @@ def parse_layer_line(line: str) -> object:
     kind, *tokens = line.split()
     if kind not in _LAYERS:
         raise ConfigError(f"[model] unknown layer kind {kind!r}")
-    for tok in tokens:
-        if "=" not in tok:
-            raise ConfigError(f"[model] bad token {tok!r} in line {line!r}")
+    section: dict[str, str] = {}
+    for key, eq, value in (tok.partition("=") for tok in tokens):
+        if not eq:
+            raise ConfigError(f"[model] bad token {key!r} in line {line!r}")
+        if key in section:
+            raise ConfigError(f"[model] option {key!r} repeated in line {line!r}")
+        section[key] = value
     cls, options = _LAYERS[kind]
     spec_schema = _schema(cls)
-    values, _ = _parse_section(dict(tok.split("=", 1) for tok in tokens),
-                               {opt: spec_schema[name] for opt, name in options.items()}, "model")
+    values, _ = _parse_section(section, {opt: spec_schema[name] for opt, name in options.items()},
+                               "model")
     return _build(cls, "model", **{options[opt]: value for opt, value in values.items()})
 
 

@@ -2,7 +2,11 @@ import argparse
 import csv
 import json
 import logging
+import os
 import re
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +14,7 @@ import pytest
 
 from spatialgrad import cli
 from spatialgrad.cli import main
-from spatialgrad.data import synth_digits
+from spatialgrad.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, synth_digits
 from spatialgrad.dependence import SpatialDependenceMatrix
 from spatialgrad.optim import KINDS
 from spatialgrad.reparam import MASK_FAMILIES, equivalence_run
@@ -240,7 +244,8 @@ test_labels = /nonexistent/labels
                                       "conv out=4 kernel=3 pad=-1",
                                       "dense out=ten",
                                       "dense out=0",
-                                      "dense out=-3"])
+                                      "dense out=-3",
+                                      "conv out=8 out=16 kernel=3"])
     def test_bad_model_line_is_a_config_error(self, tmp_path, monkeypatch, capsys, line):
         def no_datasets(*args):
             raise AssertionError("a dataset was built for a model with a bad line")
@@ -300,6 +305,28 @@ test_labels = {tmp_path / 'te_lab'}
         cfg = write_config(tmp_path / "exp.ini", data, train_block(epochs=1),
                            "\n[sgs]\nenabled = false\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_idx_header_larger_than_any_file_exits_2(self, tmp_path):
+        (tmp_path / "img").write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, *[0xFFFFFFFF] * 3))
+        (tmp_path / "lab").write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, 1) + bytes([0]))
+        data = f"""
+[data]
+kind = idx
+train_images = {tmp_path / 'img'}
+train_labels = {tmp_path / 'lab'}
+test_images = {tmp_path / 'img'}
+test_labels = {tmp_path / 'lab'}
+"""
+        cfg = write_config(tmp_path / "exp.ini", data, train_block())
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-m", "spatialgrad.cli", "train", "--config", cfg,
+                               "--out", str(tmp_path / "o")], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: truncated file: expected {0xFFFFFFFF ** 3} bytes for "
+            f"4294967295x4294967295x4294967295 images in {tmp_path / 'img'}, got 0"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerifyEquivalence:

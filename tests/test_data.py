@@ -30,6 +30,11 @@ def craft_idx_labels(labels, magic=0x00000801):
     return struct.pack(">II", magic, len(labels)) + bytes(labels)
 
 
+# One 2x2 image labelled 0, as IDX files.
+IDX_IMAGES = craft_idx_images([0, 255, 0, 255], 1, 2, 2)
+IDX_LABELS = craft_idx_labels([0])
+
+
 def craft_cifar_record(label, pixel):
     return bytes([label]) + bytes([pixel] * (3 * 32 * 32))
 
@@ -61,12 +66,27 @@ class TestReadIdx:
         with pytest.raises(DataFormatError, match="count"):
             read_idx(img, lab)
 
-    def test_truncated_file(self, tmp_path):
+    @pytest.mark.parametrize("images,labels,want", [
+        (IDX_IMAGES[:10], IDX_LABELS, "expected 16 bytes for the images header of {img}, got 10"),
+        (IDX_IMAGES[:-2], IDX_LABELS, "expected 4 bytes for 1x2x2 images in {img}, got 2"),
+        (IDX_IMAGES, IDX_LABELS[:5], "expected 8 bytes for the labels header of {lab}, got 5"),
+        (IDX_IMAGES, IDX_LABELS[:-1], "expected 1 bytes for 1 labels in {lab}, got 0"),
+    ], ids=["images_header", "images_payload", "labels_header", "labels_payload"])
+    def test_truncated_file(self, tmp_path, images, labels, want):
         img = tmp_path / "img"
         lab = tmp_path / "lab"
-        img.write_bytes(craft_idx_images([0, 255], 1, 2, 2))  # 2 bytes missing
+        img.write_bytes(images)
+        lab.write_bytes(labels)
+        with pytest.raises(DataFormatError) as err:
+            read_idx(img, lab)
+        assert str(err.value) == "truncated file: " + want.format(img=img, lab=lab)
+
+    def test_header_larger_than_any_file(self, tmp_path):
+        img = tmp_path / "img"
+        lab = tmp_path / "lab"
+        img.write_bytes(craft_idx_images([0] * 4, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF))
         lab.write_bytes(craft_idx_labels([0]))
-        with pytest.raises(DataFormatError, match="truncated"):
+        with pytest.raises(DataFormatError, match=f"expected {0xFFFFFFFF ** 3} bytes .* got 4$"):
             read_idx(img, lab)
 
     @pytest.mark.parametrize("trailing", ["images", "labels"])
@@ -126,6 +146,16 @@ class TestReadCifar:
         path.write_bytes(craft_cifar_record(0, 1)[:-5])
         with pytest.raises(DataFormatError, match="multiple"):
             read_cifar_binary([path])
+
+    def test_label_out_of_range(self, tmp_path):
+        good = tmp_path / "good.bin"
+        bad = tmp_path / "bad.bin"
+        good.write_bytes(craft_cifar_record(9, 1))
+        bad.write_bytes(craft_cifar_record(3, 1) + craft_cifar_record(12, 1)
+                        + craft_cifar_record(10, 1))
+        with pytest.raises(DataFormatError) as err:
+            read_cifar_binary([good, bad])
+        assert str(err.value) == f"{bad}: record 1 has label 12 > 9"
 
     def test_channel_planar_layout(self, tmp_path):
         # red plane 10, green 20, blue 30
