@@ -11,15 +11,18 @@ failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
 import sys
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from .data import LabeledDataset
 from .expconfig import ConfigError, build_datasets, load_config, resolved_ini
@@ -102,7 +105,13 @@ def _refresh_records(net: Network, refresh: Refresh, epoch: int) -> list[dict]:
 
 def cmd_train(args) -> int:
     cfg, train_ds, eval_ds = _load(args)
-    _build_run(cfg, train_ds, train_ds.class_count)
+    net = _build_run(cfg, train_ds, train_ds.class_count).network
+    if len(eval_ds):  # an empty test set stays the first epoch's error
+        try:  # one eval-mode image, so nothing is saved for a backward
+            net.forward(eval_ds.images[:1], train=False)
+        except ValueError as exc:
+            raise ConfigError(f"[data] test images of shape {eval_ds.images.shape[1:]} "
+                              f"do not pass through the model: {exc}") from exc
     out = _out_dir(args.out)
     _echo_config(cfg, out)
     run = train(cfg.model, train_ds, eval_ds, cfg.train)
@@ -269,12 +278,16 @@ def cmd_magnitude(args) -> int:
     path = Path(args.weights)
     if not path.exists():
         raise ConfigError(f"no such weights file: {path}")
-    with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
+    arrays = None  # numpy's own errors are replaced: for a text file, it speaks of pickles
+    with open(path, "rb") as f, contextlib.suppress(ValueError, EOFError, zipfile.BadZipFile):
+        archive = np.load(f)  # an ndarray for a .npy file
+        if isinstance(archive, NpzFile):
+            arrays = {name: archive[name] for name in archive.files}
+    if arrays is None or not all(isinstance(arr, np.ndarray) for arr in arrays.values()):
+        raise ValueError(f"{path} is not an .npz archive of arrays")
     records = [_record("magnitude", name, None, kernel_magnitude_matrix(arr))
                for name, arr in arrays.items() if arr.ndim == 4]
-    out = _out_dir(args.out)
-    target = out / "magnitude.json"
+    target = _out_dir(args.out) / "magnitude.json"
     target.write_text(json.dumps(records, indent=2))
     print(f"wrote {target} ({len(records)} conv layers)")
     return EXIT_OK

@@ -8,6 +8,8 @@ as training the single convolution with its gradient scaled by the coverage
 matrix (the per-position count of covering branches). ``equivalence_run``
 trains both representations side by side on identical data and reports their
 weight divergence so that claim can be machine-checked rather than trusted.
+``split_init`` builds the branches from a conv's weights in one ordered pass,
+in the weights' dtype, so that their ordered merge is those weights bitwise.
 """
 
 from __future__ import annotations
@@ -77,43 +79,28 @@ class BranchedConv:
 def split_init(w_base: np.ndarray, masks: Sequence[np.ndarray], spec: ConvSpec) -> BranchedConv:
     """Split base weights over masked branches so the merge reproduces them exactly.
 
-    Each covered position is divided equally among its covering branches.
-    The division rounds, so the last covering branch at each position absorbs
-    the residual, making the ordered merge bitwise equal to ``w_base``.
+    One ordered pass over the masks, in the dtype of ``w_base``: each branch
+    takes the equal share ``w_base / coverage`` at every position it covers,
+    except where no later mask covers the position. There it takes the
+    complement of the ordered partial sum of the earlier branches instead of
+    its rounded share, so the ordered merge reproduces ``w_base`` bitwise.
     """
     w_base = np.asarray(w_base)
     if w_base.shape != spec.weight_shape:
         raise ValueError(f"base weight shape {w_base.shape}, expected {spec.weight_shape}")
-    _, coverage = from_masks(masks)  # raises naming any uncovered position
-    mask_arrays = [np.array(m, dtype=np.float64) for m in masks]
-    if coverage.shape != spec.kernel:
-        raise ValueError(f"mask shape {coverage.shape} does not match kernel {spec.kernel}")
-    coverage = coverage.astype(w_base.dtype)
-
-    last_covering = np.zeros(spec.kernel, dtype=np.int64)
-    for n, m in enumerate(mask_arrays):
-        last_covering[m > 0] = n
-
-    equal_share = w_base / coverage
-    weights = [equal_share * m for m in mask_arrays]
-    # Each position's final covering branch takes the exact complement of the
-    # ordered partial sum instead of its rounded equal share: the complement
-    # is within a quarter ulp of closing the sum, so the merge reproduces
-    # w_base bitwise.
-    for n, m in enumerate(mask_arrays):
-        weights[n][:, :, last_covering == n] = 0.0
+    _, later = from_masks(masks)  # the coverage; raises naming any uncovered position
+    if later.shape != spec.kernel:
+        raise ValueError(f"mask shape {later.shape} does not match kernel {spec.kernel}")
+    equal_share = w_base / later.astype(w_base.dtype)
     partial = np.zeros_like(w_base)
-    for m, wn in zip(mask_arrays, weights):
-        partial += m * wn
-    complement = w_base - partial
-    for n in range(len(mask_arrays)):
-        fix = last_covering == n
-        weights[n][:, :, fix] = complement[:, :, fix]
-
-    conv = BranchedConv(
-        branches=[Branch(mask=m, weights=wn) for m, wn in zip(mask_arrays, weights)],
-        spec=spec,
-    )
+    branches = []
+    for m in masks:
+        mask = np.array(m, dtype=w_base.dtype)
+        later -= mask > 0  # now counts the covering masks after this one
+        weights = np.where((mask > 0) & (later == 0), w_base - partial, equal_share * mask)
+        partial += mask * weights
+        branches.append(Branch(mask=mask, weights=weights))
+    conv = BranchedConv(branches=branches, spec=spec)
     if not np.array_equal(conv.merged_weights(), w_base):
         raise AssertionError("branch split failed to reproduce the base weights exactly")
     return conv
@@ -291,7 +278,6 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
     if kx != ky or kx < 1 or kx % 2 == 0:
         raise ValueError(f"kernel must be square with a positive odd side, got {kernel}")
     _, coverage = from_masks(masks)
-    mask_arrays = [np.array(m, dtype=np.float64) for m in masks]
     pad = kx // 2
     spec1 = ConvSpec(_IN_CHANNELS, _HIDDEN_CHANNELS, kernel, stride=1, padding=pad)
     spec2 = ConvSpec(_HIDDEN_CHANNELS, _OUT_CHANNELS, kernel, stride=1, padding=pad)
@@ -300,10 +286,10 @@ def equivalence_run(masks: Sequence[np.ndarray], optimizer: OptimizerConfig, ste
     w1 = rng.normal(0.0, np.sqrt(2.0 / (_IN_CHANNELS * kx * ky)), size=spec1.weight_shape)
     w2 = rng.normal(0.0, np.sqrt(2.0 / (_HIDDEN_CHANNELS * kx * ky)), size=spec2.weight_shape)
 
-    branched1 = split_init(w1, mask_arrays, spec1)
-    branched2 = split_init(w2, mask_arrays, spec2)
-    states_b1 = [make_state(optimizer, w1) for _ in mask_arrays]
-    states_b2 = [make_state(optimizer, w2) for _ in mask_arrays]
+    branched1 = split_init(w1, masks, spec1)
+    branched2 = split_init(w2, masks, spec2)
+    states_b1 = [make_state(optimizer, w1) for _ in masks]
+    states_b2 = [make_state(optimizer, w2) for _ in masks]
 
     single1, single2 = w1.copy(), w2.copy()
     state_s1 = make_state(optimizer, w1)

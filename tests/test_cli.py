@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,11 @@ momentum = 0.9
 seed = 11
 {extra}
 """
+
+
+def write_zip(path, member, text):
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr(member, text)
 
 
 def read_metrics(path):
@@ -289,22 +295,50 @@ test_labels = /nonexistent/labels
         assert "config error: [model]" in capsys.readouterr().err
         assert not (out / "resolved.ini").exists()
 
-    def test_idx_dataset_end_to_end(self, tmp_path):
-        ds = synth_digits(64, seed=0)
+    @staticmethod
+    def _idx_config(tmp_path, test_side, model=MODEL_BLOCK, test_count=32):
+        """An IDX config whose 28x28 training images meet ``test_count`` test
+        images cropped to ``test_side`` x ``test_side``."""
+        ds, ds_test = synth_digits(64, seed=0), synth_digits(32, seed=1)
+        crop = (28 - test_side) // 2
         write_idx(ds.images, ds.labels, tmp_path / "tr_img", tmp_path / "tr_lab")
-        ds_test = synth_digits(32, seed=1)
-        write_idx(ds_test.images, ds_test.labels, tmp_path / "te_img", tmp_path / "te_lab")
-        data = f"""
+        write_idx(ds_test.images[:test_count, :, crop:crop + test_side, crop:crop + test_side],
+                  ds_test.labels[:test_count], tmp_path / "te_img", tmp_path / "te_lab")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(model + f"""
 [data]
 kind = idx
 train_images = {tmp_path / 'tr_img'}
 train_labels = {tmp_path / 'tr_lab'}
 test_images = {tmp_path / 'te_img'}
 test_labels = {tmp_path / 'te_lab'}
-"""
-        cfg = write_config(tmp_path / "exp.ini", data, train_block(epochs=1),
-                           "\n[sgs]\nenabled = false\n")
+""" + train_block(epochs=1) + "\n[sgs]\nenabled = false\n")
+        return str(cfg)
+
+    def test_idx_dataset_end_to_end(self, tmp_path):
+        cfg = self._idx_config(tmp_path, test_side=28)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_test_images_that_do_not_fit_the_model_exit_1_before_any_file(self, tmp_path,
+                                                                         capsys):
+        cfg = self._idx_config(tmp_path, test_side=20)
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: [data] test images of shape (1, 20, 20) do not pass through "
+            "the model: dense input shape (1, 200), weights (392, 10)"]
+        assert not out.exists()
+
+    def test_a_gap_model_accepts_test_images_of_another_size(self, tmp_path):
+        gap_model = MODEL_BLOCK.replace("    flatten\n", "    gap\n    flatten\n")
+        cfg = self._idx_config(tmp_path, test_side=20, model=gap_model)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_an_empty_test_set_is_still_the_epoch_error(self, tmp_path, capsys):
+        cfg = self._idx_config(tmp_path, test_side=28, test_count=0)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the eval set is empty; eval accuracy would divide by zero"]
 
     def test_idx_header_larger_than_any_file_exits_2(self, tmp_path):
         (tmp_path / "img").write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, *[0xFFFFFFFF] * 3))
@@ -747,6 +781,21 @@ class TestMagnitude:
                      "--out", str(out)]) == 2
         assert "error: conv weight tensor holds non-finite values" in capsys.readouterr().err
         assert not (out / "magnitude.json").exists()
+
+    @pytest.mark.parametrize("name,write", [
+        ("w.npy", lambda path: np.save(path, np.ones((4, 2, 3, 3)))),
+        ("w.npz", lambda path: path.write_bytes(b"PK\x03\x04 not a zip archive")),
+        ("w.npz", lambda path: write_zip(path, "notes.txt", "a note")),
+        ("w.txt", lambda path: path.write_text("conv0.W 0.5\n")),
+    ], ids=["npy_file", "pk_bytes_not_a_zip", "zip_with_text_member", "plain_text"])
+    def test_file_that_is_not_an_archive_of_arrays_exits_2(self, tmp_path, capsys, name, write):
+        path = tmp_path / name
+        write(path)
+        out = tmp_path / "o"
+        assert main(["magnitude", "--weights", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path} is not an .npz archive of arrays"]
+        assert not out.exists()
 
     def test_trained_weights_export(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block(epochs=1),

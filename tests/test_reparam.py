@@ -4,6 +4,7 @@ import pytest
 from spatialgrad.conv import ConvSpec, conv_backward_input, conv_forward, im2col
 from spatialgrad.optim import OptimizerConfig, make_state
 from spatialgrad.reparam import (
+    MASK_FAMILIES,
     BranchedConv,
     branched_backward_input,
     branched_backward_step,
@@ -136,6 +137,57 @@ class TestSplitInit:
         conv = split_init(w, acb_masks(), spec)
         for branch in conv.branches:
             assert not branch.weights[:, :, branch.mask == 0].any()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("family", MASK_FAMILIES)
+    def test_split_follows_its_definition(self, family, dtype):
+        # Per position: the equal share while a later mask still covers it, the
+        # complement of the ordered sum of the earlier branches at its last
+        # covering branch, and zero where the branch's mask is off.
+        kernel = (5, 5)
+        spec = ConvSpec(2, 3, kernel, padding=2)
+        rng = np.random.default_rng(7)
+        masks = standard_mask_sets(kernel, family, **({"count": 4} if family == "random" else {}))
+        for scale in (1e-3, 1.0, 1e3):
+            w = (rng.normal(size=spec.weight_shape) * scale).astype(dtype)
+            conv = split_init(w, masks, spec)
+            share = w / sum(masks).astype(dtype)
+            partial = np.zeros_like(w)
+            for n, (m, branch) in enumerate(zip(masks, conv.branches)):
+                covered = m > 0
+                later = np.zeros(kernel, dtype=bool)
+                for after in masks[n + 1:]:
+                    later |= after > 0
+                weights = branch.weights
+                assert weights.dtype == dtype
+                shared, last = covered & later, covered & ~later
+                assert weights[:, :, shared].tobytes() == share[:, :, shared].tobytes()
+                assert weights[:, :, last].tobytes() == (w - partial)[:, :, last].tobytes()
+                assert not weights[:, :, ~covered].any()
+                partial += branch.mask * weights
+            assert partial.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("kernel", [3, 5, 7])
+    @pytest.mark.parametrize("family", MASK_FAMILIES)
+    def test_float32_split_is_exact_and_stays_float32(self, family, kernel):
+        spec = ConvSpec(2, 3, (kernel, kernel), padding=kernel // 2)
+        rng = np.random.default_rng(kernel)
+        masks = standard_mask_sets((kernel, kernel), family)
+        for scale in 10.0 ** np.arange(-3, 4):
+            w = (rng.normal(size=spec.weight_shape) * scale).astype(np.float32)
+            conv = split_init(w, masks, spec)
+            assert np.array_equal(conv.merged_weights(), w)
+            for branch in conv.branches:
+                assert branch.mask.dtype == branch.weights.dtype == np.float32
+        x = rng.normal(size=(2, 2, 6, 6)).astype(np.float32)
+        cols = im2col(x, spec)
+        y = branched_forward(conv, cols)
+        dx = branched_backward_input(conv, y, (6, 6))
+        states = [make_state(OptimizerConfig(kind="sgd_momentum"), branch.weights)
+                  for branch in conv.branches]
+        branched_backward_step(conv, cols, y, states, lr=0.1)
+        assert y.dtype == dx.dtype == np.float32
+        assert all(branch.weights.dtype == np.float32 for branch in conv.branches)
 
 
 class TestBranchedForward:
