@@ -106,12 +106,11 @@ def _refresh_records(net: Network, refresh: Refresh, epoch: int) -> list[dict]:
 def cmd_train(args) -> int:
     cfg, train_ds, eval_ds = _load(args)
     net = _build_run(cfg, train_ds, train_ds.class_count).network
-    if len(eval_ds):  # an empty test set stays the first epoch's error
-        try:  # one eval-mode image, so nothing is saved for a backward
-            net.forward(eval_ds.images[:1], train=False)
-        except ValueError as exc:
-            raise ConfigError(f"[data] test images of shape {eval_ds.images.shape[1:]} "
-                              f"do not pass through the model: {exc}") from exc
+    try:  # at most one eval-mode image, so nothing is saved for a backward
+        net.forward(eval_ds.images[:1], train=False)
+    except ValueError as exc:
+        raise ConfigError(f"[data] test images of shape {eval_ds.images.shape[1:]} "
+                          f"do not pass through the model: {exc}") from exc
     out = _out_dir(args.out)
     _echo_config(cfg, out)
     run = train(cfg.model, train_ds, eval_ds, cfg.train)

@@ -189,9 +189,9 @@ def conv_forward(cols: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Convolve the window matrix ``cols = im2col(x, spec)`` [N, Ci*kx*ky, H', W']
     with w [Co, Ci, kx, ky] -> [N, Co, H', W']."""
     w = _check_weights(w, spec)
-    n, _, oh, ow = require_rank4(cols, "window matrix").shape
+    n, rows, oh, ow = require_rank4(cols, "window matrix").shape
     _check_cols(cols, spec, n, (oh, ow))
-    y = w.reshape(spec.out_channels, -1) @ cols.reshape(n, -1, oh * ow)
+    y = w.reshape(spec.out_channels, rows) @ cols.reshape(n, rows, oh * ow)
     return y.reshape(n, spec.out_channels, oh, ow)
 
 
@@ -205,7 +205,7 @@ def conv_backward_weights(dy: np.ndarray, cols: np.ndarray, spec: ConvSpec) -> n
         raise ShapeError(f"output gradient has {co} channels, spec expects {spec.out_channels}")
     _check_cols(cols, spec, n, (oh, ow))
     per_sample = np.matmul(dy.reshape(n, co, oh * ow),
-                           cols.reshape(n, -1, oh * ow).transpose(0, 2, 1))
+                           cols.reshape(n, cols.shape[1], oh * ow).transpose(0, 2, 1))
     return per_sample.sum(axis=0).reshape(spec.weight_shape)
 
 
@@ -281,7 +281,7 @@ def conv_backward_input(dy: np.ndarray, w: np.ndarray, spec: ConvSpec,
         else:
             _check_cols(cols, _grad_spec(spec), n, input_hw)
         w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
-        dx = w_t @ cols.reshape(n, -1, height * width)
+        dx = w_t @ cols.reshape(n, cols.shape[1], height * width)
         return dx.reshape(n, ci, height, width).astype(dy.dtype, copy=False)
     if cols is not None:
         raise ValueError(f"{spec} takes the scatter path, which has no dY window matrix")

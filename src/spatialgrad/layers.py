@@ -17,6 +17,8 @@ not parameters.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .conv import ConvSpec, conv_backward_input, conv_backward_weights, conv_forward, im2col
@@ -156,7 +158,7 @@ class GlobalAvgPoolLayer(Layer):
 class FlattenLayer(Layer):
     def forward(self, x, train):
         self._saved = (x.shape,) if train else None
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
     def backward(self, dy):
         (in_shape,) = self._take()

@@ -156,6 +156,29 @@ def build_network(specs: list, input_shape: tuple[int, int, int], class_count: i
     The layer order is checked by ``validate_model_spec``; the shape checks,
     which need ``input_shape`` and ``class_count``, are made here, before any
     training starts. Weights use fan-in-scaled normal init.
+
+    Each ``maxpool`` that follows a ``relu`` conv, directly or after another
+    maxpool, is built before that conv's ReLU: ``[Conv, MaxPool, ReLU]``
+    (``[Conv, BN, MaxPool, ReLU]`` with batch norm), so the ReLU runs on a
+    quarter of the elements. ``act=none``, ``gap`` and a ReLU with no maxpool
+    after it keep the spec's order. Only parameter-free
+    layers trade places, so every layer index, parameter name and
+    ``conv_indices`` entry stays where the spec puts it. The two orders agree
+    under ``np.array_equal``; only the sign of a zero may differ:
+
+    - the max is monotone, so ``relu(max(a, b, c, d)) == max(relu(a), ...,
+      relu(d))`` in IEEE arithmetic, and a NaN in the block gives NaN on both
+      sides;
+    - when a block's max is above 0, the elements equal to it are the same
+      before and after the ReLU, so the first-wins route picks the same one,
+      and the ReLU mask there is true;
+    - when the max is at or below 0, the ReLU mask zeroes every gradient entry
+      of the block in both orders.
+
+    A block holding a NaN routes to its last element in both orders, where
+    the relu-first order keeps a gradient if that element is positive and the
+    pool-first order does not; a network never sends such a block a finite,
+    non-zero gradient, since the NaN reaches every logit of its sample.
     """
     validate_model_spec(specs)
     c, h, w = input_shape
@@ -176,7 +199,10 @@ def build_network(specs: list, input_shape: tuple[int, int, int], class_count: i
         elif isinstance(spec, MaxPoolSpec):
             if h < 2 or w < 2:
                 raise ValueError(f"spatial size {h}x{w} too small for 2x2 pooling")
-            layers.append(MaxPoolLayer())
+            if layers and isinstance(layers[-1], ReLULayer):
+                layers.insert(-1, MaxPoolLayer())  # the ReLU then sees a quarter of the elements
+            else:
+                layers.append(MaxPoolLayer())
             h, w = h // 2, w // 2
         elif isinstance(spec, GlobalAvgPoolSpec):
             layers.append(GlobalAvgPoolLayer())

@@ -329,6 +329,16 @@ test_labels = {tmp_path / 'te_lab'}
             "the model: dense input shape (1, 200), weights (392, 10)"]
         assert not out.exists()
 
+    def test_an_empty_test_set_that_does_not_fit_the_model_exits_1_before_any_file(
+            self, tmp_path, capsys):
+        cfg = self._idx_config(tmp_path, test_side=20, test_count=0)
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: [data] test images of shape (1, 20, 20) do not pass through "
+            "the model: dense input shape (0, 200), weights (392, 10)"]
+        assert not out.exists()
+
     def test_a_gap_model_accepts_test_images_of_another_size(self, tmp_path):
         gap_model = MODEL_BLOCK.replace("    flatten\n", "    gap\n    flatten\n")
         cfg = self._idx_config(tmp_path, test_side=20, model=gap_model)

@@ -384,6 +384,22 @@ class TestConvBackwardInput:
         with pytest.raises(ShapeError):
             conv_backward_input(np.ones((1, 1, 3, 3)), np.ones(spec.weight_shape), spec, (5, 5))
 
+    @pytest.mark.parametrize("spec", [
+        ConvSpec(3, 2, (3, 3), padding=1),            # gather
+        ConvSpec(2, 3, (3, 3), padding=1),            # scatter, Co > Ci
+        ConvSpec(3, 2, (3, 3), stride=2, padding=1),  # scatter, stride 2
+    ], ids=["gather", "scatter", "scatter_stride2"])
+    def test_an_empty_batch_passes_forward_and_both_backwards(self, spec):
+        x = np.zeros((0, spec.in_channels, 5, 6), dtype=np.float32)
+        w = np.ones(spec.weight_shape, dtype=np.float32)
+        cols = im2col(x, spec)
+        y = conv_forward(cols, w, spec)
+        assert y.shape == (0, spec.out_channels, *spec.out_size(5, 6))
+        dw = conv_backward_weights(y, cols, spec)
+        assert dw.shape == spec.weight_shape and not dw.any()
+        dx = conv_backward_input(y, w, spec, (5, 6))
+        assert dx.shape == x.shape and dx.dtype == np.float32
+
 
 class TestGradWindowMatrix:
     """``grad_im2col(dy, spec, input_hw)`` is the gather path's ``cols`` for any weights."""

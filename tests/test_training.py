@@ -9,13 +9,23 @@ from spatialgrad import data as data_mod
 from spatialgrad.conv import conv_backward_input, conv_backward_weights, conv_forward, im2col
 from spatialgrad.data import LabeledDataset, synth_digits
 from spatialgrad.expconfig import build_datasets, load_config
-from spatialgrad.layers import ConvLayer, DenseLayer
+from spatialgrad.layers import (
+    BatchNormLayer,
+    ConvLayer,
+    DenseLayer,
+    FlattenLayer,
+    GlobalAvgPoolLayer,
+    MaxPoolLayer,
+    ReLULayer,
+    SoftmaxCrossEntropy,
+)
 from spatialgrad.network import (
     ConvLayerSpec,
     DenseSpec,
     FlattenSpec,
     GlobalAvgPoolSpec,
     MaxPoolSpec,
+    Network,
     SoftmaxXentSpec,
     build_network,
     kernel_magnitude_matrix,
@@ -134,6 +144,103 @@ class TestNetworkSpecValidation:
                              DenseSpec(5), SoftmaxXentSpec()], (1, 8, 8), 5, rng)
         logits = net.forward(rng.normal(size=(2, 1, 8, 8)), train=False)
         assert logits.shape == (2, 5)
+
+    def test_an_empty_batch_passes_forward_and_predict(self):
+        net = build_network(two_conv_model(), (1, 28, 28), 10, np.random.default_rng(3))
+        empty = np.zeros((0, 1, 28, 28))
+        assert net.forward(empty, train=False).shape == (0, 10)
+        assert net.predict(empty).shape == (0,)
+
+
+def relu_first(net: Network) -> Network:
+    """A copy of ``net`` with each ReLU moved back before the maxpools that
+    precede it: the relu-then-pool order the model spec reads in."""
+    layers = copy.deepcopy(net.layers)
+    for i, layer in enumerate(layers):
+        if isinstance(layer, ReLULayer):
+            j = i
+            while isinstance(layers[j - 1], MaxPoolLayer):
+                j -= 1
+            layers.insert(j, layers.pop(i))
+    return Network(layers, SoftmaxCrossEntropy(), net.dtype)
+
+
+class TestPoolBeforeReLU:
+    """``build_network`` runs a relu conv's ReLU after the maxpools that follow it."""
+
+    @pytest.mark.parametrize("specs,kinds", [
+        ([ConvLayerSpec(2, (3, 3)), MaxPoolSpec()], [ConvLayer, MaxPoolLayer, ReLULayer]),
+        ([ConvLayerSpec(2, (3, 3), batch_norm=True), MaxPoolSpec()],
+         [ConvLayer, BatchNormLayer, MaxPoolLayer, ReLULayer]),
+        ([ConvLayerSpec(2, (3, 3)), MaxPoolSpec(), MaxPoolSpec()],
+         [ConvLayer, MaxPoolLayer, MaxPoolLayer, ReLULayer]),
+        ([ConvLayerSpec(2, (3, 3), activation="none"), MaxPoolSpec()], [ConvLayer, MaxPoolLayer]),
+        ([ConvLayerSpec(2, (3, 3)), GlobalAvgPoolSpec()],
+         [ConvLayer, ReLULayer, GlobalAvgPoolLayer]),
+        ([ConvLayerSpec(2, (3, 3))], [ConvLayer, ReLULayer]),
+    ], ids=["relu_maxpool", "bn_relu_maxpool", "two_maxpools", "no_act_maxpool", "relu_gap",
+            "relu_alone"])
+    def test_built_layer_kinds(self, specs, kinds):
+        net = build_network([*specs, FlattenSpec(), DenseSpec(3), SoftmaxXentSpec()],
+                            (1, 10, 10), 3, np.random.default_rng(0))
+        assert [type(l) for l in net.layers] == [*kinds, FlattenLayer, DenseLayer]
+
+    def test_layer_indices_and_names_follow_the_spec(self):
+        net = build_network(two_conv_model(), (1, 28, 28), 10, np.random.default_rng(0))
+        assert net.conv_indices == [0, 3]
+        assert list(net.named_weights()) == ["conv0.W", "conv3.W", "dense7.W", "dense7.b"]
+
+    @pytest.mark.parametrize("batch_norm", [False, True], ids=["plain", "bn"])
+    @pytest.mark.parametrize("with_nan", [False, True], ids=["finite", "nan"])
+    def test_forward_backward_and_captures_equal_the_relu_first_order(self, batch_norm,
+                                                                      with_nan):
+        specs = [ConvLayerSpec(2, (1, 1), batch_norm=batch_norm), MaxPoolSpec(),
+                 ConvLayerSpec(3, (3, 3), padding=1, batch_norm=batch_norm), MaxPoolSpec(),
+                 FlattenSpec(), DenseSpec(4), SoftmaxXentSpec()]
+        rng = np.random.default_rng(5)
+        net = build_network(specs, (1, 9, 11), 4, rng)
+        net.layers[0].params["W"] = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
+        # small integers, so conv 0's outputs hold tied maxima, exact zeros and
+        # all-negative 2x2 blocks; odd H and W leave a trailing row and column
+        x = rng.integers(-2, 3, size=(6, 1, 9, 11)).astype(np.float64)
+        x[1] = -np.abs(x[1])
+        if with_nan:
+            x[2, 0, 4, 5] = np.nan
+        labels = rng.integers(0, 4, size=6)
+        old = relu_first(net)
+        assert [type(l) for l in old.layers].count(ReLULayer) == 2
+        assert [type(l) for l in old.layers] != [type(l) for l in net.layers]
+
+        captured_new, captured_old = {}, {}
+        net.forward(x, train=False, capture_conv_inputs=captured_new)
+        old.forward(x, train=False, capture_conv_inputs=captured_old)
+        assert captured_new.keys() == captured_old.keys() == set(net.conv_indices)
+        for idx in captured_new:
+            assert np.array_equal(captured_new[idx], captured_old[idx], equal_nan=True)
+
+        logits_new, logits_old = net.forward(x, train=True), old.forward(x, train=True)
+        assert np.array_equal(logits_new, logits_old, equal_nan=True)
+        assert np.isnan(logits_new).any() == with_nan
+        net.head.loss(logits_new, labels)
+        dlogits = net.head.grad()
+        assert np.array_equal(net.backward(dlogits), old.backward(dlogits), equal_nan=True)
+        for (idx, _, name, _), (_, old_layer, _, _) in zip(net.parameters(), old.parameters()):
+            assert np.array_equal(net.layers[idx].grads[name], old_layer.grads[name],
+                                  equal_nan=True)
+
+    def test_digits_smoke_steps_leave_the_relu_first_weights(self):
+        cfg = load_config(Path(__file__).parents[1] / "configs" / "digits_smoke.ini")
+        ds = synth_digits(96, seed=4)
+        run = build_run(cfg.model, ds.images.shape[1:], ds.class_count, cfg.train)
+        old = copy.deepcopy(run)
+        old.network = relu_first(run.network)
+        for offset in (0, 32, 64):
+            batch = slice(offset, offset + 32)
+            for r in (run, old):
+                train_step(r, ds.images[batch], ds.labels[batch], offset)
+        new_w, old_w = run.final_weights(), old.final_weights()
+        assert new_w.keys() == old_w.keys()
+        assert all(new_w[k].tobytes() == old_w[k].tobytes() for k in new_w)
 
 
 class TestEndToEndGradients:
