@@ -26,18 +26,17 @@ from numpy.lib.npyio import NpzFile
 
 from .data import LabeledDataset
 from .expconfig import ConfigError, build_datasets, load_config, resolved_ini
-from .network import DenseSpec, Network, kernel_magnitude_matrix, parameter_name
+from .network import DenseSpec, kernel_magnitude_matrix, parameter_name
 from .optim import KINDS as OPTIMIZER_KINDS
 from .optim import OptimizerConfig
 from .reparam import MASK_FAMILIES, equivalence_run, standard_mask_sets
 from .training import (
     EpochMetrics,
-    Refresh,
     Run,
     SgsSettings,
     TrainingConfig,
     build_run,
-    inspect_scalings,
+    refresh_scalings,
     train,
 )
 
@@ -96,10 +95,11 @@ def _record(kind: str, layer: str, epoch: int | None, values: np.ndarray) -> dic
             "values": [float(v) for v in values.ravel()]}
 
 
-def _refresh_records(net: Network, refresh: Refresh, epoch: int) -> list[dict]:
-    """One refresh's records: per conv layer in order, its dependence record
-    when it has one, then its scaling record."""
-    return [_record(m.kind, parameter_name(idx, net.layers[idx], "W"), epoch, m.values)
+def _refresh_records(run: Run) -> list[dict]:
+    """The run's refresh records: per refresh in order, and in it per conv layer
+    in order, the layer's dependence record when it has one, then its scaling record."""
+    return [_record(m.kind, parameter_name(idx, run.network.layers[idx], "W"), epoch, m.values)
+            for epoch, refresh in run.refreshes
             for idx in sorted(refresh) for m in refresh[idx] if m is not None]
 
 
@@ -117,8 +117,7 @@ def cmd_train(args) -> int:
     _write_csv(out / "metrics.csv", [f.name for f in fields(EpochMetrics)],
                [astuple(m) for m in run.metrics])
     (out / "scalings.jsonl").write_text("".join(
-        json.dumps(record) + "\n" for epoch, refresh in run.refreshes
-        for record in _refresh_records(run.network, refresh, epoch)))
+        json.dumps(record) + "\n" for record in _refresh_records(run)))
     np.savez(out / "weights.npz", **run.final_weights())
     last = run.metrics[-1]
     print(f"trained {cfg.train.epochs} epochs: "
@@ -176,8 +175,8 @@ def cmd_inspect_scaling(args) -> int:
     run = _build_run(cfg, train_ds, class_count)
     out = _out_dir(args.out)
     _echo_config(cfg, out)
-    records = _refresh_records(run.network, inspect_scalings(
-        run.network, train_ds, cfg.train.sgs, run.refresh_rng, cfg.train.batch_size), 0)
+    refresh_scalings(run, train_ds)  # the trainer's refresh, at epoch 0
+    records = _refresh_records(run)
     path = out / "scalings.json"
     path.write_text(json.dumps(records, indent=2))
     print(f"wrote {path} ({len(records)} records)")

@@ -1,7 +1,8 @@
 """The training loop: warm-up, periodic scaling refresh, scaled updates, metrics.
 
-A run is one ``Run`` value: ``build_run`` makes it, ``train_step`` steps it on
-one batch, ``run_epoch`` runs its next epoch, and ``train`` returns it.
+A run is one ``Run`` value: ``build_run`` makes it, ``refresh_scalings``
+re-learns its scalings, ``train_step`` steps it on one batch, ``run_epoch``
+runs its next epoch, and ``train`` returns it.
 
 Per epoch: if spatial scaling is enabled and the epoch is past warm-up on the
 refresh cadence, sample a few batches, capture each convolution's input
@@ -237,15 +238,18 @@ def inspect_scalings(net: Network, dataset: LabeledDataset, sgs: SgsSettings,
     return out
 
 
-def refresh_scalings(net: Network, dataset: LabeledDataset, sgs: SgsSettings,
-                     rng: np.random.Generator, batch_size: int) -> Refresh:
-    """The trainer's refresh: ``inspect_scalings``, returned unchanged.
+def refresh_scalings(run: Run, dataset: LabeledDataset) -> None:
+    """Refresh the run's scalings from ``dataset`` and record the refresh.
 
-    It adds nothing to ``inspect_scalings``. It stays a separate name only
-    because the benchmark's tracer (``bench/tracing.py``) wraps it to count
-    and time the refreshes ``train`` makes.
+    ``inspect_scalings`` under the run's ``[sgs]`` settings, batch size and
+    refresh stream; ``run.scalings`` becomes the new scaling matrices in the
+    run's dtype, and ``(run.epoch, refresh)`` is appended to ``run.refreshes``.
     """
-    return inspect_scalings(net, dataset, sgs, rng, batch_size)
+    refresh = inspect_scalings(run.network, dataset, run.cfg.sgs, run.refresh_rng,
+                               run.cfg.batch_size)
+    run.scalings = {(idx, "W"): np.asarray(m.values, dtype=run.cfg.dtype)
+                    for idx, (_, m) in refresh.items()}
+    run.refreshes.append((run.epoch, refresh))
 
 
 def build_run(model_spec: list, input_shape: tuple[int, ...], class_count: int,
@@ -300,10 +304,7 @@ def run_epoch(run: Run, train_ds: LabeledDataset, eval_ds: LabeledDataset) -> Ep
     t0 = time.perf_counter()
     if sgs.enabled and epoch >= sgs.warmup_epochs \
             and (epoch - sgs.warmup_epochs) % sgs.refresh_every == 0:
-        refresh = refresh_scalings(run.network, train_ds, sgs, run.refresh_rng, cfg.batch_size)
-        run.scalings = {(idx, "W"): np.asarray(m.values, dtype=cfg.dtype)
-                        for idx, (_, m) in refresh.items()}
-        run.refreshes.append((epoch, refresh))
+        refresh_scalings(run, train_ds)
 
     loss_sum, hit, seen = 0.0, 0, 0
     for batch_idx in _batches(run.shuffle_rng.permutation(len(train_ds)), cfg.batch_size):

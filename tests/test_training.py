@@ -561,6 +561,46 @@ class TestTrainLoop:
 
 
 class TestRefreshScalings:
+    def test_records_the_refresh_at_the_run_epoch_in_the_run_dtype(self):
+        train_ds, test_ds = synth_digits(96, seed=30), synth_digits(32, seed=31)
+        cfg = momentum_cfg(precision=32, sgs=SgsSettings(enabled=True, measure="mi",
+                                                         warmup_epochs=5))
+        run = build_run(two_conv_model(), train_ds.images.shape[1:], train_ds.class_count, cfg)
+        run_epoch(run, train_ds, test_ds)  # inside the warm-up: no refresh
+        assert run.epoch == 1 and run.refreshes == [] and run.scalings == {}
+        twin = copy.deepcopy(run)
+        assert refresh_scalings(run, train_ds) is None
+        want = inspect_scalings(twin.network, train_ds, cfg.sgs, twin.refresh_rng,
+                                cfg.batch_size)
+        assert [epoch for epoch, _ in run.refreshes] == [1]
+        got = run.refreshes[0][1]
+        assert got.keys() == want.keys() == set(run.network.conv_indices)
+        assert run.scalings.keys() == {(idx, "W") for idx in want}
+        for idx, (dependence, scaling) in want.items():
+            assert np.array_equal(got[idx][0].values, dependence.values)
+            assert np.array_equal(got[idx][1].values, scaling.values)
+            held = run.scalings[idx, "W"]
+            assert held.dtype == np.float32
+            assert np.array_equal(held, scaling.values.astype(np.float32))
+        assert run.refresh_rng.bit_generator.state == twin.refresh_rng.bit_generator.state
+
+    def test_a_second_refresh_replaces_the_scalings(self):
+        ds = synth_digits(96, seed=32)
+        cfg = momentum_cfg(sgs=SgsSettings(enabled=True, measure="mi"))
+        run = build_run(two_conv_model(), ds.images.shape[1:], ds.class_count, cfg)
+        refresh_scalings(run, ds)
+        run.scalings[-1, "W"] = np.ones((3, 3))  # a key no refresh makes
+        run.cfg.sgs.measure = "masks"
+        refresh_scalings(run, ds)
+        assert [epoch for epoch, _ in run.refreshes] == [0, 0]
+        (_, first), (_, second) = run.refreshes
+        assert run.scalings.keys() == {(idx, "W") for idx in run.network.conv_indices}
+        for idx, (_, scaling) in second.items():
+            assert not np.array_equal(scaling.values, first[idx][1].values)
+            assert np.array_equal(run.scalings[idx, "W"], scaling.values)
+
+
+class TestInspectScalings:
     def build_net(self, model, hw=(1, 28, 28), classes=10, seed=0):
         return build_network(model, hw, classes, np.random.default_rng(seed))
 
@@ -568,7 +608,7 @@ class TestRefreshScalings:
         net = self.build_net(two_conv_model())
         ds = synth_digits(64, seed=0)
         sgs = SgsSettings(enabled=True, measure="fixed")
-        out = refresh_scalings(net, ds, sgs, np.random.default_rng(0), 32)
+        out = inspect_scalings(net, ds, sgs, np.random.default_rng(0), 32)
         for _, matrix in out.values():
             np.testing.assert_array_equal(matrix.values, np.ones((3, 3)))
 
@@ -580,7 +620,7 @@ class TestRefreshScalings:
                                rng.integers(0, 10, size=256), 10)
         net = self.build_net(two_conv_model())
         sgs = SgsSettings(enabled=True, measure="mi", k=5.0, refresh_batches=4)
-        out = refresh_scalings(net, noise, sgs, np.random.default_rng(2), 64)
+        out = inspect_scalings(net, noise, sgs, np.random.default_rng(2), 64)
         first = out[0][1].values  # first conv sees the raw noise
         assert first[1, 1] == first.max()
         off = np.delete(first.ravel(), 4)
@@ -590,7 +630,7 @@ class TestRefreshScalings:
         net = self.build_net(two_conv_model())
         ds = synth_digits(64, seed=3)
         sgs = SgsSettings(enabled=True, measure="alpha_beta", alpha=2.0, beta=4.0)
-        out = refresh_scalings(net, ds, sgs, np.random.default_rng(0), 32)
+        out = inspect_scalings(net, ds, sgs, np.random.default_rng(0), 32)
         for _, matrix in out.values():
             assert matrix.values[1, 1] == pytest.approx(2.25, rel=1e-12)
 
@@ -598,7 +638,7 @@ class TestRefreshScalings:
         net = self.build_net(two_conv_model())
         ds = synth_digits(64, seed=4)
         sgs = SgsSettings(enabled=True, measure="masks", mask_family="acb")
-        out = refresh_scalings(net, ds, sgs, np.random.default_rng(0), 32)
+        out = inspect_scalings(net, ds, sgs, np.random.default_rng(0), 32)
         raw = np.array([[1, 2, 1], [2, 3, 2], [1, 2, 1]], dtype=float)
         for _, matrix in out.values():
             np.testing.assert_allclose(matrix.values, raw / raw.mean(), rtol=1e-12)
@@ -613,7 +653,7 @@ class TestRefreshScalings:
         # displacement of the first layer
         sgs = SgsSettings(enabled=True, measure="mi", redundancy_filter=0.5)
         with caplog.at_level(logging.WARNING):
-            out = refresh_scalings(net, constant, sgs, np.random.default_rng(0), 32)
+            out = inspect_scalings(net, constant, sgs, np.random.default_rng(0), 32)
         assert any("uniform" in rec.message for rec in caplog.records)
         np.testing.assert_array_equal(out[0][1].values, np.ones((3, 3)))
 
@@ -690,7 +730,7 @@ class TestRefreshScalings:
         monkeypatch.setattr(data_mod, "DIGIT_JITTER", 0)
         ds = synth_digits(64, seed=5)
         sgs = SgsSettings(enabled=True, measure="mi")
-        out = refresh_scalings(net, ds, sgs, np.random.default_rng(0), 32)
+        out = inspect_scalings(net, ds, sgs, np.random.default_rng(0), 32)
         first_conv, second_conv = net.conv_indices
         np.testing.assert_array_equal(out[first_conv][1].values, np.ones((1, 1)))
         assert out[second_conv][1].values.shape == (3, 3)
