@@ -38,7 +38,9 @@ from .training import (
     build_run,
     refresh_scalings,
     train,
+    train_run,
 )
+from .tensor import ShapeError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -105,15 +107,13 @@ def _refresh_records(run: Run) -> list[dict]:
 
 def cmd_train(args) -> int:
     cfg, train_ds, eval_ds = _load(args)
-    net = _build_run(cfg, train_ds, train_ds.class_count).network
-    try:  # at most one eval-mode image, so nothing is saved for a backward
-        net.forward(eval_ds.images[:1], train=False)
-    except ValueError as exc:
-        raise ConfigError(f"[data] test images of shape {eval_ds.images.shape[1:]} "
-                          f"do not pass through the model: {exc}") from exc
+    run = _build_run(cfg, train_ds, train_ds.class_count)
+    try:
+        train_run(run, train_ds, eval_ds)
+    except ShapeError as exc:  # the run's check of the first test image
+        raise ConfigError(f"[data] {exc}") from exc
     out = _out_dir(args.out)
     _echo_config(cfg, out)
-    run = train(cfg.model, train_ds, eval_ds, cfg.train)
     _write_csv(out / "metrics.csv", [f.name for f in fields(EpochMetrics)],
                [astuple(m) for m in run.metrics])
     (out / "scalings.jsonl").write_text("".join(
@@ -246,9 +246,6 @@ def cmd_grid_search(args) -> int:
     order = np.random.default_rng(np.random.SeedSequence([cfg.train.seed, 917])).permutation(n)
     fit, val = (LabeledDataset(train_ds.images[idx], train_ds.labels[idx], train_ds.class_count)
                 for idx in (order[n_val:], order[:n_val]))
-    out = _out_dir(args.out)
-    _echo_config(cfg, out)
-
     shared = (cfg.model, fit, val)
     workers = min(args.jobs, len(cells))  # a pool starts all its workers at once
     if workers > 1:
@@ -262,6 +259,8 @@ def cmd_grid_search(args) -> int:
         finally:
             _grid_init(None, None, None)  # the datasets do not outlive the command
 
+    out = _out_dir(args.out)
+    _echo_config(cfg, out)
     path = out / "grid.csv"
     _write_csv(path, [*cells[0], "val_acc", "final_train_loss"],
                [[*cell.values(), *result] for cell, result in zip(cells, results)])

@@ -2,7 +2,8 @@
 
 A run is one ``Run`` value: ``build_run`` makes it, ``refresh_scalings``
 re-learns its scalings, ``train_step`` steps it on one batch, ``run_epoch``
-runs its next epoch, and ``train`` returns it.
+runs its next epoch, and ``train_run``, the one epoch loop, runs its remaining
+epochs; ``train`` builds a run and then calls ``train_run`` on it.
 
 Per epoch: if spatial scaling is enabled and the epoch is past warm-up on the
 refresh cadence, sample a few batches, capture each convolution's input
@@ -34,6 +35,7 @@ from .network import Network, build_network, parameter_name
 from .optim import OptimizerConfig, OptimizerState, make_state, step
 from .reparam import MASK_FAMILIES, standard_mask_sets
 from .scaling import DEFAULT_EPSILON_FLOOR, ScalingMatrix, finalize, from_masks, k_transform
+from .tensor import ShapeError
 
 logger = logging.getLogger(__name__)
 
@@ -293,7 +295,13 @@ def train_step(run: Run, x: np.ndarray, labels: np.ndarray, offset: int) -> tupl
 
 def run_epoch(run: Run, train_ds: LabeledDataset, eval_ds: LabeledDataset) -> EpochMetrics:
     """The run's next epoch: the due refresh, a ``train_step`` per shuffled batch, then
-    the eval; appends its metrics to the run. Bad datasets raise before the refresh."""
+    the eval; appends its metrics to the run. Test images that cannot pass through the
+    network, then bad datasets, raise before the refresh."""
+    try:  # at most one eval-mode image, so nothing is saved for a backward
+        run.network.forward(eval_ds.images[:1], train=False)
+    except ValueError as exc:
+        raise ShapeError(f"test images of shape {eval_ds.images.shape[1:]} "
+                         f"do not pass through the model: {exc}") from exc
     if train_ds.class_count < 2:
         raise ValueError("training needs a dataset with at least 2 classes")
     if len(train_ds) == 0:
@@ -328,10 +336,15 @@ def run_epoch(run: Run, train_ds: LabeledDataset, eval_ds: LabeledDataset) -> Ep
     return run.metrics[-1]
 
 
+def train_run(run: Run, train_ds: LabeledDataset, eval_ds: LabeledDataset) -> Run:
+    """Run the run's remaining epochs, up to ``run.cfg.epochs``, and return it."""
+    while run.epoch < run.cfg.epochs:
+        run_epoch(run, train_ds, eval_ds)
+    return run
+
+
 def train(model_spec: list, train_ds: LabeledDataset, eval_ds: LabeledDataset,
           cfg: TrainingConfig) -> Run:
     """Build a run and train it for ``cfg.epochs``; see the module docstring."""
     run = build_run(model_spec, train_ds.images.shape[1:], train_ds.class_count, cfg)
-    while run.epoch < cfg.epochs:
-        run_epoch(run, train_ds, eval_ds)
-    return run
+    return train_run(run, train_ds, eval_ds)

@@ -350,6 +350,30 @@ test_labels = {tmp_path / 'te_lab'}
         assert capsys.readouterr().err.splitlines() == [
             "error: the eval set is empty; eval accuracy would divide by zero"]
 
+    def test_an_empty_test_set_leaves_no_output_directory(self, tmp_path):
+        cfg = self._idx_config(tmp_path, test_side=28, test_count=0)
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_builds_one_run(self, tmp_path, monkeypatch):
+        import spatialgrad.training as training_mod
+
+        built = []
+
+        def counting(real):
+            def build_run(*args):
+                built.append(args)
+                return real(*args)
+            return build_run
+
+        monkeypatch.setattr(cli, "build_run", counting(cli.build_run))
+        monkeypatch.setattr(training_mod, "build_run", counting(training_mod.build_run))
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block(epochs=1),
+                           "\n[sgs]\nenabled = false\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(built) == 1
+
     def test_idx_header_larger_than_any_file_exits_2(self, tmp_path):
         (tmp_path / "img").write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, *[0xFFFFFFFF] * 3))
         (tmp_path / "lab").write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, 1) + bytes([0]))
@@ -822,13 +846,13 @@ class TestMagnitude:
             assert values.mean() == pytest.approx(1.0, rel=1e-9)
 
     def test_batch_norm_run_saves_running_statistics(self, tmp_path, monkeypatch):
-        real_train, results = cli.train, []
+        real_train_run, results = cli.train_run, []
 
-        def recording_train(*args):
-            results.append(real_train(*args))
+        def recording_train_run(*args):
+            results.append(real_train_run(*args))
             return results[-1]
 
-        monkeypatch.setattr(cli, "train", recording_train)
+        monkeypatch.setattr(cli, "train_run", recording_train_run)
         cfg = tmp_path / "exp.ini"
         cfg.write_text(MODEL_BLOCK.replace("act=relu\n", "act=relu bn=on\n", 1)
                        + synth_data_block() + train_block(epochs=1)
@@ -882,6 +906,18 @@ class TestExitCodes:
         with np.errstate(all="ignore"):
             assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["train"], ["grid-search", "--ks", "2,5"]],
+                             ids=["train", "grid_search"])
+    def test_runtime_failure_leaves_no_output_directory(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(),
+                           train_block(extra="\nlr = 1e308\n").replace("lr = 0.05", ""),
+                           "\n[sgs]\nenabled = false\n")
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            assert main([*command, "--config", cfg, "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_equivalence_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         import spatialgrad.cli as cli_mod

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spatialgrad import data as data_mod
 from spatialgrad.conv import conv_backward_input, conv_backward_weights, conv_forward, im2col
@@ -31,8 +33,10 @@ from spatialgrad.network import (
     kernel_magnitude_matrix,
     validate_model_spec,
 )
-from spatialgrad.optim import OptimizerConfig
+from spatialgrad.optim import KINDS, OptimizerConfig
+from spatialgrad.tensor import ShapeError
 from spatialgrad.training import (
+    MEASURES,
     Run,
     SgsSettings,
     TrainingConfig,
@@ -44,6 +48,7 @@ from spatialgrad.training import (
     refresh_scalings,
     run_epoch,
     train,
+    train_run,
     train_step,
 )
 
@@ -340,6 +345,37 @@ class TestRunSplit:
                 for m, t in zip(mine[idx], theirs[idx]):
                     assert np.array_equal(m.values, t.values)
 
+    def test_train_run_runs_only_the_remaining_epochs(self, monkeypatch):
+        import spatialgrad.training as training_mod
+
+        train_ds = synth_digits(128, seed=20)
+        test_ds = synth_digits(64, seed=21)
+        cfg = momentum_cfg(epochs=3, sgs=SgsSettings(enabled=True, measure="mi",
+                                                     warmup_epochs=1, refresh_every=1))
+        whole = train(two_conv_model(), train_ds, test_ds, cfg)
+        run = build_run(two_conv_model(), train_ds.images.shape[1:], train_ds.class_count, cfg)
+        run_epoch(run, train_ds, test_ds)  # k = 1 epoch before the refreshes at 1 and 2
+        real_run_epoch, epochs_run = training_mod.run_epoch, []
+
+        def counting_run_epoch(run, *datasets):
+            epochs_run.append(run.epoch)
+            return real_run_epoch(run, *datasets)
+
+        monkeypatch.setattr(training_mod, "run_epoch", counting_run_epoch)
+        assert train_run(run, train_ds, test_ds) is run
+        assert epochs_run == [1, 2] and run.epoch == cfg.epochs
+        assert train_run(run, train_ds, test_ds) is run and epochs_run == [1, 2]
+        assert_same_weights(run, whole)
+        assert [(m.epoch, m.train_loss, m.train_acc, m.eval_acc) for m in run.metrics] \
+            == [(m.epoch, m.train_loss, m.train_acc, m.eval_acc) for m in whole.metrics]
+        assert [epoch for epoch, _ in run.refreshes] == [epoch for epoch, _ in whole.refreshes] \
+            == [1, 2]
+        for (_, mine), (_, theirs) in zip(run.refreshes, whole.refreshes):
+            assert mine.keys() == theirs.keys()
+            for idx in mine:
+                for m, t in zip(mine[idx], theirs[idx]):
+                    assert np.array_equal(m.values, t.values)
+
     def test_hand_loop_of_train_step_equals_run_epoch(self):
         train_ds = synth_digits(128, seed=22)
         test_ds = synth_digits(64, seed=23)
@@ -546,6 +582,23 @@ class TestTrainLoop:
         empty = LabeledDataset(train_ds.images[:0], train_ds.labels[:0], train_ds.class_count)
         with pytest.raises(ValueError, match="eval set is empty"):
             train(two_conv_model(), train_ds, empty, momentum_cfg(sgs=SgsSettings(enabled=False)))
+
+    def test_test_images_that_do_not_fit_rejected_before_training(self, monkeypatch):
+        import spatialgrad.training as training_mod
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("train() stepped or refreshed before checking the test images")
+
+        monkeypatch.setattr(training_mod, "train_step", no_call)
+        monkeypatch.setattr(training_mod, "refresh_scalings", no_call)
+        train_ds = synth_digits(64, seed=16)
+        test_ds = synth_digits(32, seed=17)
+        cropped = LabeledDataset(test_ds.images[:, :, 4:24, 4:24], test_ds.labels,
+                                 test_ds.class_count)
+        cfg = momentum_cfg(sgs=SgsSettings(enabled=True, measure="mi", warmup_epochs=0))
+        with pytest.raises(ShapeError, match=r"^test images of shape \(1, 20, 20\) do not pass "
+                                             r"through the model: dense input shape"):
+            train(two_conv_model(), train_ds, cropped, cfg)
 
     def test_empty_training_set_rejected_before_training(self, monkeypatch):
         import spatialgrad.training as training_mod
@@ -763,3 +816,81 @@ class TestKernelMagnitude:
     def test_zero_weights_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):
             kernel_magnitude_matrix(np.zeros((2, 2, 3, 3)))
+
+
+SPEC_CLASSES = 3
+
+
+@st.composite
+def small_model_specs(draw):
+    """A ``[model]`` spec of 1–3 conv lines, with up to two ``maxpool`` or ``gap``
+    lines anywhere before ``flatten``, at most one hidden dense layer, and the head."""
+    convs = draw(st.lists(st.builds(
+        ConvLayerSpec, out_channels=st.integers(1, 4),
+        kernel=st.tuples(st.integers(1, 5), st.integers(1, 5)), stride=st.integers(1, 2),
+        padding=st.integers(0, 2), activation=st.sampled_from(["relu", "none"]),
+        batch_norm=st.booleans()), min_size=1, max_size=3))
+    pools = draw(st.lists(st.tuples(st.integers(0, len(convs)),
+                                    st.sampled_from([MaxPoolSpec(), GlobalAvgPoolSpec()])),
+                          max_size=2))
+    features = list(convs)
+    for position, pool in sorted(pools, key=lambda p: p[0], reverse=True):
+        features.insert(position, pool)
+    hidden = draw(st.lists(st.builds(DenseSpec, st.integers(1, 6)), max_size=1))
+    return [*features, FlattenSpec(), *hidden, DenseSpec(SPEC_CLASSES), SoftmaxXentSpec()]
+
+
+def chains(specs: list, input_shape: tuple[int, int, int]) -> bool:
+    """Whether every layer of ``specs`` has a non-empty output on ``input_shape``."""
+    _, h, w = input_shape
+    for spec in specs:
+        if isinstance(spec, ConvLayerSpec):
+            (kx, ky), stride, pad = spec.kernel, spec.stride, spec.padding
+            h, w = (h + 2 * pad - kx) // stride + 1, (w + 2 * pad - ky) // stride + 1
+            if h < 1 or w < 1:
+                return False
+        elif isinstance(spec, MaxPoolSpec):
+            if h < 2 or w < 2:
+                return False
+            h, w = h // 2, w // 2
+        elif isinstance(spec, GlobalAvgPoolSpec):
+            h = w = 1
+    return True
+
+
+class TestSmallModelSpecs:
+    @given(spec=small_model_specs(),
+           input_shape=st.tuples(st.integers(1, 3), st.integers(5, 12), st.integers(5, 12)),
+           measure=st.sampled_from(MEASURES), kind=st.sampled_from(KINDS),
+           position=st.sampled_from(["pre", "post"]), precision=st.sampled_from([32, 64]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_build_train_twice_and_keep_the_dtype(self, spec, input_shape, measure, kind,
+                                                  position, precision, seed):
+        cfg = TrainingConfig(epochs=1, batch_size=8, lr=0.01, optimizer=OptimizerConfig(kind),
+                             seed=seed, precision=precision,
+                             sgs=SgsSettings(measure=measure, warmup_epochs=0,
+                                             scaling_position=position))
+        if not chains(spec, input_shape):
+            with pytest.raises(ValueError):
+                build_run(spec, input_shape, SPEC_CLASSES, cfg)
+            return
+        rng = np.random.default_rng(seed)
+        train_ds, eval_ds = (LabeledDataset(rng.random((n, *input_shape)),
+                                            np.arange(n) % SPEC_CLASSES, SPEC_CLASSES)
+                             for n in (16, 8))
+        a, b = (train(spec, train_ds, eval_ds, cfg) for _ in range(2))
+        assert_same_weights(a, b)
+        assert [(m.train_loss, m.train_acc, m.eval_acc) for m in a.metrics] \
+            == [(m.train_loss, m.train_acc, m.eval_acc) for m in b.metrics]
+        assert a.scalings.keys() == b.scalings.keys()
+        assert all(np.array_equal(a.scalings[k], b.scalings[k]) for k in a.scalings)
+        if precision == 32:
+            for name, value in a.final_weights().items():  # BN running statistics too
+                assert value.dtype == np.float32, name
+            for idx, layer, name, _ in a.network.parameters():
+                assert layer.grads[name].dtype == np.float32, (idx, name)
+            for key, state in a.opt_states.items():
+                assert all(v.dtype == np.float32 for v in state.buffers.values()), key
+            assert all(m.dtype == np.float32 for m in a.scalings.values())
+            assert a.network.forward(eval_ds.images, train=False).dtype == np.float32
