@@ -32,6 +32,7 @@ from .optim import OptimizerConfig
 from .reparam import MASK_FAMILIES, equivalence_run, standard_mask_sets
 from .training import (
     EpochMetrics,
+    EvalImageShapeError,
     Run,
     SgsSettings,
     TrainingConfig,
@@ -40,7 +41,6 @@ from .training import (
     train,
     train_run,
 )
-from .tensor import ShapeError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -110,7 +110,7 @@ def cmd_train(args) -> int:
     run = _build_run(cfg, train_ds, train_ds.class_count)
     try:
         train_run(run, train_ds, eval_ds)
-    except ShapeError as exc:  # the run's check of the first test image
+    except EvalImageShapeError as exc:
         raise ConfigError(f"[data] {exc}") from exc
     out = _out_dir(args.out)
     _echo_config(cfg, out)

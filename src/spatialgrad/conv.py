@@ -36,17 +36,15 @@ The forward and the weight gradient read only the matrix, never the input:
 every caller builds it once per conv input with ``im2col(x, spec)`` and
 passes it to both, as a train-mode ``ConvLayer`` and ``reparam``'s oracle
 do. The forward takes its batch size and grid from the matrix; the weight
-gradient and the gather input gradient check a matrix's whole shape, grid
-included.
+gradient and the gather and row input gradients check a matrix's whole
+shape, grid included.
 
 The input gradient is the adjoint of the forward map,
 
     dXp[n, ci, h*s + kh, w*s + kw] += W[co, ci, kh, kw] * dY[n, co, h, w],
 
-cropped by the padding, and it makes one GEMM per call by one of two
-duals. The choice depends on the channel counts and the stride; at stride 1
-with "same" padding (H'*W' = H*W) it picks the smaller of the two
-intermediates:
+cropped by the padding, and it makes one GEMM per call by one of three
+duals, chosen by the stride and the channel counts (``_dual``):
 
 - Gather (stride 1 and ``Co <= Ci``), the transposed-convolution identity
   (Dumoulin and Visin, arXiv 1603.07285). Pad dY by k - 1 on each side and
@@ -55,24 +53,40 @@ intermediates:
   ``dX = conv(pad(dY), W[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))``.
   Only the windows that land inside the unpadded input are built, so the
   ``_im2col`` matrix is [N, Co*kx*ky, H, W], and each dX entry is one
-  dot product over (co, kh, kw) inside BLAS. The matrix is a function of dY
-  and the spec only, never of W, so ``grad_im2col(dy, spec, input_hw)``
-  builds it once and one matrix can serve several weights, each passed to
-  ``conv_backward_input`` as ``cols``; a call without it builds the same
-  matrix itself, so its result is bitwise equal. At stride 2 the identity would
-  first dilate dY by the stride, and three quarters of that matrix would be
-  dilation zeros, so stride 2 always scatters.
-- Scatter (stride 2, or ``Co > Ci``). One GEMM ``W.reshape(Co, -1).T @ dY``
+  dot product over (co, kh, kw) inside BLAS. Gather stays the dual for
+  ``Co <= Ci`` because its matrix feeds GEMMs that write dX directly: when
+  one matrix serves several weights (``reparam``'s branches), each weight
+  costs one GEMM and no add after it, where the row path would add its kx
+  row terms per weight.
+- Row (stride 1 and ``Ci < Co <= Ci*kx``): gather along the kernel's width,
+  scatter along its height. The same padded dY, [N, Co, H+kx-1, W+ky-1], is
+  windowed by a (1, ky) kernel into a matrix [N, Co*ky, H+kx-1, W], ky times
+  dY, in place of the scatter's ``Ci*kx*ky`` or the gather's ``Co*kx*ky``
+  rows. One GEMM with the kw-reversed kernel [Ci*kx, Co*ky] gives each kh's
+  row term for every padded-dY row, each a dot product over (co, kw) inside
+  BLAS; one ``sum(axis=2)`` over a strided view, in which term kh is shifted
+  up by kx - 1 - kh rows, then adds the kx terms in kh order, so the number
+  of numpy calls does not grow with kx.
+- Scatter (stride 2, or ``Co > Ci*kx``). One GEMM ``W.reshape(Co, -1).T @ dY``
   gives every offset's contribution, [N, Ci*kx*ky, H'*W']
   (N*Ci*kx*ky*H'*W' entries); col2im then adds each offset's slice into the
   padded grid. Each contribution is a dot over co, and the kx*ky offsets
-  are added in row-major order.
+  are added in row-major order. At stride 2 the other two duals would first
+  dilate dY by the stride, and three quarters of their matrix would be
+  dilation zeros, so stride 2 always scatters; above ``Co = Ci*kx`` the row
+  matrix outgrows the scatter's product and the row path loses (3x at 3->32).
 
-The two paths sum in different orders, so for one input they agree to
-rounding, not bitwise; which one runs is fixed by the spec, and every path
+The gather and row matrices are functions of dY and the spec only, never of
+W, so ``grad_im2col(dy, spec, input_hw)`` builds the one its spec reads, and
+one matrix can serve several weights, each passed to ``conv_backward_input``
+as ``cols``; a call without it builds the same matrix itself, so its result
+is bitwise equal. A scatter spec has no such matrix.
+
+The three duals sum in different orders, so for one input they agree to
+rounding, not bitwise; which one runs is fixed by the spec, and every dual
 has a fixed reduction order, so results are deterministic for a given
-input. The gather path calls ``_im2col`` directly rather than
-``conv_forward``, so a profiler attributes its time to the input gradient;
+input. The gather and row paths call ``_im2col`` directly rather than
+``conv_forward``, so a profiler attributes their time to the input gradient;
 a matrix built by ``grad_im2col`` is attributed to that call's caller.
 """
 
@@ -209,14 +223,19 @@ def conv_backward_weights(dy: np.ndarray, cols: np.ndarray, spec: ConvSpec) -> n
     return per_sample.sum(axis=0).reshape(spec.weight_shape)
 
 
-def _gathers(spec: ConvSpec) -> bool:
-    """Whether ``conv_backward_input`` takes the gather path for this spec."""
-    return spec.stride == 1 and spec.out_channels <= spec.in_channels
+def _dual(spec: ConvSpec) -> str:
+    """Which dual ``conv_backward_input`` takes for this spec: gather, row or scatter."""
+    ci, co = spec.in_channels, spec.out_channels
+    if spec.stride != 1 or co > ci * spec.kernel[0]:
+        return "scatter"
+    return "gather" if co <= ci else "row"
 
 
 def _grad_spec(spec: ConvSpec) -> ConvSpec:
-    """The gather path's stride-1 valid conv: in/out channels swapped, no padding."""
-    return ConvSpec(spec.out_channels, spec.in_channels, spec.kernel)
+    """The stride-1 valid conv over the padded dY that builds a dY matrix: in/out
+    channels swapped, no padding, and for the row path only the kernel's width."""
+    kernel = (1, spec.kernel[1]) if _dual(spec) == "row" else spec.kernel
+    return ConvSpec(spec.out_channels, spec.in_channels, kernel)
 
 
 def _check_output_grad(dy: np.ndarray, spec: ConvSpec, input_hw: tuple[int, int]) -> np.ndarray:
@@ -244,14 +263,15 @@ def _grad_im2col(dy: np.ndarray, spec: ConvSpec, input_hw: tuple[int, int]) -> n
 
 def grad_im2col(dy: np.ndarray, spec: ConvSpec,
                 input_hw: tuple[int, int]) -> np.ndarray | None:
-    """The gather path's read-only window matrix [N, Co*kx*ky, H, W] of the padded dY.
+    """The read-only window matrix of the padded dY that the gather and row paths read:
+    [N, Co*kx*ky, H, W] for gather, [N, Co*ky, H+kx-1, W] for row.
 
     Pass it as ``cols`` to ``conv_backward_input`` for any weights of this
     spec, so one matrix serves several weights. A scatter spec (stride 2, or
-    ``Co > Ci``) has no such matrix, and the result is ``None``.
+    ``Co > Ci*kx``) has no such matrix, and the result is ``None``.
     """
     dy = _check_output_grad(dy, spec, input_hw)
-    if not _gathers(spec):
+    if _dual(spec) == "scatter":
         return None
     return _grad_im2col(dy, spec, input_hw)
 
@@ -261,32 +281,51 @@ def conv_backward_input(dy: np.ndarray, w: np.ndarray, spec: ConvSpec,
                         cols: np.ndarray | None = None) -> np.ndarray:
     """Loss gradient w.r.t. the input, for an input of spatial size ``input_hw``.
 
-    One GEMM per call: a forward conv of the padded dY at stride 1 when
-    ``Co <= Ci``, ``W.reshape(Co, -1).T @ dY`` plus col2im otherwise (module
-    docstring). ``cols``, if given, is ``grad_im2col(dy, spec, input_hw)``
-    and is used in place of a new matrix of dY; it is checked by shape, and
-    passing one with a scatter spec, which has none, raises ``ValueError``.
+    One GEMM per call, by the gather, row or scatter dual (module docstring).
+    ``cols``, if given, is ``grad_im2col(dy, spec, input_hw)`` and is used in
+    place of a new matrix of dY; it is checked by shape, and passing one with
+    a scatter spec, which has none, raises ``ValueError``.
     """
     w = _check_weights(w, spec)
     dy = _check_output_grad(dy, spec, input_hw)
+    dual = _dual(spec)
+    if dual == "scatter":
+        if cols is not None:
+            raise ValueError(f"{spec} takes the scatter path, which has no dY window matrix")
+        return _scatter(dy, w, spec, input_hw)
+    height, width = input_hw
+    kx = spec.kernel[0]
+    n, ci = dy.shape[0], spec.in_channels
+    grad_spec = _grad_spec(spec)
+    if cols is None:
+        cols = _grad_im2col(dy, spec, input_hw)
+    else:  # the matrix kernel's valid grid over the padded dY's H + kx - 1 rows
+        _check_cols(cols, grad_spec, n, (height + kx - grad_spec.kernel[0], width))
+    rows, gh, gw = cols.shape[1:]
+    if dual == "gather":
+        # A stride-1 valid conv of the padded dY with the kernel rotated 180
+        # degrees and in/out swapped.
+        w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, rows)
+        dx = w_t @ cols.reshape(n, rows, gh * gw)
+        return dx.reshape(n, ci, height, width).astype(dy.dtype, copy=False)
+    # Row: each kh's row term for every padded-dY row in one GEMM with the
+    # kw-reversed kernel, then the kx terms, each shifted up by kx - 1 - kh
+    # rows, summed in kh order over one strided view.
+    w_r = w[:, :, :, ::-1].transpose(1, 2, 0, 3).reshape(ci * kx, rows)
+    terms = (w_r @ cols.reshape(n, rows, gh * gw)).reshape(n, ci, kx, gh, gw)
+    sn, sc, sk, sh, sw = terms.strides
+    shifted = as_strided(terms[:, :, :, kx - 1 :], shape=(n, ci, kx, height, width),
+                         strides=(sn, sc, sk - sh, sh, sw), writeable=False)
+    return shifted.sum(axis=2).astype(dy.dtype, copy=False)
+
+
+def _scatter(dy: np.ndarray, w: np.ndarray, spec: ConvSpec,
+             input_hw: tuple[int, int]) -> np.ndarray:
+    # Every offset's contribution in one GEMM, then col2im.
     height, width = input_hw
     kx, ky = spec.kernel
     n, co, oh, ow = dy.shape
-    ci = spec.in_channels
-    if _gathers(spec):
-        # Gather: a stride-1 valid conv of the padded dY with the kernel
-        # rotated 180 degrees and in/out swapped.
-        if cols is None:
-            cols = _grad_im2col(dy, spec, input_hw)
-        else:
-            _check_cols(cols, _grad_spec(spec), n, input_hw)
-        w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
-        dx = w_t @ cols.reshape(n, cols.shape[1], height * width)
-        return dx.reshape(n, ci, height, width).astype(dy.dtype, copy=False)
-    if cols is not None:
-        raise ValueError(f"{spec} takes the scatter path, which has no dY window matrix")
-    # Scatter: every offset's contribution in one GEMM, then col2im.
-    pad, s = spec.padding, spec.stride
+    ci, pad, s = spec.in_channels, spec.padding, spec.stride
     contrib = (w.reshape(co, -1).T @ dy.reshape(n, co, oh * ow)).reshape(n, ci, kx, ky, oh, ow)
     dxp = np.zeros((n, ci, height + 2 * pad, width + 2 * pad), dtype=dy.dtype)
     for kh in range(kx):

@@ -124,8 +124,8 @@ def branched_backward_input(conv: BranchedConv, dy: np.ndarray,
                             input_hw: tuple[int, int]) -> np.ndarray:
     """Sum of the branch input gradients, evaluated branch by branch over one dY matrix.
 
-    The gather path's window matrix of dY depends on dY and the spec only,
-    so it is built once (``grad_im2col``) and passed to every branch's
+    The gather or row path's window matrix of dY depends on dY and the spec
+    only, so it is built once (``grad_im2col``) and passed to every branch's
     ``conv_backward_input``; each branch still makes its own call and GEMM,
     and the sum runs in branch order. A scatter spec has no such matrix, and
     each branch scatters on its own.

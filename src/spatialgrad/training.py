@@ -50,6 +50,10 @@ class TrainingDivergedError(RuntimeError):
     """Training hit a non-finite loss or parameter gradient and was aborted."""
 
 
+class EvalImageShapeError(ShapeError):
+    """The test images do not pass through the run's network (``run_epoch``'s first check)."""
+
+
 @dataclass
 class SgsSettings:
     enabled: bool = True
@@ -300,8 +304,8 @@ def run_epoch(run: Run, train_ds: LabeledDataset, eval_ds: LabeledDataset) -> Ep
     try:  # at most one eval-mode image, so nothing is saved for a backward
         run.network.forward(eval_ds.images[:1], train=False)
     except ValueError as exc:
-        raise ShapeError(f"test images of shape {eval_ds.images.shape[1:]} "
-                         f"do not pass through the model: {exc}") from exc
+        raise EvalImageShapeError(f"test images of shape {eval_ds.images.shape[1:]} "
+                                  f"do not pass through the model: {exc}") from exc
     if train_ds.class_count < 2:
         raise ValueError("training needs a dataset with at least 2 classes")
     if len(train_ds) == 0:

@@ -356,6 +356,21 @@ test_labels = {tmp_path / 'te_lab'}
         assert main(["train", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_a_shape_fault_inside_training_exits_2(self, tmp_path, monkeypatch, capsys):
+        import spatialgrad.training as training_mod
+        from spatialgrad.tensor import ShapeError
+
+        def failing_step(*args):
+            raise ShapeError("a later shape fault")
+
+        monkeypatch.setattr(training_mod, "train_step", failing_step)
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block(epochs=1),
+                           "\n[sgs]\nenabled = false\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: a later shape fault"]
+        assert not out.exists()
+
     def test_builds_one_run(self, tmp_path, monkeypatch):
         import spatialgrad.training as training_mod
 

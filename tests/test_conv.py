@@ -366,7 +366,9 @@ class TestConvBackwardInput:
     @pytest.mark.parametrize("kernel", [(3, 3), (2, 3), (3, 1)])
     @pytest.mark.parametrize("padding", [0, 1, 2, 3])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("ci,co", [(1, 4), (3, 3), (4, 1), (4, 4), (3, 2)])  # both sides of co <= ci
+    # (2, 3) and (2, 5) take the row path at stride 1 where co <= ci * kx: (2, 3) under
+    # both 3- and 2-row kernels, (2, 5) under 3-row kernels only.
+    @pytest.mark.parametrize("ci,co", [(1, 4), (3, 3), (4, 1), (4, 4), (3, 2), (2, 3), (2, 5)])
     def test_matches_loop_oracle(self, ci, co, stride, padding, kernel, dtype, tol):
         rng = np.random.default_rng(12)
         spec = ConvSpec(ci, co, kernel, stride=stride, padding=padding)
@@ -379,16 +381,40 @@ class TestConvBackwardInput:
         scale = loop_conv_backward_input(np.abs(dy), np.abs(w), stride, padding, (5, 6))
         assert np.all(np.abs(dx - ref) <= tol * scale)
 
+    @given(data=st.data(), n=st.integers(1, 2), ci=st.integers(1, 3), kx=st.integers(2, 4),
+           ky=st.integers(1, 4), padding=st.integers(0, 3), h=st.integers(1, 6),
+           w=st.integers(1, 6), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_row_path_matches_loop_oracle(self, data, n, ci, kx, ky, padding, h, w, dtype,
+                                          seed):
+        """Every stride-1 spec with ci < co <= ci * kx takes the row path, keeps the dtype
+        and matches the loop oracle within its sum of |products|."""
+        assume(h + 2 * padding >= kx and w + 2 * padding >= ky)
+        co = data.draw(st.integers(ci + 1, ci * kx), label="co")
+        spec = ConvSpec(ci, co, (kx, ky), padding=padding)
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(size=spec.weight_shape).astype(dtype)
+        dy = rng.normal(size=(n, co, *spec.out_size(h, w))).astype(dtype)
+        assert grad_im2col(dy, spec, (h, w)).shape == (n, co * ky, h + kx - 1, w)
+        dx = conv_backward_input(dy, weights, spec, (h, w))
+        assert dx.dtype == dtype and dx.shape == (n, ci, h, w)
+        ref = loop_conv_backward_input(dy, weights, 1, padding, (h, w))
+        scale = loop_conv_backward_input(np.abs(dy), np.abs(weights), 1, padding, (h, w))
+        tol = 1e-10 if dtype == np.float64 else 1e-5
+        assert np.all(np.abs(dx - ref) <= tol * scale)
+
     def test_shape_error(self):
         spec = ConvSpec(1, 2, (3, 3))
         with pytest.raises(ShapeError):
             conv_backward_input(np.ones((1, 1, 3, 3)), np.ones(spec.weight_shape), spec, (5, 5))
 
     @pytest.mark.parametrize("spec", [
-        ConvSpec(3, 2, (3, 3), padding=1),            # gather
-        ConvSpec(2, 3, (3, 3), padding=1),            # scatter, Co > Ci
+        ConvSpec(3, 2, (3, 3), padding=1),            # gather, Co <= Ci
+        ConvSpec(2, 3, (3, 3), padding=1),            # row, Ci < Co <= Ci * kx
+        ConvSpec(1, 4, (3, 3), padding=1),            # scatter, Co > Ci * kx
         ConvSpec(3, 2, (3, 3), stride=2, padding=1),  # scatter, stride 2
-    ], ids=["gather", "scatter", "scatter_stride2"])
+    ], ids=["gather", "row", "scatter", "scatter_stride2"])
     def test_an_empty_batch_passes_forward_and_both_backwards(self, spec):
         x = np.zeros((0, spec.in_channels, 5, 6), dtype=np.float32)
         w = np.ones(spec.weight_shape, dtype=np.float32)
@@ -402,29 +428,32 @@ class TestConvBackwardInput:
 
 
 class TestGradWindowMatrix:
-    """``grad_im2col(dy, spec, input_hw)`` is the gather path's ``cols`` for any weights."""
+    """``grad_im2col(dy, spec, input_hw)`` is the gather or row path's ``cols`` for any weights."""
 
-    @given(n=st.integers(1, 5), c1=st.integers(1, 5), c2=st.integers(1, 5),
+    @given(data=st.data(), n=st.integers(1, 5), ci=st.integers(1, 5),
            h=st.integers(1, 9), w=st.integers(1, 9), kx=st.integers(1, 5), ky=st.integers(1, 5),
            padding=st.integers(0, 3), dtype=st.sampled_from([np.float32, np.float64]),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
-    def test_given_matrix_equals_built_one(self, n, c1, c2, h, w, kx, ky, padding, dtype, seed):
+    def test_given_matrix_equals_built_one(self, data, n, ci, h, w, kx, ky, padding, dtype,
+                                           seed):
         assume(h + 2 * padding >= kx and w + 2 * padding >= ky)
-        ci, co = max(c1, c2), min(c1, c2)  # co <= ci at stride 1: the gather path
+        # co <= ci at stride 1 gathers; ci < co <= ci * kx takes the row path.
+        co = data.draw(st.integers(1, ci * kx), label="co")
         spec = ConvSpec(ci, co, (kx, ky), padding=padding)
         rng = np.random.default_rng(seed)
         dy = rng.normal(size=(n, co, *spec.out_size(h, w))).astype(dtype)
         weights = rng.normal(size=spec.weight_shape).astype(dtype)
         cols = grad_im2col(dy, spec, (h, w))
-        assert cols.shape == (n, co * kx * ky, h, w) and cols.dtype == dtype
+        shape = (n, co * kx * ky, h, w) if co <= ci else (n, co * ky, h + kx - 1, w)
+        assert cols.shape == shape and cols.dtype == dtype
         assert cols.flags.c_contiguous and not cols.flags.writeable
         assert np.array_equal(conv_backward_input(dy, weights, spec, (h, w), cols=cols),
                               conv_backward_input(dy, weights, spec, (h, w)))
         for bad in (cols[:, :-1], cols[:, :, :-1], cols.reshape(-1)):
             with pytest.raises(ShapeError, match="window matrix"):
                 conv_backward_input(dy, weights, spec, (h, w), cols=bad)
-        for scatter in (ConvSpec(ci, ci + 1, (kx, ky), padding=padding),
+        for scatter in (ConvSpec(ci, ci * kx + 1, (kx, ky), padding=padding),
                         ConvSpec(ci, co, (kx, ky), stride=2, padding=padding)):
             dy_s = np.ones((n, scatter.out_channels, *scatter.out_size(h, w)), dtype=dtype)
             assert grad_im2col(dy_s, scatter, (h, w)) is None
@@ -442,6 +471,11 @@ class TestGradWindowMatrix:
         cols = grad_im2col(np.ones((1, 1, 4, 4)), spec, (4, 4))
         with pytest.raises(ShapeError, match="window matrix"):
             conv_backward_input(np.ones((1, 1, 2, 8)), np.ones(spec.weight_shape), spec, (2, 8),
+                                cols=cols)
+        row = ConvSpec(1, 2, (3, 3), padding=1)
+        cols = grad_im2col(np.ones((1, 2, 4, 4)), row, (4, 4))
+        with pytest.raises(ShapeError, match="window matrix"):
+            conv_backward_input(np.ones((1, 2, 2, 8)), np.ones(row.weight_shape), row, (2, 8),
                                 cols=cols)
 
 

@@ -256,17 +256,21 @@ class TestBranchedBackwardInput:
             expected = dx if expected is None else expected + dx
         return expected
 
+    @pytest.mark.parametrize("spec,grad_spec", [
+        (ConvSpec(3, 2, (3, 3), padding=1), ConvSpec(2, 3, (3, 3))),
+        (ConvSpec(2, 3, (3, 3), padding=1), ConvSpec(3, 2, (1, 3))),
+    ], ids=["gather", "row"])
     @pytest.mark.parametrize("masks", [
         acb_masks(),
         standard_mask_sets((3, 3), "random", count=4, seed=1),
     ], ids=["acb", "random5"])
-    def test_one_window_matrix_shared_by_every_branch(self, masks, monkeypatch):
+    def test_one_window_matrix_shared_by_every_branch(self, masks, spec, grad_spec,
+                                                      monkeypatch):
         import spatialgrad.reparam as reparam_mod
 
         rng = np.random.default_rng(9)
-        spec = ConvSpec(3, 2, (3, 3), padding=1)
         conv = split_init(rng.normal(size=spec.weight_shape), masks, spec)
-        dy = rng.normal(size=(2, 2, 6, 5))
+        dy = rng.normal(size=(2, spec.out_channels, 6, 5))
         expected = self.branch_sum(conv, dy, (6, 5))
 
         calls = []
@@ -278,13 +282,13 @@ class TestBranchedBackwardInput:
         monkeypatch.setattr(reparam_mod, "conv_backward_input", counting_backward_input)
         built = count_window_matrices(monkeypatch)
         out = branched_backward_input(conv, dy, (6, 5))
-        assert built == [ConvSpec(2, 3, (3, 3))]
+        assert built == [grad_spec]
         assert len(calls) == len(masks) and all(c is calls[0] for c in calls)
         np.testing.assert_array_equal(out, expected)
 
-    @pytest.mark.parametrize("spec", [ConvSpec(2, 3, (3, 3), padding=1),
+    @pytest.mark.parametrize("spec", [ConvSpec(1, 4, (3, 3), padding=1),
                                       ConvSpec(3, 2, (3, 3), stride=2, padding=1)],
-                             ids=["co_gt_ci", "stride2"])
+                             ids=["co_gt_ci_kx", "stride2"])
     def test_scatter_spec_builds_no_matrix(self, spec, monkeypatch):
         rng = np.random.default_rng(10)
         conv = split_init(rng.normal(size=spec.weight_shape), acb_masks(), spec)
