@@ -31,6 +31,7 @@ from .optim import KINDS as OPTIMIZER_KINDS
 from .optim import OptimizerConfig
 from .reparam import MASK_FAMILIES, equivalence_run, standard_mask_sets
 from .training import (
+    ESTIMATED,
     EpochMetrics,
     EvalImageShapeError,
     Run,
@@ -185,8 +186,11 @@ def cmd_inspect_scaling(args) -> int:
 
 def _cell_settings(sgs: SgsSettings, cell: dict) -> SgsSettings:
     """The config's scaling settings with one grid cell applied; a cell that
-    ``SgsSettings`` rejects is a config error."""
+    ``SgsSettings`` rejects, or a ``k`` cell on a measure that never reads
+    ``k``, is a config error."""
     measure = "alpha_beta" if "alpha" in cell else sgs.measure
+    if "k" in cell and measure not in ESTIMATED:
+        raise ConfigError(f"--ks: measure = {measure} never reads k; only {ESTIMATED} do")
     try:
         return replace(sgs, enabled=True, measure=measure, **cell)
     except ValueError as exc:

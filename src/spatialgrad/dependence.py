@@ -40,22 +40,19 @@ class BinningConfig:
 
     The ``bins`` uniform bins span the pooled min/max of the maps being
     scored, so they follow the activations as they drift between refreshes.
-    ``redundancy_filter`` drops pairs whose values are closer than a
-    threshold: ``None`` is off, ``"auto"`` uses one bin width, a float is an
-    explicit threshold.
+    ``redundancy_filter`` is ``None`` (off) or ``"auto"``: drop the pairs
+    whose values are closer than one bin width of that pooled range.
     """
 
     bins: int = 32
-    redundancy_filter: float | str | None = None
+    redundancy_filter: str | None = None
 
     def __post_init__(self) -> None:
         if self.bins < 2:
             raise ValueError(f"bins must be >= 2, got {self.bins}")
-        rf = self.redundancy_filter
-        if isinstance(rf, str) and rf != "auto":
-            raise ValueError(f"redundancy_filter must be None, 'auto', or a float, got {rf!r}")
-        if isinstance(rf, (int, float)) and not isinstance(rf, bool) and not 0 < rf < math.inf:
-            raise ValueError(f"redundancy_filter threshold must be positive and finite, got {rf}")
+        if self.redundancy_filter not in (None, "auto"):
+            raise ValueError(f"redundancy_filter must be None or 'auto', "
+                             f"got {self.redundancy_filter!r}")
 
 
 @dataclass(frozen=True)
@@ -120,9 +117,8 @@ def _bin_indices(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndar
 
 
 def _resolve_delta(cfg: BinningConfig, lo: float, hi: float) -> float | None:
-    if cfg.redundancy_filter == "auto":
-        return (hi - lo) / cfg.bins
-    return cfg.redundancy_filter
+    """The filter threshold, one bin width of [lo, hi], or None with the filter off."""
+    return None if cfg.redundancy_filter is None else (hi - lo) / cfg.bins
 
 
 def _check_extents(maps: Sequence[np.ndarray], displacements) -> None:
@@ -186,7 +182,7 @@ def collect_pairs(feature_maps: Sequence[np.ndarray], displacement: tuple[int, i
     Every map is validated and the displacement's extent checked against
     each map before the estimator's blocked loop counts the pairs, with the
     bins spanning the maps' pooled range. With the redundancy filter on,
-    pairs with |p - q| below the threshold are left out of the count; an
+    pairs with |p - q| below one bin width are left out of the count; an
     empty surviving pair set is an error.
     """
     maps, (lo, hi) = _check_maps(feature_maps)

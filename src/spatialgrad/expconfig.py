@@ -111,13 +111,13 @@ def _parse_typed(raw: str, key: str, kind: type, where: str):
         raise ConfigError(f"[{where}] {key} = {raw!r} is not a valid {kind.__name__}") from exc
 
 
-def _parse_redundancy_filter(raw: str) -> float | str | None:
+def _parse_redundancy_filter(raw: str) -> str | None:
     lowered = raw.strip().lower()
     if lowered in ("off", "none", "false"):
         return None
     if lowered == "auto":
         return "auto"
-    return _parse_typed(lowered, "redundancy_filter", float, "sgs")
+    raise ConfigError(f"[sgs] redundancy_filter = {raw!r} must be off, none, false or auto")
 
 
 def _parse_fixed_values(raw: str) -> np.ndarray | None:

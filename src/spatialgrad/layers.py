@@ -241,10 +241,9 @@ class SoftmaxCrossEntropy(Layer):
             raise ShapeError(f"labels shape {labels.shape} for {logits.shape[0]} samples")
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        n = logits.shape[0]
-        log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
-        value = float(-log_probs[np.arange(n), labels].mean())
+        total = exp.sum(axis=1)
+        probs = exp / total[:, None]
+        value = float(-(shifted[np.arange(logits.shape[0]), labels] - np.log(total)).mean())
         self._saved = (probs, labels)
         return value, probs
 

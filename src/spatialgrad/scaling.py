@@ -13,7 +13,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 MEAN_TOLERANCE = 1e-9
-DEFAULT_EPSILON_FLOOR = 1e-3
+EPSILON_FLOOR = 1e-3  # part of the method, not a setting: see ``finalize``
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ def k_transform(dependence: np.ndarray, k: float) -> np.ndarray:
     return (k * s) / ((k - 1.0) * s + 1.0)
 
 
-def finalize(raw: np.ndarray, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> ScalingMatrix:
-    """Floor raw scalings at ``epsilon_floor`` and normalize to mean 1.
+def finalize(raw: np.ndarray) -> ScalingMatrix:
+    """Floor raw scalings at ``EPSILON_FLOOR`` and normalize to mean 1.
 
     Flooring comes first so that zero entries (independent displacements)
     stay strictly positive and the mean is never zero.
@@ -118,10 +118,5 @@ def finalize(raw: np.ndarray, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> S
     raw = np.asarray(raw, dtype=np.float64)
     if np.any(raw < 0):
         raise ValueError("raw scaling entries must be non-negative")
-    if epsilon_floor < 0:
-        raise ValueError("epsilon_floor must be non-negative")
-    floored = np.maximum(raw, epsilon_floor)
-    mean = floored.mean()
-    if mean == 0.0:
-        raise ValueError("all-zero scaling with a zero floor cannot be normalized")
-    return ScalingMatrix(floored / mean)
+    floored = np.maximum(raw, EPSILON_FLOOR)
+    return ScalingMatrix(floored / floored.mean())

@@ -34,13 +34,13 @@ from .dependence import BinningConfig, EstimatorError
 from .network import Network, build_network, parameter_name
 from .optim import OptimizerConfig, OptimizerState, make_state, step
 from .reparam import MASK_FAMILIES, standard_mask_sets
-from .scaling import DEFAULT_EPSILON_FLOOR, ScalingMatrix, finalize, from_masks, k_transform
+from .scaling import ScalingMatrix, finalize, from_masks, k_transform
 from .tensor import ShapeError
 
 logger = logging.getLogger(__name__)
 
-_ESTIMATED = ("mi", "autocorr")  # the measures that read captured feature maps
-MEASURES = (*_ESTIMATED, "alpha_beta", "fixed", "masks")
+ESTIMATED = ("mi", "autocorr")  # the measures that read captured feature maps, and k
+MEASURES = (*ESTIMATED, "alpha_beta", "fixed", "masks")
 
 # One refresh: conv layer index -> (dependence matrix or None, scaling matrix).
 Refresh = dict[int, tuple[dependence.SpatialDependenceMatrix | None, ScalingMatrix]]
@@ -56,6 +56,9 @@ class EvalImageShapeError(ShapeError):
 
 @dataclass
 class SgsSettings:
+    """The [sgs] section. ``redundancy_filter`` is None (off) or ``"auto"`` (one bin
+    width); estimated scalings are floored at ``scaling.EPSILON_FLOOR``, not a key."""
+
     enabled: bool = True
     measure: str = "mi"
     k: float = 5.0
@@ -63,8 +66,7 @@ class SgsSettings:
     refresh_batches: int = 2
     warmup_epochs: int = 1
     bins: int = BinningConfig.bins
-    epsilon_floor: float = DEFAULT_EPSILON_FLOOR
-    redundancy_filter: float | str | None = None
+    redundancy_filter: str | None = None
     scaling_position: str = "pre"
     alpha: float = 1.0
     beta: float = 1.0
@@ -83,8 +85,6 @@ class SgsSettings:
         if self.scaling_position not in ("pre", "post"):
             raise ValueError("scaling_position must be 'pre' or 'post'")
         BinningConfig(bins=self.bins, redundancy_filter=self.redundancy_filter)
-        if not 0 <= self.epsilon_floor < math.inf:
-            raise ValueError(f"epsilon_floor must be >= 0 and finite, got {self.epsilon_floor}")
         if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
             raise ValueError(f"alpha and beta must be positive and finite, "
                              f"got alpha={self.alpha}, beta={self.beta}")
@@ -172,13 +172,13 @@ def _layer_scaling(kernel: tuple[int, int], sgs: SgsSettings,
     """
     if kernel == (1, 1):
         return None, ScalingMatrix.uniform(kernel)
-    if sgs.measure in _ESTIMATED:
+    if sgs.measure in ESTIMATED:
         if sgs.measure == "mi":
             cfg = BinningConfig(bins=sgs.bins, redundancy_filter=sgs.redundancy_filter)
             dep = dependence.spatial_dependence_mi(maps, kernel, cfg)
         else:
             dep = dependence.spatial_dependence_autocorr(maps, kernel)
-        return dep, finalize(k_transform(dep.values, sgs.k), sgs.epsilon_floor)
+        return dep, finalize(k_transform(dep.values, sgs.k))
     if sgs.measure == "alpha_beta":
         if kernel != (3, 3):
             raise EstimatorError(f"alpha/beta scaling is 3x3 only, layer kernel is {kernel}")
@@ -231,7 +231,7 @@ def inspect_scalings(net: Network, dataset: LabeledDataset, sgs: SgsSettings,
     refresh never aborts the run.
     """
     captured: dict[int, list[np.ndarray]] = {}
-    if sgs.measure in _ESTIMATED:  # only a capture draws from ``rng``
+    if sgs.measure in ESTIMATED:  # only a capture draws from ``rng``
         captured = _capture_feature_maps(net, dataset, sgs, rng, batch_size)
     out: Refresh = {}
     for layer_idx in net.conv_indices:

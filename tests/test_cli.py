@@ -766,6 +766,22 @@ class TestGridSearch:
         assert "config error" in capsys.readouterr().err
         assert not (out / "grid.csv").exists()
 
+    @pytest.mark.parametrize("measure", ["masks", "fixed"])
+    def test_k_grid_on_a_measure_that_never_reads_k_is_rejected(self, tmp_path, monkeypatch,
+                                                                capsys, measure):
+        # Its cells would all train the same run, and one would be named best.
+        def no_training(*args):
+            raise AssertionError("a grid cell trained on a measure that never reads k")
+
+        monkeypatch.setattr(cli, "_grid_cell", no_training)
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block(),
+                           f"\n[sgs]\nmeasure = {measure}\n")
+        out = tmp_path / "o"
+        assert main(["grid-search", "--config", cfg, "--out", str(out), "--ks", "1,5,50"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --ks") and f"measure = {measure}" in err
+        assert not (out / "grid.csv").exists()
+
     @pytest.mark.parametrize("fraction", ["0.999", "0.995"])
     def test_split_with_an_empty_side_rejected_before_any_worker(self, tmp_path, monkeypatch,
                                                                  capsys, fraction):
@@ -1072,8 +1088,27 @@ class TestConfigSchema:
                                       "momentum", "weight_decay", "seed", "precision"}
         assert set(_SGS_SCHEMA) == {
             "enabled", "measure", "k", "refresh_every", "refresh_batches", "warmup_epochs",
-            "bins", "epsilon_floor", "redundancy_filter", "scaling_position", "alpha",
-            "beta", "fixed_values", "mask_family"}
+            "bins", "redundancy_filter", "scaling_position", "alpha", "beta",
+            "fixed_values", "mask_family"}
+
+    @pytest.mark.parametrize("line", ["epsilon_floor = 1e-3", "epsilon_floor = -1",
+                                      "redundancy_filter = 0.3", "redundancy_filter = -0.5",
+                                      "redundancy_filter = nan"])
+    def test_a_floor_or_numeric_filter_fails_before_any_dataset(self, tmp_path, monkeypatch,
+                                                                capsys, line):
+        # The floor is scaling.EPSILON_FLOOR and the filter threshold one bin width.
+        def no_dataset(data):
+            raise AssertionError("a dataset was built before the config was validated")
+
+        monkeypatch.setattr(cli, "build_datasets", no_dataset)
+        cfg = write_config(tmp_path / "exp.ini", synth_data_block(), train_block(),
+                           f"\n[sgs]\n{line}\n")
+        key, value = line.split(" = ")
+        error = ("[sgs] unknown keys: ['epsilon_floor']" if key == "epsilon_floor"
+                 else f"[sgs] redundancy_filter = '{value}' must be off")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("section,line", [("train", "optimizer = rmsprop"),
                                               ("train", "momentum = -1"),
@@ -1087,10 +1122,6 @@ class TestConfigSchema:
                                               ("sgs", "k = 0"), ("sgs", "k = nan"),
                                               ("sgs", "k = inf"),
                                               ("sgs", "bins = 1"),
-                                              ("sgs", "epsilon_floor = -1"),
-                                              ("sgs", "epsilon_floor = inf"),
-                                              ("sgs", "redundancy_filter = -0.5"),
-                                              ("sgs", "redundancy_filter = nan"),
                                               ("sgs", "alpha = 0"), ("sgs", "alpha = inf"),
                                               ("sgs", "beta = -1"),
                                               ("sgs", "measure = masks\nmask_family = nope"),

@@ -52,16 +52,17 @@ class TestCollectPairs:
         joint = collect_pairs([fm], (0, 1), BinningConfig(bins=2))
         np.testing.assert_array_equal(joint, [[0.0, 2.0], [0.0, 0.0]])
 
-    def test_constant_map_with_filter_is_empty(self):
-        fm = np.full((1, 1, 4, 4), 0.5)
-        cfg = BinningConfig(bins=4, redundancy_filter=0.01)
+    def test_smooth_ramp_with_filter_is_empty(self):
+        # Neighbours differ by 1/15, less than the bin width 1/4.
+        fm = np.linspace(0.0, 1.0, 16).reshape(1, 1, 1, 16)
+        cfg = BinningConfig(bins=4, redundancy_filter="auto")
         with pytest.raises(EstimatorError, match="redundancy"):
             collect_pairs([fm], (0, 1), cfg)
 
     def test_filter_drops_near_pairs_only(self):
         fm = np.array([[0.0, 0.05, 1.0, 0.0]]).reshape(1, 1, 1, 4)
-        cfg = BinningConfig(bins=2, redundancy_filter=0.1)
-        # pairs: (0,0.05) dropped, (0.05,1) kept, (1,0) kept
+        cfg = BinningConfig(bins=10, redundancy_filter="auto")
+        # bin width 0.1: (0,0.05) dropped, (0.05,1) kept, (1,0) kept
         joint = collect_pairs([fm], (0, 1), cfg)
         assert joint.sum() == 2
 
@@ -95,23 +96,24 @@ class TestCollectPairs:
         np.testing.assert_array_equal(joint, expected)
 
     def test_kept_pairs_fill_the_last_cell(self):
-        # Pairs: (0.76, 1.0) kept in cell (3, 3), the last of bins**2;
-        # (1.0, 0.95) dropped from that same cell; (0.95, 0.0) kept in (3, 0);
-        # (0.0, 0.05) dropped from cell (0, 0). A dropped pair's code lies at
-        # or past bins**2, so an off-by-one there or in the kept cells moves or
-        # loses a count of the last cell.
-        fm = np.array([[0.76, 1.0, 0.95, 0.0, 0.05]]).reshape(1, 1, 1, 5)
-        cfg = BinningConfig(bins=4, redundancy_filter=0.1)
+        # Bin width 0.25. Pairs: (0.75, 1.0), exactly one width apart, kept in
+        # cell (3, 3), the last of bins**2; (1.0, 0.95) dropped from that same
+        # cell; (0.95, 0.0) kept in (3, 0); (0.0, 0.05) dropped from cell
+        # (0, 0). A dropped pair's code lies at or past bins**2, so an
+        # off-by-one there or in the kept cells moves or loses a count of the
+        # last cell.
+        fm = np.array([[0.75, 1.0, 0.95, 0.0, 0.05]]).reshape(1, 1, 1, 5)
+        cfg = BinningConfig(bins=4, redundancy_filter="auto")
         expected = np.zeros((4, 4))
         expected[3, 3] = expected[3, 0] = 1
         joint = collect_pairs([fm], (0, 1), cfg)
         np.testing.assert_array_equal(joint, expected)
         np.testing.assert_array_equal(joint, naive_joint([fm], (0, 1), cfg))
 
-    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
-    def test_non_finite_filter_threshold_is_rejected(self, threshold):
-        with pytest.raises(ValueError, match="finite"):
-            BinningConfig(redundancy_filter=threshold)
+    @pytest.mark.parametrize("value", [0.3, 1, np.nan, np.inf, "off", "AUTO"])
+    def test_a_filter_other_than_none_or_auto_is_rejected(self, value):
+        with pytest.raises(ValueError, match="None or 'auto'"):
+            BinningConfig(redundancy_filter=value)
 
 
 class TestBinIndices:
@@ -268,14 +270,14 @@ class TestEstimatorEqualsCollectPairs:
     """The estimator is bitwise a per-displacement collect_pairs rebuild."""
 
     @pytest.mark.parametrize("kernel", [(3, 3), (7, 7), (5, 3), (4, 4), (2, 1)])
-    @pytest.mark.parametrize("redundancy_filter", [None, "auto", 0.3])
+    @pytest.mark.parametrize("redundancy_filter", [None, "auto"])
     def test_matches_rebuild(self, kernel, redundancy_filter):
         maps = tied_maps(sum(kernel))
         cfg = BinningConfig(bins=8, redundancy_filter=redundancy_filter)
         fast = spatial_dependence_mi(maps, kernel, cfg).values
         assert np.array_equal(fast, collect_pairs_rebuild(maps, kernel, cfg))
 
-    @pytest.mark.parametrize("redundancy_filter", [None, "auto", 0.3])
+    @pytest.mark.parametrize("redundancy_filter", [None, "auto"])
     def test_mirrored_displacement_is_the_transpose(self, redundancy_filter):
         maps = [np.minimum(fm, 3.0) for fm in tied_maps(11)]  # pooled range (0, 3)
         cfg = BinningConfig(bins=8, redundancy_filter=redundancy_filter)
@@ -299,7 +301,7 @@ class TestBlockBoundaries:
     # 10**6 values: every map in one block.
     @pytest.mark.parametrize("block_values", [1, 288, 10**6])
     @pytest.mark.parametrize("kernel", [(3, 3), (7, 7), (5, 3), (2, 1)])
-    @pytest.mark.parametrize("redundancy_filter", [None, "auto", 0.3])
+    @pytest.mark.parametrize("redundancy_filter", [None, "auto"])
     def test_matches_rebuild(self, monkeypatch, block_values, kernel, redundancy_filter):
         monkeypatch.setattr(dependence, "_BLOCK_VALUES", block_values)
         maps = mixed_maps(sum(kernel))
@@ -311,13 +313,16 @@ class TestBlockBoundaries:
            batches=st.lists(st.tuples(st.integers(1, 4), st.integers(4, 9), st.integers(4, 9)),
                             min_size=1, max_size=3),
            kernel=st.tuples(st.integers(1, 7), st.integers(1, 7)),
-           redundancy_filter=st.one_of(st.none(), st.just("auto"), st.floats(0.05, 0.5)))
+           bins=st.integers(2, 12), scale=st.floats(0.3, 3.0),
+           redundancy_filter=st.sampled_from([None, "auto"]))
     @settings(max_examples=60, deadline=None)
-    def test_any_block_size_matches_rebuild(self, block_values, seed, batches, kernel,
-                                            redundancy_filter):
+    def test_any_block_size_matches_rebuild(self, block_values, seed, batches, kernel, bins,
+                                            scale, redundancy_filter):
+        # bins and scale move the auto threshold, one bin width, over about
+        # 0.02 to 1.5 against values tied on a 0.1 grid.
         rng = np.random.default_rng(seed)
-        maps = [np.round(rng.uniform(size=(n, 2, h, w)), 1) for n, h, w in batches]
-        cfg = BinningConfig(bins=6, redundancy_filter=redundancy_filter)
+        maps = [np.round(rng.uniform(high=scale, size=(n, 2, h, w)), 1) for n, h, w in batches]
+        cfg = BinningConfig(bins=bins, redundancy_filter=redundancy_filter)
         original = dependence._BLOCK_VALUES
         dependence._BLOCK_VALUES = block_values
         try:
@@ -336,7 +341,7 @@ def naive_joint(maps, displacement, cfg):
     """
     i, j = displacement
     lo, hi = min(float(fm.min()) for fm in maps), max(float(fm.max()) for fm in maps)
-    delta = (hi - lo) / cfg.bins if cfg.redundancy_filter == "auto" else cfg.redundancy_filter
+    delta = None if cfg.redundancy_filter is None else (hi - lo) / cfg.bins
 
     def bin_index(values):
         if hi <= lo:
@@ -363,7 +368,7 @@ class TestCollectPairsEqualsNaiveJoint:
 
     @pytest.mark.parametrize("block_values", [1, 288, 10**6])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("redundancy_filter", [None, "auto", 0.3])
+    @pytest.mark.parametrize("redundancy_filter", [None, "auto"])
     @pytest.mark.parametrize("value_range", [None, (0.2, 1.5)])
     def test_matches_naive_joint(self, monkeypatch, block_values, dtype, redundancy_filter,
                                  value_range):
@@ -389,7 +394,7 @@ class TestCollectPairsEqualsNaiveJoint:
 
     @pytest.mark.parametrize("block_values", [1, 7, 10**6])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("redundancy_filter", [None, "auto", 0.3])
+    @pytest.mark.parametrize("redundancy_filter", [None, "auto"])
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_thin_and_non_square_planes_match_naive_joint(self, monkeypatch, block_values,
                                                           dtype, redundancy_filter, layout):
@@ -696,11 +701,10 @@ class TestNonFiniteMaps:
         with pytest.raises(EstimatorError, match="non-finite"):
             spatial_dependence_mi(self.maps_with(bad), (3, 3), BinningConfig())
 
-    @pytest.mark.parametrize("redundancy_filter", ["auto", 0.3])
-    def test_mi_with_filter_raises(self, redundancy_filter):
+    def test_mi_with_filter_raises(self):
         with pytest.raises(EstimatorError, match="non-finite"):
             spatial_dependence_mi(self.maps_with(np.nan), (3, 3),
-                                  BinningConfig(redundancy_filter=redundancy_filter))
+                                  BinningConfig(redundancy_filter="auto"))
 
     def test_autocorr_raises(self):
         with pytest.raises(EstimatorError, match="non-finite"):

@@ -587,6 +587,20 @@ class TestSoftmaxCrossEntropy:
         single1, _ = SoftmaxCrossEntropy().loss(logits[1:], np.array([0]))
         assert loss == pytest.approx((single0 + single1) / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_loss_and_probs_equal_the_full_log_softmax_bitwise(self, dtype):
+        # The reference forms every log-probability, and sums each row twice.
+        rng = np.random.default_rng(11)
+        logits = (rng.normal(size=(64, 10)) * 5).astype(dtype)
+        labels = rng.integers(0, 10, size=64)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
+        loss, probs = SoftmaxCrossEntropy().loss(logits, labels)
+        assert loss == float(-log_probs[np.arange(64), labels].mean())
+        assert probs.dtype == dtype
+        assert np.array_equal(probs, exp / exp.sum(axis=1, keepdims=True))
+
     def test_flatten_backward_restores_shape(self):
         layer = FlattenLayer()
         x = np.random.default_rng(10).normal(size=(2, 3, 4, 4))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spatialgrad.dependence import SpatialDependenceMatrix
-from spatialgrad.scaling import ScalingMatrix, finalize, from_masks, k_transform
+from spatialgrad.scaling import EPSILON_FLOOR, ScalingMatrix, finalize, from_masks, k_transform
 
 
 class TestScalingMatrix:
@@ -121,21 +121,17 @@ class TestFinalize:
                                        rtol=1e-15)
 
     def test_floor_then_normalize_oracle(self):
-        raw = np.array([[0.0, 1.0], [1.0, 2.0]])
-        floor = 1e-3
-        # direct arithmetic oracle
-        floored = np.maximum(raw, floor)
+        assert EPSILON_FLOOR == 1e-3  # the method's floor
+        raw = np.array([[0.0, 1.0], [5e-4, 2.0]])
+        # direct arithmetic oracle: 0 and 5e-4 both rise to the floor
+        floored = np.array([[1e-3, 1.0], [1e-3, 2.0]])
         expected = floored / floored.mean()
-        out = finalize(raw, floor)
+        out = finalize(raw)
         np.testing.assert_allclose(out.values, expected, rtol=1e-15)
         assert out.values.mean() == pytest.approx(1.0, abs=1e-12)
 
     def test_all_zero_raw_floors_to_uniform(self):
-        np.testing.assert_array_equal(finalize(np.zeros((3, 3)), 1e-3).values, np.ones((3, 3)))
-
-    def test_all_zero_raw_with_zero_floor_errors(self):
-        with pytest.raises(ValueError):
-            finalize(np.zeros((3, 3)), 0.0)
+        np.testing.assert_array_equal(finalize(np.zeros((3, 3))).values, np.ones((3, 3)))
 
     def test_rejects_negative_raw(self):
         with pytest.raises(ValueError):
@@ -146,7 +142,7 @@ class TestFinalize:
     def test_output_always_valid(self, seed):
         rng = np.random.default_rng(seed)
         raw = rng.uniform(0.0, 3.0, size=(3, 3))
-        out = finalize(raw, 1e-3)
+        out = finalize(raw)
         assert abs(out.values.mean() - 1.0) <= 1e-9
         assert out.values.min() > 0
 

@@ -1,5 +1,6 @@
 import copy
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -110,12 +111,16 @@ class TestNonFiniteSettings:
         with pytest.raises(ValueError, match="lr must be positive and finite"):
             TrainingConfig(epochs=1, batch_size=1, lr=lr)
 
-    @pytest.mark.parametrize("key", ["k", "epsilon_floor", "alpha", "beta",
-                                     "redundancy_filter"])
+    @pytest.mark.parametrize("key", ["k", "alpha", "beta"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_scaling_setting_is_rejected(self, key, value):
         with pytest.raises(ValueError, match="finite"):
             SgsSettings(**{key: value})
+
+    @pytest.mark.parametrize("value", [0.5, np.nan, np.inf, -np.inf])
+    def test_a_numeric_redundancy_filter_is_rejected(self, value):
+        with pytest.raises(ValueError, match="redundancy_filter must be None or 'auto'"):
+            SgsSettings(redundancy_filter=value)
 
 
 class TestNetworkSpecValidation:
@@ -699,15 +704,17 @@ class TestInspectScalings:
     def test_degenerate_layer_degrades_to_uniform_with_warning(self, caplog):
         from spatialgrad.data import LabeledDataset
 
-        constant = LabeledDataset(np.full((64, 1, 28, 28), 0.5),
-                                  np.zeros(64, dtype=np.int64), 10)
+        # A ramp along each row: horizontal neighbours differ by 1/27 of the
+        # range, less than the bin width 1/8, and vertical ones not at all, so
+        # the filter empties every off-center displacement of the first layer.
+        ramp = np.broadcast_to(np.linspace(0.0, 1.0, 28), (64, 1, 28, 28))
+        smooth = LabeledDataset(ramp.copy(), np.zeros(64, dtype=np.int64), 10)
         net = self.build_net(two_conv_model())
-        # constant images plus the redundancy filter empty every off-center
-        # displacement of the first layer
-        sgs = SgsSettings(enabled=True, measure="mi", redundancy_filter=0.5)
+        sgs = SgsSettings(enabled=True, measure="mi", bins=8, redundancy_filter="auto")
         with caplog.at_level(logging.WARNING):
-            out = inspect_scalings(net, constant, sgs, np.random.default_rng(0), 32)
-        assert any("uniform" in rec.message for rec in caplog.records)
+            out = inspect_scalings(net, smooth, sgs, np.random.default_rng(0), 32)
+        assert any(m.startswith("layer 0:") and "redundancy" in m and "uniform" in m
+                   for m in caplog.messages)
         np.testing.assert_array_equal(out[0][1].values, np.ones((3, 3)))
 
     def test_non_finite_maps_degrade_to_uniform_with_warning(self, caplog):
@@ -879,12 +886,21 @@ class TestSmallModelSpecs:
         train_ds, eval_ds = (LabeledDataset(rng.random((n, *input_shape)),
                                             np.arange(n) % SPEC_CLASSES, SPEC_CLASSES)
                              for n in (16, 8))
+
+        def scores(run):
+            return [(m.train_loss, m.train_acc, m.eval_acc) for m in run.metrics]
+
         a, b = (train(spec, train_ds, eval_ds, cfg) for _ in range(2))
         assert_same_weights(a, b)
-        assert [(m.train_loss, m.train_acc, m.eval_acc) for m in a.metrics] \
-            == [(m.train_loss, m.train_acc, m.eval_acc) for m in b.metrics]
+        assert scores(a) == scores(b)
         assert a.scalings.keys() == b.scalings.keys()
         assert all(np.array_equal(a.scalings[k], b.scalings[k]) for k in a.scalings)
+        # measure = fixed with no values scales by ones: bitwise the disabled run.
+        fixed, off = (train(spec, train_ds, eval_ds,
+                            replace(cfg, sgs=replace(cfg.sgs, measure="fixed", enabled=on)))
+                      for on in (True, False))
+        assert_same_weights(fixed, off)
+        assert scores(fixed) == scores(off)
         if precision == 32:
             for name, value in a.final_weights().items():  # BN running statistics too
                 assert value.dtype == np.float32, name
