@@ -249,6 +249,15 @@ def tied_maps(seed):
             for shape in ((3, 2, 9, 8), (2, 2, 9, 8))]
 
 
+# The filter off, and on at a coarse and a fine bin width: the one-bin-width
+# threshold takes two sizes, as a numeric threshold once did.
+BINNINGS = pytest.mark.parametrize("cfg", [
+    BinningConfig(bins=8),
+    BinningConfig(bins=8, redundancy_filter="auto"),
+    BinningConfig(bins=32, redundancy_filter="auto"),
+], ids=["off", "auto", "auto_32_bins"])
+
+
 def values_or_error(call, *args):
     """call(*args), or the message of the EstimatorError it raised."""
     try:
@@ -270,17 +279,15 @@ class TestEstimatorEqualsCollectPairs:
     """The estimator is bitwise a per-displacement collect_pairs rebuild."""
 
     @pytest.mark.parametrize("kernel", [(3, 3), (7, 7), (5, 3), (4, 4), (2, 1)])
-    @pytest.mark.parametrize("redundancy_filter", [None, "auto"])
-    def test_matches_rebuild(self, kernel, redundancy_filter):
+    @BINNINGS
+    def test_matches_rebuild(self, kernel, cfg):
         maps = tied_maps(sum(kernel))
-        cfg = BinningConfig(bins=8, redundancy_filter=redundancy_filter)
         fast = spatial_dependence_mi(maps, kernel, cfg).values
         assert np.array_equal(fast, collect_pairs_rebuild(maps, kernel, cfg))
 
-    @pytest.mark.parametrize("redundancy_filter", [None, "auto"])
-    def test_mirrored_displacement_is_the_transpose(self, redundancy_filter):
+    @BINNINGS
+    def test_mirrored_displacement_is_the_transpose(self, cfg):
         maps = [np.minimum(fm, 3.0) for fm in tied_maps(11)]  # pooled range (0, 3)
-        cfg = BinningConfig(bins=8, redundancy_filter=redundancy_filter)
         for i, j in [(0, 1), (1, 0), (1, 2), (-2, 1), (3, -3)]:
             joint = collect_pairs(maps, (i, j), cfg)
             assert np.array_equal(joint, collect_pairs(maps, (-i, -j), cfg).T)
@@ -301,11 +308,10 @@ class TestBlockBoundaries:
     # 10**6 values: every map in one block.
     @pytest.mark.parametrize("block_values", [1, 288, 10**6])
     @pytest.mark.parametrize("kernel", [(3, 3), (7, 7), (5, 3), (2, 1)])
-    @pytest.mark.parametrize("redundancy_filter", [None, "auto"])
-    def test_matches_rebuild(self, monkeypatch, block_values, kernel, redundancy_filter):
+    @BINNINGS
+    def test_matches_rebuild(self, monkeypatch, block_values, kernel, cfg):
         monkeypatch.setattr(dependence, "_BLOCK_VALUES", block_values)
         maps = mixed_maps(sum(kernel))
-        cfg = BinningConfig(bins=8, redundancy_filter=redundancy_filter)
         fast = spatial_dependence_mi(maps, kernel, cfg).values
         assert np.array_equal(fast, collect_pairs_rebuild(maps, kernel, cfg))
 
@@ -368,10 +374,9 @@ class TestCollectPairsEqualsNaiveJoint:
 
     @pytest.mark.parametrize("block_values", [1, 288, 10**6])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("redundancy_filter", [None, "auto"])
+    @BINNINGS
     @pytest.mark.parametrize("value_range", [None, (0.2, 1.5)])
-    def test_matches_naive_joint(self, monkeypatch, block_values, dtype, redundancy_filter,
-                                 value_range):
+    def test_matches_naive_joint(self, monkeypatch, block_values, dtype, cfg, value_range):
         monkeypatch.setattr(dependence, "_BLOCK_VALUES", block_values)
         maps = mixed_maps(3)
         if value_range is not None:
@@ -381,8 +386,7 @@ class TestCollectPairsEqualsNaiveJoint:
             maps = [np.clip(fm, *value_range) for fm in maps]
         maps = [fm.astype(dtype) for fm in maps]
         # The pooled range puts the data maximum exactly on its upper edge, in the last bin.
-        cfg = BinningConfig(bins=8, redundancy_filter=redundancy_filter)
-        displacements = self.DISPLACEMENTS + ([(0, 0)] if redundancy_filter is None else [])
+        displacements = self.DISPLACEMENTS + ([(0, 0)] if cfg.redundancy_filter is None else [])
         for d in displacements:
             assert np.array_equal(collect_pairs(maps, d, cfg), naive_joint(maps, d, cfg)), d
 
@@ -394,18 +398,17 @@ class TestCollectPairsEqualsNaiveJoint:
 
     @pytest.mark.parametrize("block_values", [1, 7, 10**6])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("redundancy_filter", [None, "auto"])
+    @BINNINGS
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_thin_and_non_square_planes_match_naive_joint(self, monkeypatch, block_values,
-                                                          dtype, redundancy_filter, layout):
+                                                          dtype, cfg, layout):
         monkeypatch.setattr(dependence, "_BLOCK_VALUES", block_values)
         shapes, (kx, ky) = self.LAYOUTS[layout]
         rng = np.random.default_rng(5)
         maps = [np.round(np.maximum(rng.normal(size=shape), 0.0), 1).astype(dtype)
                 for shape in shapes]
-        cfg = BinningConfig(bins=8, redundancy_filter=redundancy_filter)
         for i, j in dependence._displacements((kx, ky)):
-            if redundancy_filter is not None and (i, j) == (0, 0):
+            if cfg.redundancy_filter is not None and (i, j) == (0, 0):
                 continue
             assert np.array_equal(collect_pairs(maps, (i, j), cfg),
                                   naive_joint(maps, (i, j), cfg)), (i, j)
