@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .conv import ConvSpec, conv_backward_input, conv_backward_weights, conv_forward, im2col
-from .tensor import ShapeError
+from .tensor import ShapeError, require_rank4
 
 
 class Layer:
@@ -94,53 +94,76 @@ class ReLULayer(Layer):
 class MaxPoolLayer(Layer):
     """2x2 max pooling with stride 2; odd trailing rows/columns are dropped.
 
-    Forward takes the elementwise max of the four stride-2 quadrant slices and
-    records, per output cell, a uint8 route: the first quadrant, in the order
-    (0,0), (0,1), (1,0), (1,1), whose value equals the max. Backward sends each
-    output gradient to that element alone, so ties go to the first of the
-    tied elements (as ``argmax`` over the flattened block would pick), and the
-    dropped trailing row and column get zero gradient. A block holding a NaN
-    outputs NaN and routes to (1,1).
+    Forward runs two pair passes. A width pass takes, on every input row, the
+    max of each even column and the odd column after it,
+    ``pair = max(even, odd)``, shape ``[N, C, 2*oh, ow]``. A height pass then
+    takes the max of each top row of ``pair`` and the bottom row after it,
+    ``out = max(top, bottom)``. This is max(max(a, b), max(c, d)) over the
+    block (a, b / c, d), so a block holding a NaN outputs NaN.
 
-    Backward writes ``dy * (route == k)`` straight into each quadrant slice,
-    the same ``dy * mask`` idiom as ``ReLULayer.backward``. For finite ``dy``
-    this equals routing with ``np.where(route == k, dy, 0)`` under
-    ``np.array_equal``; only the sign of a zero may differ (a negative ``dy``
-    times a false mask gives -0.0). A non-finite ``dy`` reaches its whole
-    2x2 block, since inf * 0 and NaN * 0 are NaN, as ReLU backward already
-    does with its mask. An eval-mode forward computes the max alone.
+    A train-mode forward saves two bool arrays: a column bit per row pair,
+    ``even != pair`` (set: the odd column wins), and a row bit per block,
+    ``top != out`` (set: the bottom row wins). A bit is set only where the
+    first element misses the max, so a tie goes to the first of the tied
+    elements in the order (0,0), (0,1), (1,0), (1,1), as ``argmax`` over the
+    flattened block would pick; 0.0 and -0.0 tie. A NaN misses every
+    comparison, so a NaN block's row bit is set, and its bottom column bit is
+    set after the passes: it routes to (1,1). An eval-mode forward saves
+    nothing and runs the passes ``EVAL_BLOCK`` samples at a time into one
+    C-contiguous output, so its half-size ``pair`` temporary spans a block,
+    not the batch; this keeps a refresh's capture forward small.
+
+    Backward runs the passes in reverse. ``dy * ~row`` and ``dy * row`` fill
+    the top and bottom rows of an ``[N, C, 2*oh, ow]`` buffer, and that buffer
+    times ``~col`` and times ``col`` fills dx's even and odd columns; the
+    dropped trailing row and column get zero. So each dx entry is ``dy *
+    mask``, the same idiom as ``ReLULayer.backward``: a zero where the mask is
+    false carries the sign of dy (a negative dy gives -0.0), and a non-finite
+    dy reaches its whole 2x2 block, since inf * 0 and NaN * 0 are NaN.
     """
 
-    _QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+    EVAL_BLOCK = 16
+
+    @staticmethod
+    def _pair_passes(x, out=None):
+        """The width pass's even columns and ``pair``, and ``out``."""
+        oh, ow = x.shape[2] // 2, x.shape[3] // 2
+        even = x[:, :, : 2 * oh, 0 : 2 * ow : 2]
+        pair = np.maximum(even, x[:, :, : 2 * oh, 1 : 2 * ow : 2])
+        return even, pair, np.maximum(pair[:, :, 0::2], pair[:, :, 1::2], out=out)
 
     def forward(self, x, train):
+        x = require_rank4(x, "maxpool input")
         n, c, h, w = x.shape
-        oh, ow = h // 2, w // 2
-        if oh < 1 or ow < 1:
+        if h < 2 or w < 2:
             raise ShapeError(f"input {h}x{w} too small for 2x2 pooling")
-        q00, q01, q10, q11 = (x[:, :, r : 2 * oh : 2, s : 2 * ow : 2] for r, s in self._QUADRANTS)
-        out = np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
         if not train:
             self._saved = None
+            out = np.empty((n, c, h // 2, w // 2), dtype=x.dtype)
+            for i in range(0, n, self.EVAL_BLOCK):
+                block = slice(i, i + self.EVAL_BLOCK)
+                self._pair_passes(x[block], out=out[block])
             return out
-        # route = number of leading quadrants that miss the max
-        miss = q00 != out
-        route = miss.astype(np.uint8)
-        miss &= q01 != out
-        route += miss
-        miss &= q10 != out
-        route += miss
-        self._saved = (route, x.shape)
+        even, pair, out = self._pair_passes(x)
+        col = even != pair
+        row = pair[:, :, 0::2] != out
+        nan = np.isnan(out)
+        if nan.any():
+            col[:, :, 1::2] |= nan
+        self._saved = (col, row, x.shape)
         return out
 
     def backward(self, dy):
-        route, in_shape = self._take()
-        oh, ow = dy.shape[2], dy.shape[3]
+        col, row, in_shape = self._take()
+        n, c, oh, ow = dy.shape
+        rows = np.empty((n, c, 2 * oh, ow), dtype=dy.dtype)
+        np.multiply(dy, ~row, out=rows[:, :, 0::2])
+        np.multiply(dy, row, out=rows[:, :, 1::2])
         dx = np.empty(in_shape, dtype=dy.dtype)
         dx[:, :, 2 * oh :] = 0
         dx[:, :, :, 2 * ow :] = 0
-        for k, (r, s) in enumerate(self._QUADRANTS):
-            np.multiply(dy, route == k, out=dx[:, :, r : 2 * oh : 2, s : 2 * ow : 2])
+        np.multiply(rows, ~col, out=dx[:, :, : 2 * oh, 0 : 2 * ow : 2])
+        np.multiply(rows, col, out=dx[:, :, : 2 * oh, 1 : 2 * ow : 2])
         return dx
 
 

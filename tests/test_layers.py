@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spatialgrad.conv import (
     ConvSpec,
@@ -196,6 +199,10 @@ class TestMaxPool:
         num = layer_findiff(pool, x, dy)
         np.testing.assert_allclose(dx, num, rtol=1e-6, atol=1e-9)
 
+    def test_rank3_input_raises_shape_error(self):
+        with pytest.raises(ShapeError, match="maxpool input must be rank-4"):
+            MaxPoolLayer().forward(np.ones((3, 4, 4)), train=True)
+
 
 def loop_maxpool(x, dy):
     """Loop oracle for 2x2/stride-2 pooling: output, and dy routed first-wins.
@@ -290,11 +297,22 @@ class TestMaxPoolEvalMode:
             MaxPoolLayer().backward(np.ones((1, 1, 2, 2)))
 
 
+# the four elements of a 2x2 block in first-wins order; quadrant k is QUADRANTS[k]
+QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def saved_route(layer):
+    """The quadrant index k each output cell routes to, read from the row and
+    column bits a train-mode forward saved (call it before backward)."""
+    col, row, _ = layer._saved
+    return np.where(row, 2 + col[:, :, 1::2], col[:, :, 0::2])
+
+
 def where_maxpool_backward(route, dy, in_shape):
     """Reference routing with an ``np.where`` temporary per quadrant."""
     oh, ow = dy.shape[2:]
     dx = np.zeros(in_shape, dtype=dy.dtype)
-    for k, (r, s) in enumerate(MaxPoolLayer._QUADRANTS):
+    for k, (r, s) in enumerate(QUADRANTS):
         dx[:, :, r : 2 * oh : 2, s : 2 * ow : 2] = np.where(route == k, dy, 0)
     return dx
 
@@ -308,7 +326,7 @@ class TestMaxPoolBackward:
         out = layer.forward(x, train=True)
         if dy is None:
             dy = np.random.default_rng(5).normal(size=out.shape).astype(x.dtype)
-        route, _ = layer._saved  # read before backward takes it
+        route = saved_route(layer)  # read before backward takes it
         return layer.backward(dy), where_maxpool_backward(route, dy, x.shape)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -328,7 +346,7 @@ class TestMaxPoolBackward:
         out = layer.forward(x, train=True)
         dy = np.ones_like(out)
         dy[0, 0, 0, 0], dy[0, 0, 0, 1], dy[0, 0, 1, 2] = np.inf, np.nan, -np.inf
-        route, _ = layer._saved  # read before backward takes it
+        route = saved_route(layer)  # read before backward takes it
         with np.errstate(invalid="ignore"):
             dx = layer.backward(dy)
         for (i, j), value in (((0, 0), np.inf), ((0, 1), np.nan), ((1, 2), -np.inf)):
@@ -340,6 +358,83 @@ class TestMaxPoolBackward:
         finite = np.isfinite(np.repeat(np.repeat(dy, 2, axis=2), 2, axis=3))
         ref = where_maxpool_backward(route, np.where(np.isfinite(dy), dy, 0), x.shape)
         np.testing.assert_array_equal(dx[finite], ref[finite])
+
+
+class QuadrantMaxPool:
+    """Reference 2x2 pooling over the four stride-2 quadrant slices: the max is
+    max(max(q00, q01), max(q10, q11)), the route the first quadrant equal to
+    it (3 for a NaN block), and backward writes ``dy * (route == k)`` into
+    each quadrant."""
+
+    def forward(self, x, train):
+        oh, ow = x.shape[2] // 2, x.shape[3] // 2
+        q00, q01, q10, q11 = (x[:, :, r : 2 * oh : 2, s : 2 * ow : 2] for r, s in QUADRANTS)
+        out = np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
+        # route = number of leading quadrants that miss the max
+        miss = q00 != out
+        route = miss.astype(np.uint8)
+        miss &= q01 != out
+        route += miss
+        miss &= q10 != out
+        route += miss
+        self._saved = (route, x.shape) if train else None
+        return out
+
+    def backward(self, dy):
+        route, in_shape = self._saved
+        oh, ow = dy.shape[2:]
+        dx = np.zeros(in_shape, dtype=dy.dtype)
+        for k, (r, s) in enumerate(QUADRANTS):
+            np.multiply(dy, route == k, out=dx[:, :, r : 2 * oh : 2, s : 2 * ow : 2])
+        return dx
+
+
+# small-integer ties, signed zeros, infinities and NaN
+POOL_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, np.inf, -np.inf, np.nan])
+POOL_DY = st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0, -3.0])
+
+
+class TestMaxPoolBitwise:
+    """The pair-pass layer byte for byte against the quadrant reference, so
+    the sign of every zero and the bits of every NaN count."""
+
+    @given(data=st.data(), dtype=st.sampled_from([np.float64, np.float32]),
+           n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(2, 9), w=st.integers(2, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_outputs_and_gradient_equal_quadrant_reference(self, data, dtype, n, c, h, w):
+        x = data.draw(arrays(dtype, (n, c, h, w), elements=POOL_VALUES))
+        dy = data.draw(arrays(dtype, (n, c, h // 2, w // 2), elements=POOL_DY))
+        layer, ref = MaxPoolLayer(), QuadrantMaxPool()
+        out, ref_out = layer.forward(x, train=True), ref.forward(x, train=True)
+        dx, ref_dx = layer.backward(dy), ref.backward(dy)
+        evaluated = layer.forward(x, train=False)
+        assert out.dtype == dx.dtype == evaluated.dtype == dtype
+        assert out.shape == ref_out.shape and dx.shape == ref_dx.shape
+        assert out.flags.c_contiguous and evaluated.flags.c_contiguous
+        assert out.tobytes() == ref_out.tobytes()
+        assert evaluated.tobytes() == ref_out.tobytes()
+        assert dx.tobytes() == ref_dx.tobytes()
+
+    @pytest.mark.parametrize("n", [1, MaxPoolLayer.EVAL_BLOCK, 2 * MaxPoolLayer.EVAL_BLOCK + 5])
+    def test_eval_blocks_cover_the_batch(self, n):
+        x = np.random.default_rng(8).integers(-2, 3, size=(n, 2, 5, 6)).astype(np.float64)
+        evaluated = MaxPoolLayer().forward(x, train=False)
+        assert evaluated.flags.c_contiguous
+        assert evaluated.tobytes() == QuadrantMaxPool().forward(x, train=False).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_nan_block_routes_to_its_last_element_only(self, dtype):
+        # one channel per NaN position; the block's other three values are finite
+        x = np.tile(np.array([[5.0, 4.0], [3.0, 2.0]], dtype=dtype), (1, 4, 1, 1))
+        for k, (r, s) in enumerate(QUADRANTS):
+            x[0, k, r, s] = np.nan
+        layer = MaxPoolLayer()
+        out = layer.forward(x, train=True)
+        assert np.isnan(out).all()
+        dx = layer.backward(np.full(out.shape, 7.0, dtype=dtype))
+        expected = np.zeros_like(x)
+        expected[:, :, 1, 1] = 7.0
+        np.testing.assert_array_equal(dx, expected)
 
 
 class TestGlobalAvgPool:
